@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from sympy import factorint
 
@@ -18,6 +19,7 @@ class IncompatibleRadicands(ValueError):
     """Two operands live in different quadratic fields."""
 
 
+@lru_cache(maxsize=None)
 def squarefree_split(n: int) -> tuple[int, int]:
     """Return (k, d) with n = k**2 * d and d squarefree."""
     if n < 0:

@@ -10,6 +10,7 @@ same seed.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -68,7 +69,10 @@ def _sample(expr: RatFunc, rng: random.Random) -> NumericSummary:
         point = {n: rng.uniform(-2.0, 2.0) for n in names}
         try:
             val = expr.eval_numeric(point)
-        except ResampleNeeded:
+        except (ResampleNeeded, OverflowError):
+            continue
+        # A point whose float image overflows says nothing either way.
+        if not math.isfinite(val):
             continue
         max_abs = max(max_abs, abs(val))
         done += 1

@@ -6,7 +6,7 @@ grammar of :mod:`.symexpr`, and an ordered list of checks.  Format::
 
     # comment (anywhere; '#' to end of line)
     scenario NAME
-    chart VAR VAR ...
+    chart VAR VAR ...               # not alpha, beta, sigma or sqrtD
     params alpha=A beta=B
 
     structure NAME kind=KIND        # KIND: product|metallic|tangent|complex
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from .geometry import Connection, Tensor11Field, VectorField
 from .numfield import MetallicParams, make_params
-from .symexpr import Chart, ExprError, RatFunc, parse_expr
+from .symexpr import PARAM_NAMES, Chart, ExprError, RatFunc, parse_expr
 
 STRUCTURE_KINDS = ("product", "metallic", "tangent", "complex")
 
@@ -194,6 +194,10 @@ class _Loader:
             names = rest.split()
             if not names:
                 raise self.err("chart needs at least one variable name", lineno)
+            reserved = [n for n in names if n in PARAM_NAMES]
+            if reserved:
+                raise self.err(f"chart variable {reserved[0]!r} would shadow the "
+                               f"parameter of that name", lineno)
             try:
                 self.chart = Chart(names)
             except ValueError as exc:

@@ -1,15 +1,20 @@
 """Multivariate rational functions over Q(sqrt(d)) in named chart coordinates.
 
-A ``RatFunc`` is a numerator polynomial (a sparse ring element over the
-exact domain ``QQ<sqrt(d)>``, plain ``QQ`` when d == 0) together with a
-factored denominator: a tuple of monic base polynomials with positive
-integer exponents.  Every operation cancels numerator against
+A ``RatFunc`` is a numerator polynomial in ``QQ[x, s]/(s^2 - d)``, where
+``x`` are the chart coordinates and the extra generator ``s`` stands for
+``sqrt(d)``, together with a factored denominator: a tuple of monic base
+polynomials in ``QQ[x]`` with positive integer exponents.  Numerators are
+kept in normal form, of degree at most 1 in ``s`` (``s^2`` is rewritten to
+``d`` after every product and power), and denominators never contain
+``s``: a divisor ``A + s*B`` is rationalised by its conjugate into the
+norm ``A^2 - d*B^2``.  Trial division, ``gcd``, ``monic`` and ``diff``
+therefore all run over ``QQ``.  Every operation cancels numerator against
 denominator bases by exact division, so the reduced pair is restored
 without expensive polynomial gcds; the zero function is represented
-uniquely by a zero numerator, which makes ``is_zero`` the decidable
-verdict primitive behind every identity check.  Equality is decided by
-exact cross-multiplication, independent of how the denominators happen
-to be factored.
+uniquely by a zero numerator (``A + s*B == 0`` iff ``A == B == 0``), which
+makes ``is_zero`` the decidable verdict primitive behind every identity
+check.  Equality is decided by exact cross-multiplication, independent of
+how the denominators happen to be factored.
 """
 
 from __future__ import annotations
@@ -42,35 +47,40 @@ def coeff_field(d: int) -> "CoeffField":
 
 
 class CoeffField:
-    """The sympy coefficient domain for a fixed squarefree radicand."""
+    """The coefficient field Q(sqrt(d)) of a ``RatFunc``: its squarefree
+    radicand ``d`` (0 for plain QQ) and the rewrite ``s^2 -> d``.
+
+    The polynomial ring is the same for every radicand (the chart
+    coordinates plus ``s``, the last generator), so values over QQ and over
+    Q(sqrt(d)) combine without conversion."""
 
     def __init__(self, d: int):
-        self.d = d
-        if d in (0, 1):
-            self.d = 0
-            self.dom = QQ
-            self.radical = None
-        else:
-            self.radical = sympy.sqrt(d)
-            self.dom = QQ.algebraic_field(self.radical)
+        self.d = 0 if d in (0, 1) else d
 
-    def from_quad(self, q: QuadScalar):
-        if q.d not in (0, self.d):
-            raise IncompatibleRadicands(f"sqrt({q.d}) in field sqrt({self.d})")
-        expr = sympy.Rational(q.a)
-        if q.b:
-            expr += sympy.Rational(q.b) * self.radical
-        return self.dom.from_sympy(expr)
-
-    def to_quad(self, c) -> QuadScalar:
+    def join(self, other: CoeffField) -> CoeffField:
+        """The field holding both operands."""
+        if other.d in (0, self.d):
+            return self
         if self.d == 0:
-            return QuadScalar(Fraction(int(c.numerator), int(c.denominator)))
-        lst = c.to_list()  # descending powers of sqrt(d): [b, a] (or [a])
-        lst = [Fraction(int(v.numerator), int(v.denominator)) for v in lst]
-        while len(lst) < 2:
-            lst.insert(0, Fraction(0))
-        b, a = lst
-        return QuadScalar(a, b, self.d)
+            return other
+        raise IncompatibleRadicands(f"sqrt({self.d}) vs sqrt({other.d})")
+
+    def fold(self, p):
+        """p with every s^k rewritten to d^(k//2) * s^(k%2)."""
+        high = [m for m in p if m[-1] > 1] if self.d else ()
+        if not high:
+            return p
+        out = p.copy()
+        for m in high:
+            e = m[-1]
+            c = out.pop(m) * self.d ** (e // 2)
+            low = m[:-1] + (e % 2,)
+            c += out.get(low, 0)
+            if c:
+                out[low] = c
+            else:
+                out.pop(low, None)
+        return out
 
     def __repr__(self):
         return f"CoeffField(sqrt({self.d}))" if self.d else "CoeffField(QQ)"
@@ -122,32 +132,71 @@ def _chart_symbols(names: tuple[str, ...]):
 
 
 @lru_cache(maxsize=None)
-def _poly_ring(names: tuple[str, ...], d: int):
-    field = coeff_field(d)
-    R = _sparse_ring(",".join(names), field.dom)[0]
-    return R
+def _poly_ring(names: tuple[str, ...]):
+    """QQ[names..., s]; the radical's symbol is named apart from the chart's."""
+    radical = "_s"
+    while radical in names:
+        radical = "_" + radical
+    return _sparse_ring(_chart_symbols(names) + (sympy.Symbol(radical),), QQ)[0]
+
+
+def _has_radical(p) -> bool:
+    return any(m[-1] for m in p)
+
+
+def _split(p):
+    """(A, B), both free of s, with p = A + s*B."""
+    a, b = {}, {}
+    for m, c in p.items():
+        if m[-1]:
+            b[m[:-1] + (0,)] = c
+        else:
+            a[m] = c
+    return p.new(a), p.new(b)
+
+
+def _exact_quo(num, base):
+    """num / base when base (monic) divides num exactly, else None.
+
+    Long division that gives up at the first leading term the leading
+    monomial of base does not divide: a nonzero remainder term can never
+    cancel later, so a failed trial costs a few steps, not a full
+    division."""
+    ring = num.ring
+    lead, mul, zero = ring.leading_expv, ring.monomial_mul, ring.domain.zero
+    base_lm = base.LM
+    rem, quo = num.copy(), {}
+    while rem:
+        lm = lead(rem)
+        if any(e < f for e, f in zip(lm, base_lm)):
+            return None
+        m = tuple(e - f for e, f in zip(lm, base_lm))
+        c = rem[lm]
+        quo[m] = c
+        for bm, bc in base.items():
+            k = mul(bm, m)
+            v = rem.get(k, zero) - bc * c
+            if v:
+                rem[k] = v
+            else:
+                del rem[k]
+    return num.new(quo)
 
 
 def _divide_out(num, base, max_exp: int):
     """Divide num by base as often as it divides exactly, at most max_exp
     times."""
     k = 0
-    base_lm = base.LM
     while k < max_exp:
-        # Necessary condition, checked cheaply before the full division:
-        # the leading monomial of a factor divides the leading monomial.
-        lm = num.LM
-        if any(e > f for e, f in zip(base_lm, lm)):
-            break
-        q, r = num.div(base)
-        if r:
+        q = _exact_quo(num, base)
+        if q is None:
             break
         num, k = q, k + 1
     return num, k
 
 
 def _fkey(base):
-    return sum(base.degrees()), str(base)
+    return sum(base.degrees()), base.listterms()
 
 
 class RatFunc:
@@ -160,6 +209,11 @@ class RatFunc:
         self.field = field
         if not den:
             raise DivisionByZeroExpr("zero denominator")
+        if field.d and _has_radical(den):
+            # num/(A + s*B) = num*(A - s*B) / (A^2 - d*B^2)
+            a, b = _split(den)
+            num = field.fold(num * (a - b * den.ring.gens[-1]))
+            den = a * a - b * b * field.d
         if not num:
             self.num, self.factors = num, ()
         elif den.is_ground:
@@ -191,7 +245,7 @@ class RatFunc:
 
     @property
     def den(self):
-        """The expanded denominator polynomial (always monic)."""
+        """The expanded denominator polynomial (always monic, free of s)."""
         if self._den is None:
             den = self.num.ring.one
             for base, e in self.factors:
@@ -220,10 +274,8 @@ class RatFunc:
 
     @classmethod
     def constant(cls, chart: Chart, value, field: CoeffField | None = None) -> RatFunc:
-        if isinstance(value, (int, Fraction)):
-            value = QuadScalar(Fraction(value))
         if field is None:
-            field = coeff_field(value.d)
+            field = coeff_field(getattr(value, "d", 0))
         return _cached_constant(chart, field.d, value)
 
     @classmethod
@@ -240,25 +292,10 @@ class RatFunc:
 
     # -- compatibility ------------------------------------------------
 
-    def _align(self, other: "RatFunc") -> tuple["RatFunc", "RatFunc"]:
+    def _join(self, other: RatFunc) -> CoeffField:
         if self.chart != other.chart:
             raise ExprError(f"chart mismatch: {self.chart} vs {other.chart}")
-        if self.field is other.field:
-            return self, other
-        if self.field.d == 0:
-            return self._promote(other.field), other
-        if other.field.d == 0:
-            return self, other._promote(self.field)
-        raise IncompatibleRadicands(f"sqrt({self.field.d}) vs sqrt({other.field.d})")
-
-    def _promote(self, field: CoeffField) -> RatFunc:
-        R = _poly_ring(self.chart.variables, field.d)
-
-        def conv(p):
-            return R.from_dict({m: field.dom.convert(c, QQ) for m, c in p.terms()})
-
-        factors = tuple((conv(b), e) for b, e in self.factors)
-        return RatFunc._trusted(self.chart, field, conv(self.num), factors)
+        return self.field.join(other.field)
 
     @staticmethod
     def _coerce(chart, field, x):
@@ -274,17 +311,18 @@ class RatFunc:
         other = self._coerce(self.chart, self.field, other)
         if other is None:
             return NotImplemented
-        a, b = self._align(other)
+        field = self._join(other)
+        a, b = self, other
         if not a.num:
-            return b
+            return b if b.field is field else b._with_field(field)
         if not b.num:
-            return a
+            return a if a.field is field else a._with_field(field)
         if a.factors == b.factors:
             num = a.num + b.num
             if not num:
-                return a.zero()
+                return RatFunc.constant(a.chart, 0, field)
             num, factors = self._reduce(num, dict(a.factors))
-            return RatFunc._trusted(a.chart, a.field, num, factors)
+            return RatFunc._trusted(a.chart, field, num, factors)
         fa, fb = dict(a.factors), dict(b.factors)
         merged = dict(fa)
         for base, e in fb.items():
@@ -300,11 +338,14 @@ class RatFunc:
                 cof_b = cof_b * base ** db
         num = a.num * cof_a + b.num * cof_b
         if not num:
-            return a.zero()
+            return RatFunc.constant(a.chart, 0, field)
         num, factors = self._reduce(num, merged)
-        return RatFunc._trusted(a.chart, a.field, num, factors)
+        return RatFunc._trusted(a.chart, field, num, factors)
 
     __radd__ = __add__
+
+    def _with_field(self, field: CoeffField) -> RatFunc:
+        return RatFunc._trusted(self.chart, field, self.num, self.factors)
 
     def __neg__(self):
         return RatFunc._trusted(self.chart, self.field, -self.num, self.factors)
@@ -322,14 +363,14 @@ class RatFunc:
         other = self._coerce(self.chart, self.field, other)
         if other is None:
             return NotImplemented
-        a, b = self._align(other)
-        if not a.num or not b.num:
-            return a.zero()
-        merged = dict(a.factors)
-        for base, e in b.factors:
+        field = self._join(other)
+        if not self.num or not other.num:
+            return RatFunc.constant(self.chart, 0, field)
+        merged = dict(self.factors)
+        for base, e in other.factors:
             merged[base] = merged.get(base, 0) + e
-        num, factors = self._reduce(a.num * b.num, merged)
-        return RatFunc._trusted(a.chart, a.field, num, factors)
+        num, factors = self._reduce(field.fold(self.num * other.num), merged)
+        return RatFunc._trusted(self.chart, field, num, factors)
 
     __rmul__ = __mul__
 
@@ -337,6 +378,27 @@ class RatFunc:
         if not self.num:
             raise DivisionByZeroExpr("division by the zero expression")
         num = self.den
+        if self.field.d and _has_radical(self.num):
+            # 1/(g*(A + s*B)) = (A - s*B) / (g * (A^2 - d*B^2)), g = gcd(A, B).
+            a, b = _split(self.num)
+            g = a.gcd(b) if a else b.monic()
+            a, b = a.quo(g), b.quo(g)
+            norm = a * a - b * b * self.field.d
+            num = num.quo_ground(norm.LC) * (a - b * self.num.ring.gens[-1])
+            norm = norm.monic()
+            # A numerator made by rationalising an earlier denominator has
+            # that denominator's norm as a factor of its own norm: split it
+            # off, so it cancels against this denominator.
+            factors = {}
+            for base, _ in self.factors:
+                norm, k = _divide_out(norm, base, sum(norm.degrees()))
+                if k:
+                    factors[base] = k
+            for base in (g, norm):
+                if not base.is_ground:
+                    factors[base] = factors.get(base, 0) + 1
+            num, factors = self._reduce(num, factors)
+            return RatFunc._trusted(self.chart, self.field, num, factors)
         if self.num.is_ground:
             return RatFunc._trusted(self.chart, self.field,
                                     num.quo_ground(self.num.LC), ())
@@ -352,8 +414,8 @@ class RatFunc:
         other = self._coerce(self.chart, self.field, other)
         if other is None:
             return NotImplemented
-        a, b = self._align(other)
-        return a * b.reciprocal()
+        self._join(other)
+        return self * other.reciprocal()
 
     def __rtruediv__(self, other):
         return self._coerce(self.chart, self.field, other) / self
@@ -366,7 +428,8 @@ class RatFunc:
         if n == 0:
             return self.one()
         factors = tuple((b, e * n) for b, e in self.factors)
-        return RatFunc._trusted(self.chart, self.field, self.num ** n, factors)
+        return RatFunc._trusted(self.chart, self.field,
+                                self.field.fold(self.num ** n), factors)
 
     # -- predicates & equality ----------------------------------------
 
@@ -375,30 +438,30 @@ class RatFunc:
         return not self.num
 
     def is_constant(self) -> bool:
-        return self.num.is_ground and not self.factors
+        # Constant: every term is 1 or s, i.e. has no chart exponent.
+        return not self.factors and all(sum(m) == m[-1] for m in self.num)
 
     def constant_value(self) -> QuadScalar:
         if not self.is_constant():
             raise ExprError("not a constant expression")
-        if not self.num:
-            return QuadScalar(Fraction(0))
-        return self.field.to_quad(self.num.LC)
+        terms = [c for _, c in _poly_terms(self.num, self.field)]
+        return terms[0] if terms else QuadScalar(Fraction(0))
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             other = self._coerce(self.chart, self.field, other)
             if other is None:
                 return NotImplemented
-        a, b = self._align(other)
-        if a.factors == b.factors:
-            return a.num == b.num
-        return a.num * b.den == b.num * a.den
+        self._join(other)
+        if self.factors == other.factors:
+            return self.num == other.num
+        return self.num * other.den == other.num * self.den
 
     __hash__ = None  # equal values may carry different factorizations
 
     def reduced(self) -> RatFunc:
         """Fully gcd-reduced canonical form (numerator and denominator
-        coprime, denominator monic, expanded)."""
+        coprime, denominator monic, expanded and free of s)."""
         return RatFunc(self.chart, self.field, self.num, self.den)
 
     # -- calculus -----------------------------------------------------
@@ -460,10 +523,12 @@ class RatFunc:
     def eval_numeric(self, point: dict[str, float], radical_value: float | None = None,
                      den_threshold: float = 1e-8) -> float:
         vals = [point[name] for name in self.chart.variables]
-        nv = _poly_float(self.num, vals, self.field, radical_value)
+        if radical_value is None:
+            radical_value = self.field.d ** 0.5
+        nv = _poly_float(self.num, vals, radical_value)
         dv = 1.0
         for base, e in self.factors:
-            dv *= _poly_float(base, vals, self.field, radical_value) ** e
+            dv *= _poly_float(base, vals, radical_value) ** e
         if abs(dv) < den_threshold:
             raise ResampleNeeded(f"denominator ~ {dv}")
         return nv / dv
@@ -471,10 +536,11 @@ class RatFunc:
     # -- rendering ----------------------------------------------------
 
     def to_text(self, params: MetallicParams | None = None) -> str:
-        num = _poly_text(self.num, self.field, params)
+        names = self.chart.variables
+        num = _poly_text(self.num, self.field, params, names)
         if not self.factors:
             return num
-        den = _poly_text(self.den, self.field, params)
+        den = _poly_text(self.den, self.field, params, names)
         return f"({num})/({den})"
 
     def __repr__(self):
@@ -485,23 +551,41 @@ class RatFunc:
 
 
 @lru_cache(maxsize=None)
-def _cached_constant(chart: Chart, d: int, value: QuadScalar) -> RatFunc:
+def _cached_constant(chart: Chart, d: int, value) -> RatFunc:
     field = coeff_field(d)
-    R = _poly_ring(chart.variables, d)
-    num = R.from_dict({(0,) * chart.dimension: field.from_quad(value)})
+    if isinstance(value, (int, Fraction)):
+        value = QuadScalar(Fraction(value))
+    if value.d not in (0, field.d):
+        raise IncompatibleRadicands(f"sqrt({value.d}) in field sqrt({field.d})")
+    R = _poly_ring(chart.variables)
+    n = chart.dimension
+    parts = {(0,) * n + (0,): value.a, (0,) * n + (1,): value.b}
+    num = R.from_dict({m: QQ(c.numerator, c.denominator) for m, c in parts.items() if c})
     return RatFunc._trusted(chart, field, num, ())
 
 
 @lru_cache(maxsize=None)
 def _cached_variable(chart: Chart, d: int, name: str) -> RatFunc:
-    field = coeff_field(d)
-    R = _poly_ring(chart.variables, d)
-    return RatFunc._trusted(chart, field, R.gens[chart.index(name)], ())
+    R = _poly_ring(chart.variables)
+    return RatFunc._trusted(chart, coeff_field(d), R.gens[chart.index(name)], ())
+
+
+def _fraction(c) -> Fraction:
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _coeff_pairs(p):
+    """(chart monomial, [a, b]) for each chart monomial of p, whose
+    coefficient is a + b*sqrt(d), in the ring's descending term order."""
+    pairs: dict = {}
+    for m, c in p.terms():
+        pairs.setdefault(m[:-1], [0, 0])[m[-1]] = c
+    return pairs.items()
 
 
 def _poly_terms(p, field: CoeffField):
-    for mono, c in p.terms():
-        yield mono, field.to_quad(c)
+    for mono, (a, b) in _coeff_pairs(p):
+        yield mono, QuadScalar(_fraction(a), _fraction(b), field.d)
 
 
 def _poly_at(p, images: list[RatFunc], target: Chart, field: CoeffField) -> RatFunc:
@@ -515,11 +599,10 @@ def _poly_at(p, images: list[RatFunc], target: Chart, field: CoeffField) -> RatF
     return out
 
 
-def _poly_float(p, vals: list[float], field: CoeffField,
-                radical_value: float | None) -> float:
+def _poly_float(p, vals: list[float], radical_value: float) -> float:
     total = 0.0
-    for mono, coeff in _poly_terms(p, field):
-        t = coeff.to_float(radical_value)
+    for mono, (a, b) in _coeff_pairs(p):
+        t = float(a) + float(b) * radical_value
         for v, e in zip(vals, mono):
             if e:
                 t *= v ** e
@@ -541,12 +624,12 @@ def _quad_text(c: QuadScalar, params: MetallicParams | None) -> str:
     return f"({c.a} {sign} {rad.lstrip('-')})"
 
 
-def _poly_text(p, field: CoeffField, params: MetallicParams | None) -> str:
+def _poly_text(p, field: CoeffField, params: MetallicParams | None,
+               names: tuple[str, ...]) -> str:
     terms = sorted(((mono, c) for mono, c in _poly_terms(p, field)),
                    key=lambda mc: mc[0], reverse=True)
     if not terms:
         return "0"
-    names = [s.name for s in p.ring.symbols]
     parts = []
     for mono, coeff in terms:
         factors = [f"{n}^{e}" if e > 1 else n for n, e in zip(names, mono) if e]
@@ -573,8 +656,11 @@ def _poly_text(p, field: CoeffField, params: MetallicParams | None) -> str:
 #   power   = atom ("^" INTEGER)?
 #   atom    = INTEGER | IDENT | "(" expr ")"
 #
-# IDENT is a chart variable or one of: alpha, beta, sigma, sqrtD.
+# IDENT is a chart variable or one of PARAM_NAMES.
 # ---------------------------------------------------------------------------
+
+PARAM_NAMES = ("alpha", "beta", "sigma", "sqrtD")
+
 
 class ParseError(ExprError):
     def __init__(self, message: str, position: int):
@@ -697,15 +783,8 @@ class _Parser:
     def resolve(self, name: str, at: int) -> RatFunc:
         if name in self.chart.variables:
             return RatFunc.variable(self.chart, name, self.field)
-        if self.params is not None:
-            if name == "alpha":
-                return RatFunc.constant(self.chart, self.params.alpha, self.field)
-            if name == "beta":
-                return RatFunc.constant(self.chart, self.params.beta, self.field)
-            if name == "sigma":
-                return RatFunc.constant(self.chart, self.params.sigma, self.field)
-            if name == "sqrtD":
-                return RatFunc.constant(self.chart, self.params.sqrtD, self.field)
+        if self.params is not None and name in PARAM_NAMES:
+            return RatFunc.constant(self.chart, getattr(self.params, name), self.field)
         raise ParseError(f"unknown identifier {name!r}", at)
 
 

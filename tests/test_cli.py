@@ -96,6 +96,37 @@ def test_check_error_is_captured_not_fatal(tmp_path, capsys):
     assert "[PASS]" in out
 
 
+OVERFLOWING = """\
+scenario overflowing
+chart x y
+params alpha=1 beta=1
+structure P kind=product
+  row 1 , 0
+  row 0 , -1
+check component P 1 1 x^2000
+check almost_product P
+"""
+
+
+def test_overflowing_sample_is_resampled_not_fatal(tmp_path, capsys):
+    # x^2000 overflows a float wherever |x| exceeds about 1.426.
+    path = tmp_path / "overflowing.scn"
+    path.write_text(OVERFLOWING)
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] check component P 1 1 x^2000" in captured.out
+    assert "[PASS] check almost_product P" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "sigma", "sqrtD"])
+def test_chart_variable_shadowing_a_parameter_exits_2(tmp_path, capsys, name):
+    path = tmp_path / "shadow.scn"
+    path.write_text(FAILING.replace("chart x y", f"chart {name} y"))
+    assert main(["run", str(path)]) == 2
+    assert repr(name) in capsys.readouterr().err
+
+
 def test_structured_output_is_json(tmp_path, capsys):
     assert main(["run", "--builtin", "means_silver", "--format",
                  "structured"]) == 0

@@ -14,24 +14,47 @@ X = RatFunc.variable(CH, "x")
 Y = RatFunc.variable(CH, "y")
 
 
-def polys(chart=CH, span=4):
-    """Random small polynomials, built from variables and int constants."""
-    coeffs = st.integers(min_value=-span, max_value=span)
+# D = 8: sqrtD = 2*sqrt(2), so rendered coefficients scale sqrtD.
+P8 = make_params(2, 1)
+
+
+def coeffs(span=4, quad=False):
+    """Small integers, or a + b*sqrtD with small integers a, b."""
+    ints = st.integers(min_value=-span, max_value=span)
+    if not quad:
+        return ints
+    return st.builds(lambda a, b: a + b * P8.sqrtD, ints, ints)
+
+
+def polys(chart=CH, span=4, quad=False):
+    """Random small polynomials, built from variables and constants."""
+    c = coeffs(span, quad)
 
     def build(c0, c1, c2, c3):
         x = RatFunc.variable(chart, chart.variables[0])
         y = RatFunc.variable(chart, chart.variables[1])
         return (RatFunc.constant(chart, c0) + x * c1 + y * c2 + x * y * c3)
 
-    return st.builds(build, coeffs, coeffs, coeffs, coeffs)
+    return st.builds(build, c, c, c, c)
 
 
-def ratfuncs():
+def ratfuncs(quad=False):
     def build(p, q):
         if q.is_zero:
             q = q + 1
         return p / q
-    return st.builds(build, polys(), polys())
+    return st.builds(build, polys(quad=quad), polys(quad=quad))
+
+
+def any_ratfuncs():
+    """Rational functions over QQ or over Q(sqrt(2))."""
+    return st.one_of(ratfuncs(), ratfuncs(quad=True))
+
+
+def radical_free_den(f: RatFunc) -> bool:
+    """The denominator has no term in the radical generator (the ring's
+    last one)."""
+    return all(m[-1] == 0 for m in f.den)
 
 
 # -- chart ------------------------------------------------------------------
@@ -52,7 +75,7 @@ def test_chart_basics():
 # -- field axioms -----------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
-@given(ratfuncs(), ratfuncs(), ratfuncs())
+@given(any_ratfuncs(), any_ratfuncs(), any_ratfuncs())
 def test_ring_axioms(a, b, c):
     assert ((a + b) + c - (a + (b + c))).is_zero
     assert ((a * b) * c - (a * (b * c))).is_zero
@@ -62,7 +85,7 @@ def test_ring_axioms(a, b, c):
 
 
 @settings(max_examples=40, deadline=None)
-@given(ratfuncs(), ratfuncs())
+@given(any_ratfuncs(), any_ratfuncs())
 def test_division_inverts_multiplication(a, b):
     if b.is_zero:
         with pytest.raises(DivisionByZeroExpr):
@@ -73,11 +96,12 @@ def test_division_inverts_multiplication(a, b):
 
 
 @settings(max_examples=30, deadline=None)
-@given(ratfuncs())
+@given(any_ratfuncs())
 def test_equality_and_reduction(a):
     r = a.reduced()
     assert r == a
     assert r.reduced() == r
+    assert radical_free_den(r)
     # Scaling numerator and denominator by the same polynomial must not
     # change the value.
     m = X * Y + 1
@@ -85,7 +109,7 @@ def test_equality_and_reduction(a):
 
 
 @settings(max_examples=30, deadline=None)
-@given(ratfuncs(), ratfuncs())
+@given(any_ratfuncs(), any_ratfuncs())
 def test_diff_product_rule(a, b):
     for v in CH.variables:
         lhs = (a * b).diff(v)
@@ -94,12 +118,12 @@ def test_diff_product_rule(a, b):
 
 
 @settings(max_examples=30, deadline=None)
-@given(ratfuncs())
+@given(any_ratfuncs())
 def test_diff_quotient_rule(a):
-    den = X * X + Y * Y + 1
-    f = a / den
-    for v in CH.variables:
-        assert (f.diff(v) - (a.diff(v) * den - a * den.diff(v)) / den ** 2).is_zero
+    for den in (X * X + Y * Y + 1, X * X + P8.sqrtD * Y * Y + 1):
+        f = a / den
+        for v in CH.variables:
+            assert (f.diff(v) - (a.diff(v) * den - a * den.diff(v)) / den ** 2).is_zero
 
 
 def test_diff_basics():
@@ -153,6 +177,27 @@ def test_constant_recognition():
         X.constant_value()
 
 
+@settings(max_examples=30, deadline=None)
+@given(coeffs(quad=True))
+def test_constant_recognition_quad(c):
+    f = (X + c) - X
+    assert f.is_constant()
+    assert f.constant_value() == c
+    assert (f * X).is_constant() == (not c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ratfuncs(quad=True), ratfuncs(quad=True))
+def test_denominators_free_of_radical(a, b):
+    results = [a, a * b, a + b, a.diff("x"), a.reduced()]
+    if not b.is_zero:
+        # The constructor rationalises a numerator pair (a.num, b.num).
+        quotient = RatFunc(CH, a.field.join(b.field), a.num * b.den, b.num * a.den)
+        assert quotient == a / b
+        results += [a / b, b.reciprocal(), b ** -2, quotient]
+    assert all(radical_free_den(r) for r in results)
+
+
 def test_quadratic_coefficients():
     params = make_params(1, 1)
     f = parse_expr("sigma", CH, params)
@@ -173,9 +218,9 @@ def test_parse_print_roundtrip(text):
 
 
 @settings(max_examples=30, deadline=None)
-@given(ratfuncs())
+@given(any_ratfuncs())
 def test_print_roundtrip_random(f):
-    assert parse_expr(f.to_text(), CH) == f
+    assert parse_expr(f.to_text(P8), CH, P8) == f
 
 
 def test_parse_with_params():
@@ -184,6 +229,21 @@ def test_parse_with_params():
     assert f == 2 * X + Y + RatFunc.constant(CH, params.sqrtD)
     g = parse_expr(f.to_text(params), CH, params)
     assert g == f
+
+
+def test_chart_variable_named_like_the_radical_generator():
+    # The radical generator is named "_s" unless a chart variable is.
+    chart = Chart(("x", "_s"))
+    params = make_params(1, 1)
+    f = parse_expr("_s^2*sqrtD + x*_s/(x - sqrtD)", chart, params)
+    s, x = RatFunc.variable(chart, "_s"), RatFunc.variable(chart, "x")
+    sqrt5 = RatFunc.constant(chart, params.sqrtD)
+    assert f.diff("_s") == 2 * s * sqrt5 + x / (x - sqrt5)
+    assert (f * f).diff("x") == 2 * f * f.diff("x")
+    text = f.to_text(params)
+    assert "_s" in text and parse_expr(text, chart, params) == f
+    val = f.eval_numeric({"x": 0.5, "_s": 2.0})
+    assert abs(val - (4 * 5 ** 0.5 + 1 / (0.5 - 5 ** 0.5))) < 1e-12
 
 
 @pytest.mark.parametrize("text,pos", [
@@ -227,7 +287,7 @@ def test_eval_numeric_radical():
 
 
 @settings(max_examples=25, deadline=None)
-@given(ratfuncs(), st.integers(0, 6))
+@given(any_ratfuncs(), st.integers(0, 6))
 def test_numeric_matches_symbolic(f, seed):
     rng = random.Random(seed)
     g = f * f - f
