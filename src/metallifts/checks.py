@@ -1,8 +1,9 @@
 """The check catalog executed by scenario runs.
 
 Every check resolves its arguments against the scenario's declarations,
-performs exact symbolic work, and returns a :class:`CheckOutcome` whose
-``residuals`` carry the exact expressions that decide the verdict:
+calls the library function that computes the identity's residual, and
+returns a :class:`CheckOutcome` whose ``residuals`` carry the exact
+expressions that decide the verdict:
 an ``expect="zero"`` residual must be identically zero, an
 ``expect="nonzero"`` residual must not be.  The runner later corroborates
 each residual numerically at seeded random points.
@@ -13,18 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cross_section import (CrossSection, b_lift, c_lift, induced_structure,
-                            invariance_check, lift_decomposition_check,
-                            restrict_to_section, section_nijenhuis_check)
-from .geometry import (Connection, Tensor11Field, VectorField, apply_t11,
-                       compose_t11, lie_bracket, lie_derivative_t11,
-                       lie_derivative_t12)
-from .integrability import (Distribution, distribution_integrable,
-                            nijenhuis_apply, nijenhuis_t11)
-from .lifts import (complete_lift_t11, frame_matrix, horizontal_lift_t11,
-                    invert_t11, jtilde_structure, tangent_bundle)
-from .metallic import (MetallicStructure, StructureError, metallic_from_product,
-                       metallic_residual, minimal_polynomial_check,
+from .cross_section import (CrossSection, induced_structure, invariance_check,
+                            lift_decomposition_check, section_nijenhuis_check)
+from .geometry import (Connection, Tensor11Field, Tensor12Field, VectorField,
+                       apply_t11, compose_t11)
+from .integrability import (Distribution, affine_invariance, frobenius_criterion,
+                            nijenhuis_t11, np_relation, projector_criterion)
+from .lifts import (complete_lift_t11, frame_swap_product, horizontal_lift_t11,
+                    jtilde_structure, tangent_bundle)
+from .metallic import (MetallicStructure, composite_relation, metallic_from_product,
+                       metallic_recipe, metallic_residual, minimal_polynomial_check,
                        product_from_metallic, projectors_from_metallic)
 from .numfield import QuadScalar
 from .scenario import Scenario
@@ -139,18 +138,32 @@ def _tensor_residuals(out: CheckOutcome, label: str, T: Tensor11Field,
 def _nonzero_witness(out: CheckOutcome, label: str, T: Tensor11Field):
     """Record that a tensor is not identically zero via its first nonzero
     component; verdicts on 'nonzero' expectations are existential."""
-    for h, row in enumerate(T.components):
-        for i, c in enumerate(row):
-            if not c.is_zero:
-                out.residuals.append(
-                    Residual(f"{label}[{h + 1}][{i + 1}]", c, "nonzero"))
-                return
-    out.facts.append((f"{label} has a nonzero component", False))
+    bad = T.first_nonzero()
+    if bad is None:
+        out.facts.append((f"{label} has a nonzero component", False))
+    else:
+        h, i, c = bad
+        out.residuals.append(Residual(f"{label}[{h + 1}][{i + 1}]", c, "nonzero"))
 
 
 def _vector_residuals(out: CheckOutcome, label: str, comps, expect: str = "zero"):
     for h, c in enumerate(comps):
         out.residuals.append(Residual(f"{label}[{h + 1}]", c, expect))
+
+
+def _pair_residuals(out: CheckOutcome, label: str, N: Tensor12Field):
+    """N(e_i, e_j) for i < j; the other components follow by antisymmetry."""
+    n = N.chart.dimension
+    for i in range(n):
+        for j in range(i + 1, n):
+            _vector_residuals(out, f"{label}(e{i + 1},e{j + 1})",
+                              [N.components[h][i][j] for h in range(n)])
+
+
+def _base_and_lifted(out: CheckOutcome, T: Tensor11Field, identity):
+    """Residuals of an identity for T on the base chart and for T^C on TM."""
+    _pair_residuals(out, "base", identity(T))
+    _pair_residuals(out, "lifted", identity(complete_lift_t11(T, tangent_bundle(T.chart))))
 
 
 def _scalar_residual(out: CheckOutcome, label: str, chart: Chart,
@@ -344,22 +357,10 @@ def check_composite_relation(ctx: Context, args) -> CheckOutcome:
     _arity(args, 2)
     _, P = ctx.structure(args[0])
     _, F = ctx.structure(args[1])
-    p = ctx.params
-    I = Tensor11Field.identity(P.chart)
-    half = QuadScalar.rational(Fraction(1, 2))
-
-    def recipe(T):
-        return I.scale(half * p.alpha) + T.scale(half * p.sqrtD)
-
-    psi_p, psi_f = recipe(P), recipe(F)
-    psi_j = recipe(compose_t11(P, F))
-    lhs = psi_j.scale(p.sqrtD)
-    rhs = (compose_t11(psi_p, psi_f).scale(2) - psi_p.scale(p.alpha)
-           - psi_f.scale(p.alpha) + I.scale(QuadScalar.rational(p.alpha) * p.sigma))
     out = CheckOutcome("composite_relation",
                        "sqrtD*Psi_J = 2 Psi_P Psi_F - alpha*Psi_P - alpha*Psi_F "
                        "+ alpha*sigma*I for J = P F")
-    _tensor_residuals(out, "lhs - rhs", lhs - rhs)
+    _tensor_residuals(out, "lhs - rhs", composite_relation(P, F, ctx.params))
     return out
 
 
@@ -367,54 +368,25 @@ def check_nijenhuis_zero(ctx: Context, args) -> CheckOutcome:
     _arity(args, 1)
     M = ctx.metallic(args[0])
     out = CheckOutcome("nijenhuis_zero", f"N_Psi of {args[0]} vanishes identically")
-    N = nijenhuis_t11(M.tensor)
-    n = M.chart.dimension
-    for i in range(n):
-        for j in range(i + 1, n):
-            _vector_residuals(out, f"N(e{i + 1},e{j + 1})",
-                              [N.components[h][i][j] for h in range(n)])
+    _pair_residuals(out, "N", nijenhuis_t11(M.tensor))
     return out
 
 
 def check_nijenhuis_zero_lifted(ctx: Context, args) -> CheckOutcome:
     _arity(args, 1)
     M = ctx.metallic(args[0])
-    tb = tangent_bundle(M.chart)
-    psi_c = complete_lift_t11(M.tensor, tb)
     out = CheckOutcome("nijenhuis_zero_lifted",
                        f"N of the complete lift of {args[0]} vanishes identically")
-    N = nijenhuis_t11(psi_c)
-    n = tb.chart.dimension
-    for i in range(n):
-        for j in range(i + 1, n):
-            _vector_residuals(out, f"N(e{i + 1},e{j + 1})",
-                              [N.components[h][i][j] for h in range(n)])
+    _pair_residuals(out, "N", nijenhuis_t11(complete_lift_t11(M.tensor,
+                                                              tangent_bundle(M.chart))))
     return out
 
 
 def check_np_relation(ctx: Context, args) -> CheckOutcome:
     _arity(args, 1)
-    P = ctx.product(args[0])
-    psi = ctx.metallic(args[0]).tensor
-    D = ctx.params.discriminant
     out = CheckOutcome("np_relation",
                        "D*N_P = 4*N_Psi on the base chart and for the complete lifts")
-
-    def residuals(prod, met, tag):
-        chart = prod.chart
-        n = chart.dimension
-        p2, m2 = compose_t11(prod, prod), compose_t11(met, met)
-        for i in range(n):
-            ei = VectorField.basis(chart, i)
-            for j in range(i + 1, n):
-                ej = VectorField.basis(chart, j)
-                diff = (nijenhuis_apply(prod, ei, ej, p2).scale(D)
-                        - nijenhuis_apply(met, ei, ej, m2).scale(4))
-                _vector_residuals(out, f"{tag}(e{i + 1},e{j + 1})", diff.components)
-
-    residuals(P, psi, "base")
-    tb = tangent_bundle(P.chart)
-    residuals(complete_lift_t11(P, tb), complete_lift_t11(psi, tb), "lifted")
+    _base_and_lifted(out, ctx.product(args[0]), lambda P: np_relation(P, ctx.params))
     return out
 
 
@@ -427,13 +399,7 @@ def check_affine_invariance(ctx: Context, args) -> CheckOutcome:
         raise CheckError("affine_invariance needs integer coefficients a b") from None
     out = CheckOutcome("affine_invariance",
                        f"N of {a}*I + {b}*{args[0]} equals {b}^2 * N of {args[0]}")
-    shifted = Tensor11Field.identity(T.chart).scale(a) + T.scale(b)
-    diff = nijenhuis_t11(shifted) - nijenhuis_t11(T).scale(b * b)
-    n = T.chart.dimension
-    for i in range(n):
-        for j in range(i + 1, n):
-            _vector_residuals(out, f"diff(e{i + 1},e{j + 1})",
-                              [diff.components[h][i][j] for h in range(n)])
+    _pair_residuals(out, "diff", affine_invariance(T, a, b))
     return out
 
 
@@ -446,24 +412,8 @@ def check_projector_criterion(ctx: Context, args) -> CheckOutcome:
     out = CheckOutcome("projector_criterion",
                        f"{'r N(sX,sY)' if which == 'r_on_s' else 's N(rX,rY)'} = 0 "
                        "on the base chart and for the lifted structure")
-
-    def residuals(struct: MetallicStructure, tag: str):
-        pair = projectors_from_metallic(struct)
-        outer, inner = (pair.r, pair.s) if which == "r_on_s" else (pair.s, pair.r)
-        psi = struct.tensor
-        chart = psi.chart
-        n = chart.dimension
-        psi2 = compose_t11(psi, psi)
-        for i in range(n):
-            xi = apply_t11(inner, VectorField.basis(chart, i))
-            for j in range(i + 1, n):
-                yj = apply_t11(inner, VectorField.basis(chart, j))
-                val = apply_t11(outer, nijenhuis_apply(psi, xi, yj, psi2))
-                _vector_residuals(out, f"{tag}(e{i + 1},e{j + 1})", val.components)
-
-    residuals(M, "base")
-    tb = tangent_bundle(M.chart)
-    residuals(MetallicStructure(ctx.params, complete_lift_t11(M.tensor, tb)), "lifted")
+    _base_and_lifted(out, M.tensor, lambda T: projector_criterion(
+        MetallicStructure(ctx.params, T), which))
     return out
 
 
@@ -479,9 +429,9 @@ def check_distributions_integrable(ctx: Context, args) -> CheckOutcome:
     dist_r = Distribution(M.chart, gens_r, pair.r)
     dist_s = Distribution(M.chart, gens_s, pair.s)
     out.facts.append((f"{args[1]} integrable",
-                      distribution_integrable(dist_r, pair.s)))
+                      frobenius_criterion(dist_r, pair.s).is_zero))
     out.facts.append((f"{args[2]} integrable",
-                      distribution_integrable(dist_s, pair.r)))
+                      frobenius_criterion(dist_s, pair.r).is_zero))
     for name, dist, proj in ((args[1], dist_r, pair.r), (args[2], dist_s, pair.s)):
         for k, g in enumerate(dist.generators):
             _vector_residuals(out, f"{name} generator {k + 1} fixed",
@@ -531,16 +481,11 @@ def check_jtilde_printed(ctx: Context, args) -> CheckOutcome:
     conn = ctx.connection(args[0])
     p = ctx.params
     tb = tangent_bundle(ctx.chart)
-    n = tb.n
-    F = frame_matrix(conn, tb)
-    swap = Tensor11Field.make(tb.chart, [
-        [1 if (i == h + n or i == h - n) else 0 for i in range(2 * n)]
-        for h in range(2 * n)])
+    p_swap = frame_swap_product(conn, tb)
     half = QuadScalar.rational(Fraction(1, 2))
-    printed = compose_t11(compose_t11(
-        F, Tensor11Field.identity(tb.chart).scale(half)
-        + swap.scale(half * p.sqrtD)), invert_t11(F))
-    derived = jtilde_structure(conn, p, tb)
+    printed = (Tensor11Field.identity(tb.chart).scale(half)
+               + p_swap.scale(half * p.sqrtD))
+    derived = metallic_recipe(p_swap, p)
     coincide = p.alpha == 1
     out = CheckOutcome(
         "jtilde_printed",
@@ -562,69 +507,46 @@ def check_jtilde_printed(ctx: Context, args) -> CheckOutcome:
 def check_section_lifts(ctx: Context, args) -> CheckOutcome:
     _arity(args, 3)
     cs = CrossSection(ctx.vector(args[0]))
-    X, Y = ctx.vector(args[1]), ctx.vector(args[2])
-    rep = lift_decomposition_check(X, Y, cs)
+    rep = lift_decomposition_check(ctx.vector(args[1]), ctx.vector(args[2]), cs)
     out = CheckOutcome("section_lifts",
                        "[BX,BY] = B[X,Y], [CX,CY] = 0, X^C|section = BX + C(L_V X), "
                        "X^V = CX")
-    out.facts.append(("[BX,BY] = B[X,Y]", rep.b_bracket_ok))
-    out.facts.append(("[CX,CY] = 0", rep.c_bracket_ok))
-    out.facts.append(("X^C = BX + C(L_V X) along the section", rep.complete_ok))
-    out.facts.append(("X^V = CX", rep.vertical_ok))
-    tb = cs.bundle()
-    diff = (lie_bracket(b_lift(X, cs), b_lift(Y, cs))
-            - b_lift(lie_bracket(X, Y), cs))
-    _vector_residuals(out, "[BX,BY] - B[X,Y]", diff.components)
-    _vector_residuals(out, "[CX,CY]",
-                      lie_bracket(c_lift(X, tb), c_lift(Y, tb)).components)
+    out.facts.append(("[BX,BY] = B[X,Y]", rep.b_bracket.is_zero))
+    out.facts.append(("[CX,CY] = 0", rep.c_bracket.is_zero))
+    out.facts.append(("X^C = BX + C(L_V X) along the section",
+                      all(c.is_zero for c in rep.complete)))
+    out.facts.append(("X^V = CX", rep.vertical.is_zero))
+    _vector_residuals(out, "[BX,BY] - B[X,Y]", rep.b_bracket.components)
+    _vector_residuals(out, "[CX,CY]", rep.c_bracket.components)
     return out
 
 
-def _section_decomposition_residuals(out, M, cs):
-    chart = cs.chart
-    n = chart.dimension
-    psi_c = complete_lift_t11(M.tensor, cs.bundle())
-    lie = lie_derivative_t11(cs.V, M.tensor)
-    for i in range(n):
-        e = VectorField.basis(chart, i)
-        lhs = restrict_to_section(apply_t11(psi_c, b_lift(e, cs)), cs)
-        rhs = restrict_to_section(
-            b_lift(apply_t11(M.tensor, e), cs)
-            + c_lift(apply_t11(lie, e), cs.bundle()), cs)
-        _vector_residuals(out, f"decomposition(e{i + 1})",
-                          [a - b for a, b in zip(lhs, rhs)])
-    return lie
+def _section_invariance(ctx: Context, args, out: CheckOutcome) -> Tensor11Field:
+    """Emit the decomposition residuals; return L_V Psi."""
+    _arity(args, 2)
+    rep = invariance_check(ctx.metallic(args[0]), CrossSection(ctx.vector(args[1])))
+    for i, comps in enumerate(rep.decomposition):
+        _vector_residuals(out, f"decomposition(e{i + 1})", comps)
+    return rep.lie_derivative
 
 
 def check_section_invariant(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 2)
-    M = ctx.metallic(args[0])
-    cs = CrossSection(ctx.vector(args[1]))
     out = CheckOutcome("section_invariant",
                        "Psi^C(BX) = B(Psi X) + C((L_V Psi) X) and L_V Psi = 0")
-    lie = _section_decomposition_residuals(out, M, cs)
-    _tensor_residuals(out, "L_V Psi", lie)
+    _tensor_residuals(out, "L_V Psi", _section_invariance(ctx, args, out))
     return out
 
 
 def check_section_not_invariant(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 2)
-    M = ctx.metallic(args[0])
-    cs = CrossSection(ctx.vector(args[1]))
     out = CheckOutcome("section_not_invariant",
                        "the decomposition holds but L_V Psi != 0, so the section "
                        "is not invariant")
-    lie = _section_decomposition_residuals(out, M, cs)
-    flat = [c for row in lie.components for c in row]
-    acc = None
-    for k, c in enumerate(flat):
-        if not c.is_zero:
-            acc = c
-            out.residuals.append(Residual("L_V Psi (first nonzero component)",
-                                          c, "nonzero"))
-            break
-    if acc is None:
+    bad = _section_invariance(ctx, args, out).first_nonzero()
+    if bad is None:
         out.facts.append(("L_V Psi has a nonzero component", False))
+    else:
+        out.residuals.append(Residual("L_V Psi (first nonzero component)",
+                                      bad[2], "nonzero"))
     return out
 
 
@@ -649,28 +571,13 @@ def check_section_nijenhuis(ctx: Context, args) -> CheckOutcome:
         "section_nijenhuis",
         "N_{Psi^C}(BX,BY) = B(N_Psi(X,Y)) + C((L_V N_Psi)(X,Y)); on invariant "
         "sections the section Nijenhuis vanishes iff the base one does")
-    out.facts.append(("decomposition holds on basis pairs", rep.decomposition_ok))
+    section_zero = all(c.is_zero for comps in rep.section.values() for c in comps)
+    out.facts.append(("decomposition holds on basis pairs", rep.is_zero))
     out.facts.append(("equivalence on invariant sections", rep.equivalence_ok))
-    out.notes.append(f"L_V Psi = 0: {rep.invariant}; base N = 0: "
-                     f"{rep.base_nijenhuis_zero}; section N = 0: "
-                     f"{rep.section_nijenhuis_zero}")
-    chart = cs.chart
-    n = chart.dimension
-    tb = cs.bundle()
-    psi_c = complete_lift_t11(M.tensor, tb)
-    n_base = nijenhuis_t11(M.tensor)
-    lie_n = lie_derivative_t12(cs.V, n_base)
-    for i in range(n):
-        bi = b_lift(VectorField.basis(chart, i), cs)
-        for j in range(i + 1, n):
-            bj = b_lift(VectorField.basis(chart, j), cs)
-            lhs = restrict_to_section(nijenhuis_apply(psi_c, bi, bj), cs)
-            ei, ej = VectorField.basis(chart, i), VectorField.basis(chart, j)
-            rhs = restrict_to_section(
-                b_lift(n_base.evaluate(ei, ej), cs)
-                + c_lift(lie_n.evaluate(ei, ej), tb), cs)
-            _vector_residuals(out, f"decomposition(e{i + 1},e{j + 1})",
-                              [a - b for a, b in zip(lhs, rhs)])
+    out.notes.append(f"L_V Psi = 0: {rep.lie_derivative.is_zero}; base N = 0: "
+                     f"{rep.nijenhuis.is_zero}; section N = 0: {section_zero}")
+    for (i, j), comps in rep.decomposition.items():
+        _vector_residuals(out, f"decomposition(e{i + 1},e{j + 1})", comps)
     return out
 
 
@@ -762,7 +669,10 @@ def run_check(ctx: Context, kind: str, args: tuple[str, ...],
         return out.settle()
     try:
         out = CHECKS[kind](ctx, args)
-    except (CheckError, StructureError, ValueError) as exc:
+    except Exception as exc:
+        # A failing check never aborts the run.  Problems with the declared
+        # objects (the ValueError family) read as plain messages; anything
+        # else keeps its type name.
         out = CheckOutcome(kind, raw)
-        out.error = str(exc)
+        out.error = str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
     return out.settle()

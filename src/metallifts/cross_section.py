@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import (Tensor11Field, VectorField, apply_t11, lie_bracket,
-                       lie_derivative_t11, lie_derivative_t12)
+from .geometry import (Tensor11Field, Tensor12Field, VectorField, apply_t11,
+                       lie_bracket, lie_derivative_t11, lie_derivative_t12)
 from .integrability import nijenhuis_apply, nijenhuis_t11
-from .lifts import TangentBundleChart, complete_lift_t11, tangent_bundle
+from .lifts import (TangentBundleChart, complete_lift_t11, complete_lift_vf,
+                    tangent_bundle, vertical_lift_vf)
 from .metallic import MetallicStructure, StructureError
 from .symexpr import RatFunc
 
@@ -78,89 +79,91 @@ def restrict_to_section(obj, cs: CrossSection):
     raise TypeError(f"cannot restrict {type(obj).__name__}")
 
 
-@dataclass(frozen=True)
-class LiftDecompositionReport:
-    """The bracket and lift identities along the section:
+def _zero(values) -> bool:
+    return all(c.is_zero for c in values)
 
-    [BX, BY] = B[X, Y],   [CX, CY] = 0,
-    X^C = BX + C(L_V X)   (restricted to the section),   X^V = CX.
+
+@dataclass(frozen=True)
+class LiftDecomposition:
+    """Residuals of the bracket and lift identities along the section:
+
+    [BX, BY] - B[X, Y],   [CX, CY],
+    X^C - (BX + C(L_V X))   (restricted to the section),   X^V - CX.
     """
 
-    b_bracket_ok: bool
-    c_bracket_ok: bool
-    complete_ok: bool
-    vertical_ok: bool
+    b_bracket: VectorField
+    c_bracket: VectorField
+    complete: tuple[RatFunc, ...]
+    vertical: VectorField
 
-    def __bool__(self):
-        return (self.b_bracket_ok and self.c_bracket_ok
-                and self.complete_ok and self.vertical_ok)
+    @property
+    def is_zero(self) -> bool:
+        return (self.b_bracket.is_zero and self.c_bracket.is_zero
+                and _zero(self.complete) and self.vertical.is_zero)
 
 
 def lift_decomposition_check(X: VectorField, Y: VectorField,
-                             cs: CrossSection) -> LiftDecompositionReport:
-    from .lifts import complete_lift_vf, vertical_lift_vf
-
+                             cs: CrossSection) -> LiftDecomposition:
     tb = cs.bundle()
-    b_ok = (lie_bracket(b_lift(X, cs), b_lift(Y, cs))
-            - b_lift(lie_bracket(X, Y), cs)).is_zero
-    c_ok = lie_bracket(c_lift(X, tb), c_lift(Y, tb)).is_zero
-
-    lhs = restrict_to_section(complete_lift_vf(X, tb), cs)
-    rhs = restrict_to_section(
-        b_lift(X, cs) + c_lift(lie_bracket(cs.V, X), tb), cs)
-    comp_ok = all((a - b).is_zero for a, b in zip(lhs, rhs))
-
-    vert_ok = (vertical_lift_vf(X, tb) - c_lift(X, tb)).is_zero
-    return LiftDecompositionReport(b_ok, c_ok, comp_ok, vert_ok)
+    bx = b_lift(X, cs)
+    return LiftDecomposition(
+        b_bracket=lie_bracket(bx, b_lift(Y, cs)) - b_lift(lie_bracket(X, Y), cs),
+        c_bracket=lie_bracket(c_lift(X, tb), c_lift(Y, tb)),
+        complete=restrict_to_section(
+            complete_lift_vf(X, tb) - bx - c_lift(lie_bracket(cs.V, X), tb), cs),
+        vertical=vertical_lift_vf(X, tb) - c_lift(X, tb))
 
 
 @dataclass(frozen=True)
-class InvarianceReport:
-    invariant: bool
+class Invariance:
+    """L_V Psi, which vanishes exactly when the section is invariant; the
+    images Psi^C(B e_i) along the section; and, per basis field e_i, the
+    residual of Psi^C(B e_i) = B(Psi e_i) + C((L_V Psi) e_i) there."""
+
     lie_derivative: Tensor11Field
-    decomposition_ok: bool  # Eq. relating Psi^C(BX) to B(Psi X) + C((L_V Psi)X)
+    images: tuple[tuple[RatFunc, ...], ...]
+    decomposition: tuple[tuple[RatFunc, ...], ...]
 
-    def __bool__(self):
-        return self.invariant
+    @property
+    def is_zero(self) -> bool:
+        return self.lie_derivative.is_zero and all(map(_zero, self.decomposition))
 
 
-def invariance_check(M: MetallicStructure, cs: CrossSection) -> InvarianceReport:
+def _same_chart(M: MetallicStructure, cs: CrossSection):
     if M.chart != cs.chart:
         raise ValueError("structure and section must share the base chart")
-    chart = cs.chart
-    n = chart.dimension
-    lie = lie_derivative_t11(cs.V, M.tensor)
-    psi_c = complete_lift_t11(M.tensor, cs.bundle())
 
-    ok = True
-    for i in range(n):
-        e = VectorField.basis(chart, i)
-        lhs = restrict_to_section(apply_t11(psi_c, b_lift(e, cs)), cs)
-        rhs_vf = b_lift(apply_t11(M.tensor, e), cs) + c_lift(apply_t11(lie, e), cs.bundle())
-        rhs = restrict_to_section(rhs_vf, cs)
-        if any(not (a - b).is_zero for a, b in zip(lhs, rhs)):
-            ok = False
-            break
-    return InvarianceReport(lie.is_zero, lie, ok)
+
+def invariance_check(M: MetallicStructure, cs: CrossSection) -> Invariance:
+    _same_chart(M, cs)
+    tb = cs.bundle()
+    lie = lie_derivative_t11(cs.V, M.tensor)
+    psi_c = complete_lift_t11(M.tensor, tb)
+    images, decomposition = [], []
+    for i in range(cs.chart.dimension):
+        e = VectorField.basis(cs.chart, i)
+        image = restrict_to_section(apply_t11(psi_c, b_lift(e, cs)), cs)
+        rhs = restrict_to_section(
+            b_lift(apply_t11(M.tensor, e), cs) + c_lift(apply_t11(lie, e), tb), cs)
+        images.append(image)
+        decomposition.append(tuple(a - b for a, b in zip(image, rhs)))
+    return Invariance(lie, tuple(images), tuple(decomposition))
 
 
 def induced_structure(M: MetallicStructure, cs: CrossSection) -> MetallicStructure:
     """The tensor on the section sending BX to Psi^C(BX), in the section's
     intrinsic (base-chart) coordinates; requires invariance."""
-    report = invariance_check(M, cs)
-    if not report.invariant:
-        bad = next((h, i) for h, row in enumerate(report.lie_derivative.components)
-                   for i, c in enumerate(row) if not c.is_zero)
+    inv = invariance_check(M, cs)
+    bad = inv.lie_derivative.first_nonzero()
+    if bad is not None:
         raise StructureError(
             f"section is not invariant: (L_V Psi)[{bad[0] + 1}][{bad[1] + 1}] != 0")
 
     chart = cs.chart
     n = chart.dimension
     names = chart.variables
-    psi_c = complete_lift_t11(M.tensor, cs.bundle())
     columns = []
-    for i in range(n):
-        image = restrict_to_section(apply_t11(psi_c, b_lift(VectorField.basis(chart, i), cs)), cs)
+    for image in inv.images:
         col = image[:n]
         # Tangency: the fiber part must be the push-forward of the base part.
         for h in range(n):
@@ -175,52 +178,47 @@ def induced_structure(M: MetallicStructure, cs: CrossSection) -> MetallicStructu
 
 
 @dataclass(frozen=True)
-class SectionNijenhuisReport:
-    decomposition_ok: bool   # N_{Psi^C}(BX,BY) = B(N_Psi(X,Y)) + C((L_V N_Psi)(X,Y))
-    tangent: bool            # L_V N_Psi == 0
-    invariant: bool          # L_V Psi == 0
-    base_nijenhuis_zero: bool
-    section_nijenhuis_zero: bool
+class SectionNijenhuis:
+    """Along the section, per basis pair (i, j) with i < j: the values
+    N_{Psi^C}(B e_i, B e_j) and the residuals of their decomposition
+    B(N_Psi(e_i, e_j)) + C((L_V N_Psi)(e_i, e_j)); also N_Psi, L_V N_Psi
+    and L_V Psi on the base."""
+
+    section: dict[tuple[int, int], tuple[RatFunc, ...]]
+    decomposition: dict[tuple[int, int], tuple[RatFunc, ...]]
+    nijenhuis: Tensor12Field
+    lie_nijenhuis: Tensor12Field
+    lie_derivative: Tensor11Field
+
+    @property
+    def is_zero(self) -> bool:
+        return all(map(_zero, self.decomposition.values()))
 
     @property
     def equivalence_ok(self) -> bool:
         """On invariant sections the section Nijenhuis vanishes iff the
         base one does."""
-        if not self.invariant:
-            return True
-        return self.section_nijenhuis_zero == self.base_nijenhuis_zero
+        return (not self.lie_derivative.is_zero
+                or all(map(_zero, self.section.values())) == self.nijenhuis.is_zero)
 
 
-def section_nijenhuis_check(M: MetallicStructure, cs: CrossSection) -> SectionNijenhuisReport:
-    if M.chart != cs.chart:
-        raise ValueError("structure and section must share the base chart")
+def section_nijenhuis_check(M: MetallicStructure, cs: CrossSection) -> SectionNijenhuis:
+    _same_chart(M, cs)
     chart = cs.chart
     n = chart.dimension
     tb = cs.bundle()
     psi_c = complete_lift_t11(M.tensor, tb)
     n_base = nijenhuis_t11(M.tensor)
     lie_n = lie_derivative_t12(cs.V, n_base)
-
-    decomposition_ok = True
-    section_zero = True
+    basis = [VectorField.basis(chart, i) for i in range(n)]
+    lifted = [b_lift(e, cs) for e in basis]
+    section, decomposition = {}, {}
     for i in range(n):
-        bi = b_lift(VectorField.basis(chart, i), cs)
         for j in range(i + 1, n):
-            bj = b_lift(VectorField.basis(chart, j), cs)
-            lhs_vf = nijenhuis_apply(psi_c, bi, bj)
-            lhs = restrict_to_section(lhs_vf, cs)
-            if any(not c.is_zero for c in lhs):
-                section_zero = False
-            base_val = n_base.evaluate(VectorField.basis(chart, i), VectorField.basis(chart, j))
-            lie_val = lie_n.evaluate(VectorField.basis(chart, i), VectorField.basis(chart, j))
-            rhs = restrict_to_section(b_lift(base_val, cs) + c_lift(lie_val, tb), cs)
-            if any(not (a - b).is_zero for a, b in zip(lhs, rhs)):
-                decomposition_ok = False
-
-    return SectionNijenhuisReport(
-        decomposition_ok=decomposition_ok,
-        tangent=lie_n.is_zero,
-        invariant=lie_derivative_t11(cs.V, M.tensor).is_zero,
-        base_nijenhuis_zero=n_base.is_zero,
-        section_nijenhuis_zero=section_zero,
-    )
+            lhs = restrict_to_section(nijenhuis_apply(psi_c, lifted[i], lifted[j]), cs)
+            rhs = restrict_to_section(b_lift(n_base.evaluate(basis[i], basis[j]), cs)
+                                      + c_lift(lie_n.evaluate(basis[i], basis[j]), tb), cs)
+            section[i, j] = lhs
+            decomposition[i, j] = tuple(a - b for a, b in zip(lhs, rhs))
+    return SectionNijenhuis(section, decomposition, n_base, lie_n,
+                            lie_derivative_t11(cs.V, M.tensor))

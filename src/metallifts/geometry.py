@@ -122,6 +122,11 @@ class Tensor11Field:
     def is_zero(self) -> bool:
         return all(c.is_zero for row in self.components for c in row)
 
+    def first_nonzero(self):
+        """(h, i, component) of the first nonzero component, or None."""
+        return next(((h, i, c) for h, row in enumerate(self.components)
+                     for i, c in enumerate(row) if not c.is_zero), None)
+
 
 @dataclass(frozen=True)
 class Tensor12Field:
@@ -144,6 +149,21 @@ class Tensor12Field:
     def zero(cls, chart: Chart) -> Tensor12Field:
         n = chart.dimension
         return cls.make(chart, [[[0] * n for _ in range(n)] for _ in range(n)])
+
+    @classmethod
+    def antisymmetric(cls, chart: Chart, value) -> Tensor12Field:
+        """The tensor with N(e_i, e_j) = value(i, j) (a VectorField) for
+        i < j, N(e_j, e_i) = -N(e_i, e_j) and N(e_i, e_i) = 0."""
+        n = chart.dimension
+        zero = RatFunc.constant(chart, 0)
+        cube = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = value(i, j)
+                for h in range(n):
+                    cube[h][i][j] = v.components[h]
+                    cube[h][j][i] = -v.components[h]
+        return cls(chart, tuple(tuple(tuple(row) for row in plane) for plane in cube))
 
     def __sub__(self, other: Tensor12Field) -> Tensor12Field:
         _same_chart(self, other)
@@ -246,10 +266,6 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
             acc = acc - Y.components[a] * X.components[h].diff(names[a])
         comps.append(acc)
     return VectorField(chart, tuple(comps))
-
-
-def lie_derivative_vf(V: VectorField, X: VectorField) -> VectorField:
-    return lie_bracket(V, X)
 
 
 def lie_derivative_t11(V: VectorField, T: Tensor11Field) -> Tensor11Field:

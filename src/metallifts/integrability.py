@@ -6,18 +6,21 @@ The Nijenhuis tensor of a (1,1)-field T is
     N_T(X, Y) = [TX, TY] - T[TX, Y] - T[X, TY] + T^2 [X, Y]
 
 with the standard last term T^2[X, Y]; its vanishing is the
-integrability criterion for the structure.
+integrability criterion for the structure.  N_T is C^inf-bilinear, so
+every Nijenhuis identity below is read off the (1,2)-tensor that
+``nijenhuis_t11`` assembles, and returned as its residual tensor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .geometry import (Tensor11Field, Tensor12Field, VectorField, apply_t11,
                        compose_t11, invert_t11, lie_bracket)
-from .lifts import complete_lift_t11, tangent_bundle
 from .metallic import (MetallicStructure, StructureError, check_square_is,
-                       metallic_from_product, projectors_from_metallic)
+                       metallic_from_product, metallic_recipe,
+                       projectors_from_metallic)
 from .numfield import MetallicParams
 from .symexpr import Chart, RatFunc, parse_expr
 
@@ -37,46 +40,38 @@ def nijenhuis_apply(T: Tensor11Field, X: VectorField, Y: VectorField,
 def nijenhuis_t11(T: Tensor11Field) -> Tensor12Field:
     """Assemble N_T componentwise from coordinate basis pairs."""
     chart = T.chart
-    n = chart.dimension
-    zero = RatFunc.constant(chart, 0)
     t2 = compose_t11(T, T)
-    cube = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = nijenhuis_apply(T, VectorField.basis(chart, i),
-                                    VectorField.basis(chart, j), t2)
-            for h in range(n):
-                cube[h][i][j] = value.components[h]
-                cube[h][j][i] = -value.components[h]
-    return Tensor12Field(chart, tuple(tuple(tuple(row) for row in plane)
-                                      for plane in cube))
+    return Tensor12Field.antisymmetric(chart, lambda i, j: nijenhuis_apply(
+        T, VectorField.basis(chart, i), VectorField.basis(chart, j), t2))
 
 
-def np_relation_check(P: Tensor11Field, params: MetallicParams) -> bool:
-    """N_P == (4/D) N_Psi for Psi induced by P, on the base chart and for
-    the complete lifts on TM."""
+def np_relation(P: Tensor11Field, params: MetallicParams) -> Tensor12Field:
+    """D*N_P - 4*N_Psi for the Psi induced by the almost product structure P
+    (metallic since Psi^2 - alpha*Psi - beta*I = (D/4)(P^2 - I))."""
     check_square_is(P, 1, "not an almost product structure")
-    psi = metallic_from_product(P, params).tensor
-    factor = params.discriminant
+    psi = metallic_recipe(P, params)
+    return nijenhuis_t11(P).scale(params.discriminant) - nijenhuis_t11(psi).scale(4)
 
-    def holds(prod, met):
-        chart = prod.chart
-        n = chart.dimension
-        p2, m2 = compose_t11(prod, prod), compose_t11(met, met)
-        for i in range(n):
-            ei = VectorField.basis(chart, i)
-            for j in range(i + 1, n):
-                ej = VectorField.basis(chart, j)
-                vp = nijenhuis_apply(prod, ei, ej, p2)
-                vm = nijenhuis_apply(met, ei, ej, m2)
-                if not (vp.scale(factor) - vm.scale(4)).is_zero:
-                    return False
-        return True
 
-    if not holds(P, psi):
-        return False
-    tb = tangent_bundle(P.chart)
-    return holds(complete_lift_t11(P, tb), complete_lift_t11(psi, tb))
+def affine_invariance(T: Tensor11Field, a, b) -> Tensor12Field:
+    """N_{a*I + b*T} - b^2 N_T: the Nijenhuis tensor only sees the
+    non-scalar part of T."""
+    shifted = Tensor11Field.identity(T.chart).scale(a) + T.scale(b)
+    return nijenhuis_t11(shifted) - nijenhuis_t11(T).scale(Fraction(b) ** 2)
+
+
+def projector_criterion(M: MetallicStructure, which: str) -> Tensor12Field:
+    """(X, Y) -> r N_Psi(sX, sY) for ``r_on_s``, s N_Psi(rX, rY) for
+    ``s_on_r``; zero when the corresponding eigendistribution is integrable."""
+    if which not in ("r_on_s", "s_on_r"):
+        raise ValueError("which must be 'r_on_s' or 's_on_r'")
+    pair = projectors_from_metallic(M)
+    outer, inner = (pair.r, pair.s) if which == "r_on_s" else (pair.s, pair.r)
+    chart = M.chart
+    N = nijenhuis_t11(M.tensor)
+    cols = [apply_t11(inner, VectorField.basis(chart, i)) for i in range(chart.dimension)]
+    return Tensor12Field.antisymmetric(
+        chart, lambda i, j: apply_t11(outer, N.evaluate(cols[i], cols[j])))
 
 
 @dataclass(frozen=True)
@@ -88,64 +83,21 @@ class Distribution:
     def __post_init__(self):
         if not (compose_t11(self.projector, self.projector) - self.projector).is_zero:
             raise StructureError("distribution projector is not idempotent")
-        for k, g in enumerate(self.generators):
+        for k, g in enumerate(self.generators, start=1):
             if not (apply_t11(self.projector, g) - g).is_zero:
                 raise StructureError(f"generator {k} is not fixed by the projector")
 
 
-def distribution_integrable(D: Distribution, complement_projector: Tensor11Field) -> bool:
-    """Frobenius criterion: the complement projector kills brackets of
-    projected coordinate basis fields."""
+def frobenius_criterion(D: Distribution, complement_projector: Tensor11Field) -> Tensor12Field:
+    """(X, Y) -> s[rX, rY] for the distribution's projector r and its
+    complement s; zero exactly when the distribution is integrable."""
     chart = D.chart
     total = D.projector + complement_projector
     if not (total - Tensor11Field.identity(chart)).is_zero:
         raise StructureError("projectors are not complementary")
-    n = chart.dimension
-    for i in range(n):
-        pi = apply_t11(D.projector, VectorField.basis(chart, i))
-        for j in range(i + 1, n):
-            pj = apply_t11(D.projector, VectorField.basis(chart, j))
-            if not apply_t11(complement_projector, lie_bracket(pi, pj)).is_zero:
-                return False
-    return True
-
-
-@dataclass(frozen=True)
-class ProjectorCriterionReport:
-    which: str
-    base: bool
-    lifted: bool
-
-    def __bool__(self):
-        return self.base and self.lifted
-
-
-def projector_nijenhuis_criterion(M: MetallicStructure, which: str) -> ProjectorCriterionReport:
-    """Evaluate r N_Psi(sX, sY) (or s N_Psi(rX, rY)) on basis pairs, on the
-    base chart and for the lifted structure on TM."""
-    if which not in ("r_on_s", "s_on_r"):
-        raise ValueError("which must be 'r_on_s' or 's_on_r'")
-
-    def verdict(psi, pair):
-        outer, inner = (pair.r, pair.s) if which == "r_on_s" else (pair.s, pair.r)
-        chart = psi.chart
-        n = chart.dimension
-        psi2 = compose_t11(psi, psi)
-        for i in range(n):
-            xi = apply_t11(inner, VectorField.basis(chart, i))
-            for j in range(i + 1, n):
-                yj = apply_t11(inner, VectorField.basis(chart, j))
-                if not apply_t11(outer, nijenhuis_apply(psi, xi, yj, psi2)).is_zero:
-                    return False
-        return True
-
-    pair = projectors_from_metallic(M)
-    base_ok = verdict(M.tensor, pair)
-
-    tb = tangent_bundle(M.chart)
-    lifted = MetallicStructure(M.params, complete_lift_t11(M.tensor, tb))
-    lifted_ok = verdict(lifted.tensor, projectors_from_metallic(lifted))
-    return ProjectorCriterionReport(which, base_ok, lifted_ok)
+    cols = [apply_t11(D.projector, VectorField.basis(chart, i)) for i in range(chart.dimension)]
+    return Tensor12Field.antisymmetric(chart, lambda i, j: apply_t11(
+        complement_projector, lie_bracket(cols[i], cols[j])))
 
 
 def example_41_chart() -> Chart:

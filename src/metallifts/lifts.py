@@ -14,11 +14,11 @@ conventions (h is the output index):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .geometry import Connection, Tensor11Field, VectorField, compose_t11, invert_t11
-from .numfield import MetallicParams, QuadScalar
+from .metallic import metallic_recipe
+from .numfield import MetallicParams
 from .symexpr import Chart, RatFunc
 
 
@@ -182,17 +182,18 @@ def frame_matrix(conn: Connection, tb: TangentBundleChart | None = None) -> Tens
     return Tensor11Field(tb.chart, rows)
 
 
-def jtilde_structure(conn: Connection, params: MetallicParams,
-                     tb: TangentBundleChart | None = None) -> Tensor11Field:
-    """The metallic structure on TM built from the swap P~ of the
-    horizontal and vertical frames: J~ = (alpha*I + sqrtD*P~)/2."""
-    tb = tb or tangent_bundle(conn.chart)
+def frame_swap_product(conn: Connection, tb: TangentBundleChart) -> Tensor11Field:
+    """P~ = F S F^-1, the almost product structure on TM that swaps the
+    horizontal and vertical frames (F = frame_matrix, S the block swap)."""
     n = tb.n
     F = frame_matrix(conn, tb)
     swap = Tensor11Field.make(tb.chart, [
-        [1 if (i == h + n or i == h - n) else 0 for i in range(2 * n)]
-        for h in range(2 * n)])
-    p_swap = compose_t11(compose_t11(F, swap), invert_t11(F))
-    identity = Tensor11Field.identity(tb.chart)
-    half = QuadScalar.rational(Fraction(1, 2))
-    return identity.scale(half * params.alpha) + p_swap.scale(half * params.sqrtD)
+        [1 if abs(i - h) == n else 0 for i in range(2 * n)] for h in range(2 * n)])
+    return compose_t11(compose_t11(F, swap), invert_t11(F))
+
+
+def jtilde_structure(conn: Connection, params: MetallicParams,
+                     tb: TangentBundleChart | None = None) -> Tensor11Field:
+    """The metallic structure J~ = (alpha*I + sqrtD*P~)/2 on TM."""
+    return metallic_recipe(frame_swap_product(conn, tb or tangent_bundle(conn.chart)),
+                           params)

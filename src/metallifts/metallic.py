@@ -19,19 +19,11 @@ class StructureError(ValueError):
     pass
 
 
-def _first_nonzero(T: Tensor11Field):
-    for h, row in enumerate(T.components):
-        for i, c in enumerate(row):
-            if not c.is_zero:
-                return h, i, c
-    return None
-
-
 def check_square_is(T: Tensor11Field, scalar, what: str) -> None:
     """Require T o T == scalar * I; raise naming the violating component."""
     chart = T.chart
     residual = compose_t11(T, T) - Tensor11Field.identity(chart).scale(scalar)
-    bad = _first_nonzero(residual)
+    bad = residual.first_nonzero()
     if bad is not None:
         h, i, c = bad
         raise StructureError(
@@ -46,7 +38,7 @@ class MetallicStructure:
 
     def __post_init__(self):
         res = metallic_residual(self.tensor, self.params)
-        bad = _first_nonzero(res)
+        bad = res.first_nonzero()
         if bad is not None:
             h, i, c = bad
             raise StructureError(
@@ -70,12 +62,16 @@ class ProjectorPair:
     s: Tensor11Field
 
 
+def metallic_recipe(T: Tensor11Field, params: MetallicParams) -> Tensor11Field:
+    """(alpha*I + sqrtD*T)/2, metallic when T is an almost product structure."""
+    half = QuadScalar.rational(Fraction(1, 2))
+    return (Tensor11Field.identity(T.chart).scale(half * params.alpha)
+            + T.scale(half * params.sqrtD))
+
+
 def metallic_from_product(P: Tensor11Field, params: MetallicParams) -> MetallicStructure:
     check_square_is(P, 1, "not an almost product structure")
-    identity = Tensor11Field.identity(P.chart)
-    half = Fraction(1, 2)
-    psi = identity.scale(half * params.alpha) + P.scale(params.sqrtD * QuadScalar.rational(half))
-    return MetallicStructure(params, psi)
+    return MetallicStructure(params, metallic_recipe(P, params))
 
 
 def product_from_metallic(M: MetallicStructure) -> Tensor11Field:
@@ -142,8 +138,7 @@ def minimal_polynomial_check(T: Tensor11Field, kind: str,
 
     chart = T.chart
     identity = Tensor11Field.identity(chart)
-    half = QuadScalar.rational(Fraction(1, 2))
-    psi = identity.scale(half * params.alpha) + T.scale(half * params.sqrtD)
+    psi = metallic_recipe(T, params)
     psi2 = compose_t11(psi, psi)
     claimed_c1, claimed_c0 = _claimed_polynomial(kind, params)
 
@@ -191,22 +186,16 @@ def _solve_two_unknowns(rows, chart):
     return None
 
 
-def composite_relation_check(P: Tensor11Field, F: Tensor11Field,
-                             params: MetallicParams) -> bool:
-    """sqrtD*Psi_J == 2*Psi_P*Psi_F - alpha*Psi_P - alpha*Psi_F + alpha*sigma*I
-    with J = P o F; purely algebraic, no involutivity needed."""
+def composite_relation(P: Tensor11Field, F: Tensor11Field,
+                       params: MetallicParams) -> Tensor11Field:
+    """sqrtD*Psi_J - (2*Psi_P*Psi_F - alpha*Psi_P - alpha*Psi_F + alpha*sigma*I)
+    with J = P o F and Psi_T = (alpha*I + sqrtD*T)/2; zero for every P, F,
+    as the identity is purely algebraic and needs no involutivity."""
     if P.chart != F.chart:
         raise ValueError("P and F must live on the same chart")
-    chart = P.chart
-    identity = Tensor11Field.identity(chart)
-    half = QuadScalar.rational(Fraction(1, 2))
-
-    def recipe(T):
-        return identity.scale(half * params.alpha) + T.scale(half * params.sqrtD)
-
-    psi_p, psi_f, psi_j = recipe(P), recipe(F), recipe(compose_t11(P, F))
-    lhs = psi_j.scale(params.sqrtD)
+    psi_p, psi_f = metallic_recipe(P, params), metallic_recipe(F, params)
+    lhs = metallic_recipe(compose_t11(P, F), params).scale(params.sqrtD)
     rhs = (compose_t11(psi_p, psi_f).scale(2) - psi_p.scale(params.alpha)
-           - psi_f.scale(params.alpha)
-           + identity.scale(QuadScalar.rational(params.alpha) * params.sigma))
-    return (lhs - rhs).is_zero
+           - psi_f.scale(params.alpha) + Tensor11Field.identity(P.chart).scale(
+               QuadScalar.rational(params.alpha) * params.sigma))
+    return lhs - rhs

@@ -660,6 +660,9 @@ def _poly_text(p, field: CoeffField, params: MetallicParams | None,
 # ---------------------------------------------------------------------------
 
 PARAM_NAMES = ("alpha", "beta", "sigma", "sqrtD")
+# Parentheses and prefix signs nest at most this deep, which keeps the
+# recursive-descent parser well inside the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 class ParseError(ExprError):
@@ -702,6 +705,7 @@ class _Parser:
     def __init__(self, text: str, chart: Chart, params: MetallicParams | None):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.chart = chart
         self.params = params
         self.field = coeff_field(params.radicand) if params else coeff_field(0)
@@ -745,11 +749,18 @@ class _Parser:
         return out
 
     def unary(self) -> RatFunc:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels",
+                             self.peek()[2])
         if self.peek()[0] in "+-":
             op = self.take()[0]
             val = self.unary()
-            return val if op == "+" else -val
-        return self.power()
+            out = val if op == "+" else -val
+        else:
+            out = self.power()
+        self.depth -= 1
+        return out
 
     def power(self) -> RatFunc:
         base = self.atom()

@@ -22,16 +22,15 @@ from metallifts.geometry import (Connection, Tensor11Field, VectorField,
                                  apply_t11, compose_t11, invert_t11,
                                  lie_bracket, lie_derivative_t11,
                                  lie_derivative_t12)
-from metallifts.integrability import (distribution_integrable,
-                                      example_41_distributions,
-                                      example_41_structure, nijenhuis_apply,
-                                      nijenhuis_t11,
-                                      projector_nijenhuis_criterion)
+from metallifts.integrability import (example_41_distributions,
+                                      example_41_structure, frobenius_criterion,
+                                      nijenhuis_apply, nijenhuis_t11,
+                                      np_relation, projector_criterion)
 from metallifts.lifts import (complete_lift_t11, complete_lift_vf,
-                              frame_matrix, horizontal_lift_t11,
-                              jtilde_structure, tangent_bundle,
-                              vertical_lift_vf)
-from metallifts.metallic import (composite_relation_check,
+                              frame_matrix, frame_swap_product,
+                              horizontal_lift_t11, jtilde_structure,
+                              tangent_bundle, vertical_lift_vf)
+from metallifts.metallic import (MetallicStructure, composite_relation,
                                  metallic_from_product, metallic_residual,
                                  minimal_polynomial_check,
                                  product_from_metallic,
@@ -65,6 +64,10 @@ def _components(obj):
             out.extend(_components(item))
         return out
     raise TypeError(type(obj))
+
+
+def _t12_components(N):
+    return tuple(c for plane in N.components for row in plane for c in row)
 
 
 def expect_zero(label, obj):
@@ -220,7 +223,8 @@ def test_criterion_3_composite_relation_on_10_pairs():
     rng = random.Random(27182)
     for k in range(10):
         P, F = rand_t11(rng, CH), rand_t11(rng, CH)
-        assert composite_relation_check(P, F, make_params(2, 1))
+        expect_zero(f"pair {k}: composite relation",
+                    composite_relation(P, F, make_params(2, 1)))
 
 
 # -- criterion 4: Nijenhuis calculus and the worked example -----------------
@@ -248,6 +252,7 @@ def test_criterion_4_product_metallic_nijenhuis_relation():
                     expect_zero(
                         f"{tag} {label} ({i},{j}): D*N_P - 4*N_Psi",
                         vp.scale(params.discriminant) - vm.scale(4))
+            assert np_relation(prod, params).is_zero
 
 
 def test_criterion_4_affine_invariance():
@@ -284,12 +289,17 @@ def test_criterion_4_worked_example():
                       for row in plane for c in row))
     # Eigendistribution criteria (projector-composed Nijenhuis) and
     # Frobenius integrability, base and lifted.
+    lifted_m = MetallicStructure(GOLDEN, lifted)
     for which in ("r_on_s", "s_on_r"):
-        report = projector_nijenhuis_criterion(M, which)
-        assert report.base and report.lifted
+        expect_zero(f"example: {which} criterion",
+                    _t12_components(projector_criterion(M, which)))
+        expect_zero(f"example: lifted {which} criterion",
+                    _t12_components(projector_criterion(lifted_m, which)))
     dist_r, dist_s = example_41_distributions(GOLDEN)
-    assert distribution_integrable(dist_r, dist_s.projector)
-    assert distribution_integrable(dist_s, dist_r.projector)
+    expect_zero("example: R integrable", _t12_components(
+        frobenius_criterion(dist_r, dist_s.projector)))
+    expect_zero("example: S integrable", _t12_components(
+        frobenius_criterion(dist_s, dist_r.projector)))
     # The diagonal entries match the printed closed forms verbatim.
     top = parse_expr("((alpha - sigma)*(x + y)^2 + sigma) / ((x + y)^2 + 1)",
                      chart, GOLDEN)
@@ -352,6 +362,7 @@ def test_criterion_5_printed_form_at_unit_alpha():
         [1 if (i == h + n or i == h - n) else 0 for i in range(2 * n)]
         for h in range(2 * n)])
     p_swap = compose_t11(compose_t11(F, swap), invert_t11(F))
+    expect_zero("P~ = F S F^-1", frame_swap_product(conn, TB) - p_swap)
     I = Tensor11Field.identity(TB.chart)
     half = RatFunc.constant(TB.chart, Fraction(1, 2))
 
@@ -411,11 +422,12 @@ def test_criterion_6_invariance_both_directions():
     M = metallic_from_product(Tensor11Field.make(CH, [[0, 1], [1, 0]]), GOLDEN)
     euler = VectorField.make(CH, [parse_expr("x", CH), parse_expr("y", CH)])
     report = invariance_check(M, CrossSection(euler))
-    assert report.invariant and report.decomposition_ok
+    assert report.is_zero
+    expect_zero("decomposition (invariant case)", report.decomposition)
     expect_zero("L_V Psi (invariant case)", report.lie_derivative)
     skew = VectorField.make(CH, [parse_expr("x*y", CH), parse_expr("0", CH)])
     report = invariance_check(M, CrossSection(skew))
-    assert not report.invariant
+    assert not report.is_zero
     expect_nonzero("L_V Psi (non-invariant case)", report.lie_derivative)
 
 
@@ -434,9 +446,11 @@ def test_criterion_6_section_nijenhuis_equivalence():
     M = metallic_from_product(Tensor11Field.make(CH, [[0, 1], [1, 0]]), GOLDEN)
     euler = VectorField.make(CH, [parse_expr("x", CH), parse_expr("y", CH)])
     report = section_nijenhuis_check(M, CrossSection(euler))
-    assert report.invariant
-    assert report.decomposition_ok
-    assert report.base_nijenhuis_zero == report.section_nijenhuis_zero
+    assert report.lie_derivative.is_zero
+    expect_zero("section Nijenhuis decomposition",
+                tuple(report.decomposition.values()))
+    section_zero = all(c.is_zero for v in report.section.values() for c in v)
+    assert report.nijenhuis.is_zero == section_zero
     assert report.equivalence_ok
 
 

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
+from metallifts import checks
 from metallifts.cli import builtin_names, load_builtin, main
 from metallifts.report import render_structured, run_scenario
-from metallifts.scenario import parse_scenario
 
 EXPECTED_BUILTINS = {
     "errata", "example_3_1", "example_4_1", "gold_diag", "horizontal_curved",
@@ -116,6 +116,43 @@ def test_overflowing_sample_is_resampled_not_fatal(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "[FAIL] check component P 1 1 x^2000" in captured.out
     assert "[PASS] check almost_product P" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+DEEP = "(" * 200 + "x" + ")" * 200
+
+
+def test_deeply_nested_check_argument_is_an_error_not_a_crash(tmp_path, capsys):
+    path = tmp_path / "deep.scn"
+    path.write_text(OVERFLOWING.replace("x^2000", DEEP))
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "[ERROR] check component P 1 1 (((" in captured.out
+    assert "nests deeper than 100 levels" in captured.out
+    assert "[PASS] check almost_product P" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_deeply_nested_structure_row_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.scn"
+    path.write_text(OVERFLOWING.replace("row 1 , 0", f"row {DEEP} , 0"))
+    assert main(["run", str(path)]) == 2
+    assert "nests deeper than 100 levels" in capsys.readouterr().err
+
+
+def test_unexpected_exception_in_a_check_is_contained(tmp_path, capsys, monkeypatch):
+    def boom(ctx, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(checks.CHECKS, "almost_product", boom)
+    path = tmp_path / "boom.scn"
+    path.write_text(FAILING.replace("check component P 1 1 x      # wrong: the entry is 0",
+                                    "check almost_product P"))
+    assert main(["run", str(path), "--format", "structured"]) == 1
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert [(c["verdict"], c["error"]) for c in doc["checks"]] == [
+        ("error", "RuntimeError: boom"), ("pass", None)]
     assert "Traceback" not in captured.out + captured.err
 
 

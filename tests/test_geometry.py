@@ -5,8 +5,7 @@ import pytest
 from metallifts.geometry import (ChartMismatch, Connection, Tensor11Field,
                                  Tensor12Field, VectorField, apply_t11,
                                  compose_t11, invert_t11, lie_bracket,
-                                 lie_derivative_t11, lie_derivative_t12,
-                                 lie_derivative_vf)
+                                 lie_derivative_t11, lie_derivative_t12)
 from metallifts.symexpr import Chart, RatFunc, parse_expr
 
 from conftest import rand_poly, rand_t11, rand_vector
@@ -81,11 +80,6 @@ def test_invert_singular_raises():
         invert_t11(T)
 
 
-def test_lie_derivative_vf_is_bracket(rng):
-    V, X = rand_vector(rng, CH), rand_vector(rng, CH)
-    assert (lie_derivative_vf(V, X) - lie_bracket(V, X)).is_zero
-
-
 def test_lie_derivative_t11_leibniz(rng):
     V, X = rand_vector(rng, CH), rand_vector(rng, CH)
     T = rand_t11(rng, CH)
@@ -122,6 +116,25 @@ def test_tensor12_evaluate_function_linearity(rng):
     lhs = N.evaluate(scaled, Y)
     rhs = VectorField(CH, tuple(f * c for c in N.evaluate(X, Y).components))
     assert (lhs - rhs).is_zero
+
+
+def test_antisymmetric_tensor12_from_pairs(rng):
+    ch3 = Chart(("x", "y", "z"))
+    values = {(i, j): rand_vector(rng, ch3) for i in range(3) for j in range(i + 1, 3)}
+    N = Tensor12Field.antisymmetric(ch3, lambda i, j: values[i, j])
+    for i in range(3):
+        assert N.evaluate(VectorField.basis(ch3, i), VectorField.basis(ch3, i)).is_zero
+        for j in range(i + 1, 3):
+            ei, ej = VectorField.basis(ch3, i), VectorField.basis(ch3, j)
+            assert (N.evaluate(ei, ej) - values[i, j]).is_zero
+            assert (N.evaluate(ej, ei) + values[i, j]).is_zero
+
+
+def test_first_nonzero_component():
+    assert Tensor11Field.zero(CH).first_nonzero() is None
+    x = parse_expr("x", CH)
+    T = Tensor11Field.make(CH, [[0, 0], [x, 1]])
+    assert T.first_nonzero() == (1, 0, x)
 
 
 def test_connection_constructors():

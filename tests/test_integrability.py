@@ -1,20 +1,21 @@
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from metallifts.geometry import (Tensor11Field, VectorField, apply_t11,
-                                 compose_t11, lie_bracket)
-from metallifts.integrability import (Distribution, distribution_integrable,
-                                      example_41_chart,
+from metallifts.geometry import Tensor11Field, VectorField, apply_t11
+from metallifts.integrability import (Distribution, affine_invariance,
                                       example_41_distribution_generators,
                                       example_41_distributions,
-                                      example_41_structure, nijenhuis_apply,
-                                      nijenhuis_t11, np_relation_check,
-                                      projector_nijenhuis_criterion)
+                                      example_41_structure, frobenius_criterion,
+                                      nijenhuis_apply, nijenhuis_t11,
+                                      np_relation, projector_criterion)
 from metallifts.lifts import complete_lift_t11, tangent_bundle
-from metallifts.metallic import (StructureError, metallic_from_product,
+from metallifts.metallic import (MetallicStructure, StructureError,
                                  projectors_from_metallic)
 from metallifts.numfield import make_params
+from metallifts.report import run_scenario
+from metallifts.scenario import parse_scenario
 from metallifts.symexpr import Chart, parse_expr
 
 from conftest import involutive_product, rand_t11, rand_vector
@@ -55,18 +56,20 @@ def test_affine_invariance(rng):
         lhs = nijenhuis_t11(S)
         rhs = nijenhuis_t11(T).scale(Fraction(b) ** 2)
         assert (lhs - rhs).is_zero
+        assert affine_invariance(T, a, b).is_zero
 
 
 @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (1, 2)])
 def test_np_relation_random_products(pair, rng):
     params = make_params(*pair)
     P = involutive_product(rng, CH)
-    assert np_relation_check(P, params)
+    assert np_relation(P, params).is_zero
+    assert np_relation(complete_lift_t11(P, tangent_bundle(CH)), params).is_zero
 
 
 def test_np_relation_rejects_non_involutive(rng):
     with pytest.raises(StructureError):
-        np_relation_check(rand_t11(rng, CH), make_params(1, 1))
+        np_relation(rand_t11(rng, CH), make_params(1, 1))
 
 
 # -- the worked example on the plane ---------------------------------------
@@ -117,24 +120,31 @@ def test_example_nijenhuis_vanishes_base_and_lifted():
 
 def test_example_distributions_integrable():
     dist_r, dist_s = example_41_distributions(GOLDEN)
-    assert distribution_integrable(dist_r, dist_s.projector)
-    assert distribution_integrable(dist_s, dist_r.projector)
+    assert frobenius_criterion(dist_r, dist_s.projector).is_zero
+    assert frobenius_criterion(dist_s, dist_r.projector).is_zero
 
 
 def test_example_projector_criteria():
     M = example_41_structure(GOLDEN)
+    lifted = MetallicStructure(GOLDEN, complete_lift_t11(M.tensor, tangent_bundle(CH)))
     for which in ("r_on_s", "s_on_r"):
-        report = projector_nijenhuis_criterion(M, which)
-        assert report.base and report.lifted and bool(report)
+        assert projector_criterion(M, which).is_zero
+        assert projector_criterion(lifted, which).is_zero
+
+
+def test_projector_criterion_rejects_unknown_side():
+    with pytest.raises(ValueError):
+        projector_criterion(example_41_structure(GOLDEN), "r_on_r")
 
 
 def test_example_with_other_params():
     silver = make_params(2, 1)
     M = example_41_structure(silver)
     assert nijenhuis_t11(M.tensor).is_zero
-    assert np_relation_check(
-        (M.tensor.scale(2) - Tensor11Field.identity(M.chart).scale(
-            silver.alpha)).scale(silver.sqrtD.inverse()), silver)
+    P = (M.tensor.scale(2) - Tensor11Field.identity(M.chart).scale(
+        silver.alpha)).scale(silver.sqrtD.inverse())
+    assert np_relation(P, silver).is_zero
+    assert np_relation(complete_lift_t11(P, tangent_bundle(CH)), silver).is_zero
 
 
 # -- distribution plumbing --------------------------------------------------
@@ -147,14 +157,14 @@ def test_distribution_rejects_bad_projector(rng):
 
 def test_distribution_rejects_unfixed_generator():
     dist_r, dist_s = example_41_distributions(GOLDEN)
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="generator 1 is not fixed"):
         Distribution(dist_r.chart, dist_s.generators, dist_r.projector)
 
 
 def test_integrability_requires_complementary_projectors():
     dist_r, _ = example_41_distributions(GOLDEN)
     with pytest.raises(StructureError):
-        distribution_integrable(dist_r, dist_r.projector)
+        frobenius_criterion(dist_r, dist_r.projector)
 
 
 def test_non_integrable_distribution_detected():
@@ -167,4 +177,70 @@ def test_non_integrable_distribution_detected():
     proj = Tensor11Field.make(ch3, [[1, 0, 0], [0, 1, 0], [0, x, 0]])
     comp = Tensor11Field.identity(ch3) - proj
     dist = Distribution(ch3, (g1, g2), proj)
-    assert not distribution_integrable(dist, comp)
+    assert not frobenius_criterion(dist, comp).is_zero
+
+
+# -- denominators containing sqrt(D) ----------------------------------------
+
+SQRTD_KINDS = ("metallic", "component", "nijenhuis_zero",
+               "distributions_integrable", "affine_invariance")
+
+
+def sqrtd_example():
+    """The worked example with x + y replaced by x + sqrtD*y: every entry of
+    Psi then divides by (x + sqrtD*y)^2 + 1, a polynomial containing
+    sqrt(D), which the kernel rationalises by its conjugate."""
+    text = (resources.files("metallifts") / "scenarios" / "example_4_1.scn").read_text()
+    lines = [line for line in text.replace("x+y", "x+sqrtD*y").splitlines()
+             if not line.startswith("check ") or line.split()[1] in SQRTD_KINDS]
+    return parse_scenario("\n".join(lines) + "\n", "example_4_1_sqrtD")
+
+
+def test_sqrtd_denominators_end_to_end():
+    report = run_scenario(sqrtd_example())
+    assert [c.outcome.name for c in report.checks] == [
+        "metallic", "component", "component", "component", "component",
+        "nijenhuis_zero", "distributions_integrable", "affine_invariance"]
+    assert [c.verdict for c in report.checks] == ["pass"] * 8
+
+
+def _direct_projector_criterion(M, outer, inner):
+    """outer N_Psi(inner e_i, inner e_j) by evaluating N_Psi on the
+    projected fields, for every basis pair i < j."""
+    n = M.chart.dimension
+    cols = [apply_t11(inner, VectorField.basis(M.chart, i)) for i in range(n)]
+    return {(i, j): apply_t11(outer, nijenhuis_apply(M.tensor, cols[i], cols[j]))
+            for i in range(n) for j in range(i + 1, n)}
+
+
+def _assert_matches_direct(M):
+    pair = projectors_from_metallic(M)
+    n = M.chart.dimension
+    for which, outer, inner in (("r_on_s", pair.r, pair.s), ("s_on_r", pair.s, pair.r)):
+        N = projector_criterion(M, which)
+        for (i, j), value in _direct_projector_criterion(M, outer, inner).items():
+            assert [N.components[h][i][j] for h in range(n)] == list(value.components)
+            assert [N.components[h][j][i] for h in range(n)] == list((-value).components)
+
+
+def test_projector_criterion_matches_direct_evaluation_with_sqrtd_denominators():
+    scenario = sqrtd_example()
+    M = MetallicStructure(scenario.params, scenario.structures["PSI"][1])
+    _assert_matches_direct(M)
+
+
+def test_projector_criterion_detects_non_integrable_eigendistribution():
+    """P = 2r - I for the contact-type projector r of
+    span{d/dx, d/dy + x d/dz}: s N(rX, rY) = s[rX, rY] up to a nonzero
+    factor, so the s_on_r criterion is nonzero, and it agrees exactly with
+    N_Psi evaluated on the projected fields."""
+    ch3 = Chart(("x", "y", "z"))
+    x = parse_expr("x", ch3)
+    r = Tensor11Field.make(ch3, [[1, 0, 0], [0, 1, 0], [0, x, 0]])
+    P = r.scale(2) - Tensor11Field.identity(ch3)
+    M = MetallicStructure(GOLDEN, (Tensor11Field.identity(ch3).scale(GOLDEN.alpha)
+                                   + P.scale(GOLDEN.sqrtD)).scale(Fraction(1, 2)))
+    assert (projectors_from_metallic(M).r - r).is_zero
+    assert not projector_criterion(M, "s_on_r").is_zero
+    assert projector_criterion(M, "r_on_s").is_zero
+    _assert_matches_direct(M)
