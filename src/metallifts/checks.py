@@ -65,14 +65,31 @@ class CheckOutcome:
         return self
 
 
+def _memo(entries: list, T: Tensor11Field, build):
+    """build(T), computed once for each value of T: a stored result is
+    reused only for a tensor exactly equal to its key (``==`` compares
+    every component exactly)."""
+    for key, value in entries:
+        if key == T:
+            return value
+    value = build(T)
+    entries.append((T, value))
+    return value
+
+
 class Context:
-    """Resolution of scenario names plus small caches."""
+    """Resolution of scenario names plus the memos of one run: each named
+    structure's metallic form and its validated lift, and each complete
+    lift and Nijenhuis tensor, built once for all exactly equal tensors."""
 
     def __init__(self, scenario: Scenario):
         self.s = scenario
         self.params = scenario.params
         self.chart = scenario.chart
         self._metallic: dict[str, MetallicStructure] = {}
+        self._lifted: dict[str, MetallicStructure] = {}
+        self._lifts: list[tuple[Tensor11Field, Tensor11Field]] = []
+        self._nijenhuis: list[tuple[Tensor11Field, Tensor12Field]] = []
 
     def structure(self, name: str) -> tuple[str, Tensor11Field]:
         try:
@@ -94,11 +111,27 @@ class Context:
                                  "a product or metallic structure is required")
         return self._metallic[name]
 
+    def lifted_metallic(self, name: str) -> MetallicStructure:
+        """The complete lift of the named metallic structure, validated once."""
+        if name not in self._lifted:
+            self._lifted[name] = MetallicStructure(
+                self.params, self.lift(self.metallic(name).tensor))
+        return self._lifted[name]
+
     def product(self, name: str) -> Tensor11Field:
         kind, T = self.structure(name)
         if kind == "product":
             return T
         return product_from_metallic(self.metallic(name))
+
+    def lift(self, T: Tensor11Field) -> Tensor11Field:
+        """The complete lift T^C on the tangent bundle."""
+        return _memo(self._lifts, T,
+                     lambda T: complete_lift_t11(T, tangent_bundle(T.chart)))
+
+    def nijenhuis(self, T: Tensor11Field) -> Tensor12Field:
+        """N_T, shared by every check of the run that needs it."""
+        return _memo(self._nijenhuis, T, nijenhuis_t11)
 
     def vector(self, name: str) -> VectorField:
         try:
@@ -160,10 +193,11 @@ def _pair_residuals(out: CheckOutcome, label: str, N: Tensor12Field):
                               [N.components[h][i][j] for h in range(n)])
 
 
-def _base_and_lifted(out: CheckOutcome, T: Tensor11Field, identity):
-    """Residuals of an identity for T on the base chart and for T^C on TM."""
-    _pair_residuals(out, "base", identity(T))
-    _pair_residuals(out, "lifted", identity(complete_lift_t11(T, tangent_bundle(T.chart))))
+def _base_and_lifted(out: CheckOutcome, identity, base, lifted):
+    """Residuals of an identity on the base chart and on TM; ``lifted()``
+    gives the lifted argument once the base residual is in."""
+    _pair_residuals(out, "base", identity(base))
+    _pair_residuals(out, "lifted", identity(lifted()))
 
 
 def _scalar_residual(out: CheckOutcome, label: str, chart: Chart,
@@ -294,11 +328,10 @@ def check_projector_expansions(ctx: Context, args) -> CheckOutcome:
 def check_complete_lift_metallic(ctx: Context, args) -> CheckOutcome:
     _arity(args, 1)
     M = ctx.metallic(args[0])
-    tb = tangent_bundle(M.chart)
     out = CheckOutcome("complete_lift_metallic",
                        f"the complete lift of {args[0]} is metallic on TM")
     _tensor_residuals(out, "(Psi^C)^2 - alpha*Psi^C - beta*I",
-                      metallic_residual(complete_lift_t11(M.tensor, tb), ctx.params))
+                      metallic_residual(ctx.lift(M.tensor), ctx.params))
     return out
 
 
@@ -368,7 +401,7 @@ def check_nijenhuis_zero(ctx: Context, args) -> CheckOutcome:
     _arity(args, 1)
     M = ctx.metallic(args[0])
     out = CheckOutcome("nijenhuis_zero", f"N_Psi of {args[0]} vanishes identically")
-    _pair_residuals(out, "N", nijenhuis_t11(M.tensor))
+    _pair_residuals(out, "N", ctx.nijenhuis(M.tensor))
     return out
 
 
@@ -377,8 +410,7 @@ def check_nijenhuis_zero_lifted(ctx: Context, args) -> CheckOutcome:
     M = ctx.metallic(args[0])
     out = CheckOutcome("nijenhuis_zero_lifted",
                        f"N of the complete lift of {args[0]} vanishes identically")
-    _pair_residuals(out, "N", nijenhuis_t11(complete_lift_t11(M.tensor,
-                                                              tangent_bundle(M.chart))))
+    _pair_residuals(out, "N", ctx.nijenhuis(ctx.lift(M.tensor)))
     return out
 
 
@@ -386,7 +418,9 @@ def check_np_relation(ctx: Context, args) -> CheckOutcome:
     _arity(args, 1)
     out = CheckOutcome("np_relation",
                        "D*N_P = 4*N_Psi on the base chart and for the complete lifts")
-    _base_and_lifted(out, ctx.product(args[0]), lambda P: np_relation(P, ctx.params))
+    P = ctx.product(args[0])
+    _base_and_lifted(out, lambda P: np_relation(P, ctx.params, ctx.nijenhuis),
+                     P, lambda: ctx.lift(P))
     return out
 
 
@@ -399,7 +433,7 @@ def check_affine_invariance(ctx: Context, args) -> CheckOutcome:
         raise CheckError("affine_invariance needs integer coefficients a b") from None
     out = CheckOutcome("affine_invariance",
                        f"N of {a}*I + {b}*{args[0]} equals {b}^2 * N of {args[0]}")
-    _pair_residuals(out, "diff", affine_invariance(T, a, b))
+    _pair_residuals(out, "diff", affine_invariance(T, a, b, ctx.nijenhuis))
     return out
 
 
@@ -408,12 +442,11 @@ def check_projector_criterion(ctx: Context, args) -> CheckOutcome:
     which = args[1]
     if which not in ("r_on_s", "s_on_r"):
         raise CheckError("second argument must be r_on_s or s_on_r")
-    M = ctx.metallic(args[0])
     out = CheckOutcome("projector_criterion",
                        f"{'r N(sX,sY)' if which == 'r_on_s' else 's N(rX,rY)'} = 0 "
                        "on the base chart and for the lifted structure")
-    _base_and_lifted(out, M.tensor, lambda T: projector_criterion(
-        MetallicStructure(ctx.params, T), which))
+    _base_and_lifted(out, lambda M: projector_criterion(M, which, ctx.nijenhuis),
+                     ctx.metallic(args[0]), lambda: ctx.lifted_metallic(args[0]))
     return out
 
 

@@ -9,10 +9,25 @@ with the standard last term T^2[X, Y]; its vanishing is the
 integrability criterion for the structure.  N_T is C^inf-bilinear, so
 every Nijenhuis identity below is read off the (1,2)-tensor that
 ``nijenhuis_t11`` assembles, and returned as its residual tensor.
+``nijenhuis_apply`` evaluates the definition on two fields; on basis
+fields ([e_i, e_j] = 0) it reduces to the coordinate formula
+
+    N^h_ij = T^k_i d_k T^h_j - T^k_j d_k T^h_i + T^h_k (d_j T^k_i - d_i T^k_j),
+
+which ``nijenhuis_t11`` evaluates from one table of derivatives d_k T^h_i.
+
+``np_relation``, ``affine_invariance`` and ``projector_criterion`` take an
+optional ``nijenhuis`` builder (default ``nijenhuis_t11``).  A scenario run
+passes a memo that lives for that run only and returns a stored N_S for T
+only when T == S exactly (component by component, by cross-multiplication),
+so equal tensors built along different routes, such as Psi^C and
+(alpha*I + sqrtD*P^C)/2, share one build, and no identity is derived from
+another: each still reads N off its own tensor.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,50 +40,82 @@ from .numfield import MetallicParams
 from .symexpr import Chart, RatFunc, parse_expr
 
 
-def nijenhuis_apply(T: Tensor11Field, X: VectorField, Y: VectorField,
-                    t2: Tensor11Field | None = None) -> VectorField:
+# Builds N_T for a tensor T: ``nijenhuis_t11`` itself, or a memo around it.
+Nijenhuis = Callable[[Tensor11Field], Tensor12Field]
+
+
+def nijenhuis_apply(T: Tensor11Field, X: VectorField, Y: VectorField) -> VectorField:
+    """N_T(X, Y) straight from the definition, through Lie brackets."""
     tx, ty = apply_t11(T, X), apply_t11(T, Y)
-    if t2 is None:
-        t2 = compose_t11(T, T)
     out = lie_bracket(tx, ty)
     out = out - apply_t11(T, lie_bracket(tx, Y))
     out = out - apply_t11(T, lie_bracket(X, ty))
-    out = out + apply_t11(t2, lie_bracket(X, Y))
+    out = out + apply_t11(compose_t11(T, T), lie_bracket(X, Y))
     return out
 
 
 def nijenhuis_t11(T: Tensor11Field) -> Tensor12Field:
-    """Assemble N_T componentwise from coordinate basis pairs."""
+    """N_T in coordinates,
+
+        N^h_ij = T^k_i d_k T^h_j - T^k_j d_k T^h_i + T^h_k (d_j T^k_i - d_i T^k_j),
+
+    read off one table of first derivatives d_k T^h_i; products with a zero
+    factor are skipped."""
     chart = T.chart
-    t2 = compose_t11(T, T)
-    return Tensor12Field.antisymmetric(chart, lambda i, j: nijenhuis_apply(
-        T, VectorField.basis(chart, i), VectorField.basis(chart, j), t2))
+    n = chart.dimension
+    t = T.components
+    # d[k][h][i] = d_k T^h_i; RatFunc.diff keeps each derivative on its component.
+    d = [[[c.diff(v) for c in row] for row in t] for v in chart.variables]
+    zero = t[0][0].zero()
+
+    def pair(i: int, j: int) -> VectorField:
+        curl = [d[j][k][i] - d[i][k][j] for k in range(n)]
+        comps = []
+        for h in range(n):
+            acc = zero
+            for k in range(n):
+                if not (t[k][i].is_zero or d[k][h][j].is_zero):
+                    acc = acc + t[k][i] * d[k][h][j]
+                if not (t[k][j].is_zero or d[k][h][i].is_zero):
+                    acc = acc - t[k][j] * d[k][h][i]
+                if not (t[h][k].is_zero or curl[k].is_zero):
+                    acc = acc + t[h][k] * curl[k]
+            comps.append(acc)
+        return VectorField(chart, tuple(comps))
+
+    return Tensor12Field.antisymmetric(chart, pair)
 
 
-def np_relation(P: Tensor11Field, params: MetallicParams) -> Tensor12Field:
+def np_relation(P: Tensor11Field, params: MetallicParams,
+                nijenhuis: Nijenhuis | None = None) -> Tensor12Field:
     """D*N_P - 4*N_Psi for the Psi induced by the almost product structure P
     (metallic since Psi^2 - alpha*Psi - beta*I = (D/4)(P^2 - I))."""
+    nijenhuis = nijenhuis or nijenhuis_t11
     check_square_is(P, 1, "not an almost product structure")
     psi = metallic_recipe(P, params)
-    return nijenhuis_t11(P).scale(params.discriminant) - nijenhuis_t11(psi).scale(4)
+    return nijenhuis(P).scale(params.discriminant) - nijenhuis(psi).scale(4)
 
 
-def affine_invariance(T: Tensor11Field, a, b) -> Tensor12Field:
+def affine_invariance(T: Tensor11Field, a, b,
+                      nijenhuis: Nijenhuis | None = None) -> Tensor12Field:
     """N_{a*I + b*T} - b^2 N_T: the Nijenhuis tensor only sees the
     non-scalar part of T."""
+    nijenhuis = nijenhuis or nijenhuis_t11
     shifted = Tensor11Field.identity(T.chart).scale(a) + T.scale(b)
-    return nijenhuis_t11(shifted) - nijenhuis_t11(T).scale(Fraction(b) ** 2)
+    return nijenhuis(shifted) - nijenhuis(T).scale(Fraction(b) ** 2)
 
 
-def projector_criterion(M: MetallicStructure, which: str) -> Tensor12Field:
+def projector_criterion(M: MetallicStructure, which: str,
+                        nijenhuis: Nijenhuis | None = None) -> Tensor12Field:
     """(X, Y) -> r N_Psi(sX, sY) for ``r_on_s``, s N_Psi(rX, rY) for
     ``s_on_r``; zero when the corresponding eigendistribution is integrable."""
     if which not in ("r_on_s", "s_on_r"):
         raise ValueError("which must be 'r_on_s' or 's_on_r'")
+    nijenhuis = nijenhuis or nijenhuis_t11
     pair = projectors_from_metallic(M)
     outer, inner = (pair.r, pair.s) if which == "r_on_s" else (pair.s, pair.r)
     chart = M.chart
-    N = nijenhuis_t11(M.tensor)
+    N = nijenhuis(M.tensor)
     cols = [apply_t11(inner, VectorField.basis(chart, i)) for i in range(chart.dimension)]
     return Tensor12Field.antisymmetric(
         chart, lambda i, j: apply_t11(outer, N.evaluate(cols[i], cols[j])))

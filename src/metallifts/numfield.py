@@ -210,12 +210,22 @@ class MetallicParams:
         return QuadScalar.rational(self.alpha) - self.sigma
 
 
+# Largest discriminant D = alpha^2 + 4*beta accepted.  sqrt(D) is brought to
+# its squarefree part by factoring D, and past this size a product of two
+# large primes can keep that factorisation busy for minutes; up to it the
+# factorisation takes milliseconds.
+MAX_DISCRIMINANT = 10 ** 12
+
+
 def make_params(alpha: int, beta: int) -> MetallicParams:
     if not (isinstance(alpha, int) and isinstance(beta, int)):
         raise TypeError("alpha, beta must be integers")
     if alpha < 1 or beta < 1:
         raise ValueError("alpha, beta must be positive")
     disc = alpha * alpha + 4 * beta
+    if disc > MAX_DISCRIMINANT:
+        raise ValueError(f"discriminant alpha^2 + 4*beta = {disc} exceeds "
+                         f"the limit {MAX_DISCRIMINANT}")
     sqrt_d = QuadScalar.root(disc)
     sigma = (QuadScalar.rational(alpha) + sqrt_d) / 2
     params = MetallicParams(alpha, beta, disc, sigma, sqrt_d)

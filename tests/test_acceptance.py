@@ -241,14 +241,13 @@ def test_criterion_4_product_metallic_nijenhuis_relation():
                 ("lifted", complete_lift_t11(P, TB),
                  complete_lift_t11(psi, TB))]:
             chart = prod.chart
-            p2, m2 = compose_t11(prod, prod), compose_t11(met, met)
             n = chart.dimension
             for i in range(n):
                 for j in range(i + 1, n):
                     ei = VectorField.basis(chart, i)
                     ej = VectorField.basis(chart, j)
-                    vp = nijenhuis_apply(prod, ei, ej, p2)
-                    vm = nijenhuis_apply(met, ei, ej, m2)
+                    vp = nijenhuis_apply(prod, ei, ej)
+                    vm = nijenhuis_apply(met, ei, ej)
                     expect_zero(
                         f"{tag} {label} ({i},{j}): D*N_P - 4*N_Psi",
                         vp.scale(params.discriminant) - vm.scale(4))

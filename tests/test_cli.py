@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +166,21 @@ def test_chart_variable_shadowing_a_parameter_exits_2(tmp_path, capsys, name):
     path.write_text(FAILING.replace("chart x y", f"chart {name} y"))
     assert main(["run", str(path)]) == 2
     assert repr(name) in capsys.readouterr().err
+
+
+def test_discriminant_above_the_cap_exits_2(tmp_path):
+    # D = alpha^2 + 4*beta is a product of two primes of about 26 digits;
+    # factoring it would take minutes, so it must be refused before that.
+    path = tmp_path / "semiprime.scn"
+    path.write_text(FAILING.replace(
+        "params alpha=1 beta=1",
+        "params alpha=1 beta=175000000000000000000000500000000000000000000000354"))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "metallifts.cli", "run", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "exceeds the limit 1000000000000" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_structured_output_is_json(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+from metallifts import checks, integrability
+from metallifts.cli import load_builtin
 from metallifts.geometry import Tensor11Field, VectorField, apply_t11
 from metallifts.integrability import (Distribution, affine_invariance,
                                       example_41_distribution_generators,
@@ -16,11 +19,12 @@ from metallifts.metallic import (MetallicStructure, StructureError,
 from metallifts.numfield import make_params
 from metallifts.report import run_scenario
 from metallifts.scenario import parse_scenario
-from metallifts.symexpr import Chart, parse_expr
+from metallifts.symexpr import Chart, RatFunc, parse_expr
 
-from conftest import involutive_product, rand_t11, rand_vector
+from conftest import involutive_product, rand_poly, rand_t11, rand_vector
 
 CH = Chart(("x", "y"))
+GOLDEN = make_params(1, 1)
 
 
 # -- Nijenhuis basics -------------------------------------------------------
@@ -45,6 +49,45 @@ def test_nijenhuis_t11_matches_direct_evaluation(rng):
     X, Y = rand_vector(rng, CH), rand_vector(rng, CH)
     N = nijenhuis_t11(T)
     assert (N.evaluate(X, Y) - nijenhuis_apply(T, X, Y)).is_zero
+
+
+def _quad_t11(rng, params) -> Tensor11Field:
+    """Random entries a + b*sqrtD with a, b affine in each variable."""
+    sqrt_d = RatFunc.constant(CH, params.sqrtD)
+    return Tensor11Field(CH, tuple(
+        tuple(rand_poly(rng, CH) + sqrt_d * rand_poly(rng, CH) for _ in range(2))
+        for _ in range(2)))
+
+
+def _assert_formula_matches_definition(T: Tensor11Field):
+    chart, n = T.chart, T.chart.dimension
+    N = nijenhuis_t11(T)
+    for i in range(n):
+        for j in range(n):
+            direct = nijenhuis_apply(T, VectorField.basis(chart, i),
+                                     VectorField.basis(chart, j))
+            assert [N.components[h][i][j] for h in range(n)] == list(direct.components)
+    return N
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_nijenhuis_formula_matches_definition(seed):
+    """The coordinate formula in ``nijenhuis_t11`` equals N_T(e_i, e_j) from
+    the bracket definition, for every h, i, j, on a random non-integrable
+    tensor over Q(sqrt 5), on its complete lift, and on the tensor divided
+    by a polynomial containing sqrt 5 (its lift is left out: the bracket
+    definition takes seconds there)."""
+    rng = random.Random(seed)
+    T = _quad_t11(rng, GOLDEN)
+    den = parse_expr("x^2 + sqrtD*y + 3", CH, GOLDEN)
+    for case in (T, complete_lift_t11(T, tangent_bundle(CH)), T.scale(1 / den)):
+        assert not _assert_formula_matches_definition(case).is_zero
+
+
+def test_nijenhuis_formula_on_the_integrable_example():
+    M = example_41_structure(GOLDEN)
+    for case in (M.tensor, complete_lift_t11(M.tensor, tangent_bundle(M.chart))):
+        assert _assert_formula_matches_definition(case).is_zero
 
 
 def test_affine_invariance(rng):
@@ -73,8 +116,6 @@ def test_np_relation_rejects_non_involutive(rng):
 
 
 # -- the worked example on the plane ---------------------------------------
-
-GOLDEN = make_params(1, 1)
 
 
 def test_example_structure_diagonals_match_printed_forms():
@@ -244,3 +285,52 @@ def test_projector_criterion_detects_non_integrable_eigendistribution():
     assert not projector_criterion(M, "s_on_r").is_zero
     assert projector_criterion(M, "r_on_s").is_zero
     _assert_matches_direct(M)
+
+
+# -- the per-run memo of lifts and Nijenhuis tensors ------------------------
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of Nijenhuis and complete-lift builds, under every name the
+    checks can reach them by."""
+    counts = {"nijenhuis": 0, "lift": 0}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    nij = counting(integrability.nijenhuis_t11, "nijenhuis")
+    monkeypatch.setattr(integrability, "nijenhuis_t11", nij)
+    monkeypatch.setattr(checks, "nijenhuis_t11", nij)
+    monkeypatch.setattr(checks, "complete_lift_t11",
+                        counting(checks.complete_lift_t11, "lift"))
+    return counts
+
+
+def test_example_run_builds_each_nijenhuis_tensor_once(builds):
+    """N(Psi), N(P), N(3I + 2Psi), N(Psi^C) and N(P^C); the lifts Psi^C and
+    P^C.  A second run of the same parsed scenario builds them all again."""
+    scenario = load_builtin("example_4_1")
+    assert run_scenario(scenario).ok
+    assert builds == {"nijenhuis": 5, "lift": 2}
+    assert run_scenario(scenario).ok
+    assert builds == {"nijenhuis": 10, "lift": 4}
+
+
+def test_memo_hits_only_exactly_equal_tensors(builds):
+    ctx = checks.Context(load_builtin("example_4_1"))
+    _, T = ctx.structure("PSI")
+    shifted = T + Tensor11Field.identity(CH).scale(parse_expr("x", CH))
+    n_t, n_shifted = ctx.nijenhuis(T), ctx.nijenhuis(shifted)
+    assert builds["nijenhuis"] == 2
+    assert n_t.is_zero and not n_shifted.is_zero
+    assert (n_shifted - nijenhuis_t11(shifted)).is_zero
+    builds["nijenhuis"] = 0
+    # An equal tensor built another way is found; the stored results stay apart.
+    rebuilt = shifted - Tensor11Field.identity(CH).scale(parse_expr("x", CH))
+    assert rebuilt is not T
+    assert ctx.nijenhuis(rebuilt) is n_t
+    assert ctx.nijenhuis(shifted) is n_shifted
+    assert builds["nijenhuis"] == 0

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from metallifts.numfield import (IncompatibleRadicands, QuadScalar, make_params,
-                                 squarefree_split)
+from metallifts.numfield import (MAX_DISCRIMINANT, IncompatibleRadicands, QuadScalar,
+                                 make_params, squarefree_split)
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -109,3 +109,9 @@ def test_make_params_validation():
         make_params(0, 1)
     with pytest.raises(ValueError):
         make_params(1, 0)
+
+
+def test_discriminant_cap():
+    assert make_params(2, (MAX_DISCRIMINANT - 4) // 4).discriminant == MAX_DISCRIMINANT
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        make_params(2, (MAX_DISCRIMINANT - 4) // 4 + 1)
