@@ -21,7 +21,7 @@ from .geometry import (Connection, Tensor11Field, Tensor12Field, VectorField,
 from .integrability import (Distribution, affine_invariance, frobenius_criterion,
                             nijenhuis_t11, np_relation, projector_criterion)
 from .lifts import (complete_lift_t11, frame_swap_product, horizontal_lift_t11,
-                    jtilde_structure, tangent_bundle)
+                    jtilde_structure)
 from .metallic import (MetallicStructure, composite_relation, metallic_from_product,
                        metallic_recipe, metallic_residual, minimal_polynomial_check,
                        product_from_metallic, projectors_from_metallic)
@@ -126,8 +126,7 @@ class Context:
 
     def lift(self, T: Tensor11Field) -> Tensor11Field:
         """The complete lift T^C on the tangent bundle."""
-        return _memo(self._lifts, T,
-                     lambda T: complete_lift_t11(T, tangent_bundle(T.chart)))
+        return _memo(self._lifts, T, complete_lift_t11)
 
     def nijenhuis(self, T: Tensor11Field) -> Tensor12Field:
         """N_T, shared by every check of the run that needs it."""
@@ -339,11 +338,10 @@ def check_composition_lift(ctx: Context, args) -> CheckOutcome:
     _arity(args, 2)
     _, S = ctx.structure(args[0])
     _, T = ctx.structure(args[1])
-    tb = tangent_bundle(S.chart)
     out = CheckOutcome("composition_lift", f"({args[0]} {args[1]})^C = "
                        f"{args[0]}^C {args[1]}^C")
-    lhs = complete_lift_t11(compose_t11(S, T), tb)
-    rhs = compose_t11(complete_lift_t11(S, tb), complete_lift_t11(T, tb))
+    lhs = complete_lift_t11(compose_t11(S, T))
+    rhs = compose_t11(complete_lift_t11(S), complete_lift_t11(T))
     _tensor_residuals(out, "(S T)^C - S^C T^C", lhs - rhs)
     return out
 
@@ -476,12 +474,10 @@ def check_horizontal_metallic(ctx: Context, args) -> CheckOutcome:
     _arity(args, 2)
     M = ctx.metallic(args[0])
     conn = ctx.connection(args[1])
-    tb = tangent_bundle(M.chart)
     out = CheckOutcome("horizontal_metallic",
                        f"the horizontal lift of {args[0]} along {args[1]} is metallic")
     _tensor_residuals(out, "(Psi^H)^2 - alpha*Psi^H - beta*I",
-                      metallic_residual(horizontal_lift_t11(M.tensor, conn, tb),
-                                        ctx.params))
+                      metallic_residual(horizontal_lift_t11(M.tensor, conn), ctx.params))
     return out
 
 
@@ -489,10 +485,9 @@ def check_horizontal_square(ctx: Context, args) -> CheckOutcome:
     _arity(args, 2)
     M = ctx.metallic(args[0])
     conn = ctx.connection(args[1])
-    tb = tangent_bundle(M.chart)
     out = CheckOutcome("horizontal_square", "(Psi^2)^H = (Psi^H)^2")
-    th = horizontal_lift_t11(M.tensor, conn, tb)
-    lhs = horizontal_lift_t11(compose_t11(M.tensor, M.tensor), conn, tb)
+    th = horizontal_lift_t11(M.tensor, conn)
+    lhs = horizontal_lift_t11(compose_t11(M.tensor, M.tensor), conn)
     _tensor_residuals(out, "(Psi^2)^H - (Psi^H)^2", lhs - compose_t11(th, th))
     return out
 
@@ -500,10 +495,9 @@ def check_horizontal_square(ctx: Context, args) -> CheckOutcome:
 def check_jtilde(ctx: Context, args) -> CheckOutcome:
     _arity(args, 1)
     conn = ctx.connection(args[0])
-    tb = tangent_bundle(ctx.chart)
     out = CheckOutcome("jtilde",
                        "the frame-swap structure (alpha*I + sqrtD*Ptilde)/2 is metallic")
-    J = jtilde_structure(conn, ctx.params, tb)
+    J = jtilde_structure(conn, ctx.params)
     _tensor_residuals(out, "Jtilde^2 - alpha*Jtilde - beta*I",
                       metallic_residual(J, ctx.params))
     return out
@@ -513,10 +507,9 @@ def check_jtilde_printed(ctx: Context, args) -> CheckOutcome:
     _arity(args, 1)
     conn = ctx.connection(args[0])
     p = ctx.params
-    tb = tangent_bundle(ctx.chart)
-    p_swap = frame_swap_product(conn, tb)
+    p_swap = frame_swap_product(conn)
     half = QuadScalar.rational(Fraction(1, 2))
-    printed = (Tensor11Field.identity(tb.chart).scale(half)
+    printed = (Tensor11Field.identity(p_swap.chart).scale(half)
                + p_swap.scale(half * p.sqrtD))
     derived = metallic_recipe(p_swap, p)
     coincide = p.alpha == 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .geometry import (Tensor11Field, Tensor12Field, VectorField, apply_t11,
                        lie_bracket, lie_derivative_t11, lie_derivative_t12)
-from .integrability import nijenhuis_apply, nijenhuis_t11
+from .integrability import nijenhuis_t11
 from .lifts import (TangentBundleChart, complete_lift_t11, complete_lift_vf,
                     tangent_bundle, vertical_lift_vf)
 from .metallic import MetallicStructure, StructureError
@@ -41,24 +41,21 @@ def b_lift(X: VectorField, cs: CrossSection) -> VectorField:
     if X.chart != cs.chart:
         raise ValueError("field and section must share the base chart")
     tb = cs.bundle()
-    n = tb.n
     names = cs.chart.variables
-    upper = [c.on_chart(tb.chart) for c in X.components]
     lower = []
-    for h in range(n):
+    for v in cs.V.components:
         acc = RatFunc.constant(cs.chart, 0)
-        for i in range(n):
-            acc = acc + X.components[i] * cs.V.components[h].diff(names[i])
-        lower.append(acc.on_chart(tb.chart))
-    return VectorField(tb.chart, tuple(upper + lower))
+        for x, name in zip(X.components, names):
+            acc = acc + x * v.diff(name)
+        lower.append(acc)
+    return VectorField(tb.chart, tuple(tb.up(c) for c in X.components + tuple(lower)))
 
 
-def c_lift(X: VectorField, tb: TangentBundleChart | None = None) -> VectorField:
+def c_lift(X: VectorField) -> VectorField:
     """CX = (0, X^h); componentwise the vertical lift."""
-    tb = tb or tangent_bundle(X.chart)
+    tb = tangent_bundle(X.chart)
     zero = RatFunc.constant(tb.chart, 0)
-    return VectorField(tb.chart, tuple([zero] * tb.n
-                                       + [c.on_chart(tb.chart) for c in X.components]))
+    return VectorField(tb.chart, tuple([zero] * tb.n + [tb.up(c) for c in X.components]))
 
 
 def restrict_to_section(obj, cs: CrossSection):
@@ -104,14 +101,13 @@ class LiftDecomposition:
 
 def lift_decomposition_check(X: VectorField, Y: VectorField,
                              cs: CrossSection) -> LiftDecomposition:
-    tb = cs.bundle()
     bx = b_lift(X, cs)
     return LiftDecomposition(
         b_bracket=lie_bracket(bx, b_lift(Y, cs)) - b_lift(lie_bracket(X, Y), cs),
-        c_bracket=lie_bracket(c_lift(X, tb), c_lift(Y, tb)),
+        c_bracket=lie_bracket(c_lift(X), c_lift(Y)),
         complete=restrict_to_section(
-            complete_lift_vf(X, tb) - bx - c_lift(lie_bracket(cs.V, X), tb), cs),
-        vertical=vertical_lift_vf(X, tb) - c_lift(X, tb))
+            complete_lift_vf(X) - bx - c_lift(lie_bracket(cs.V, X)), cs),
+        vertical=vertical_lift_vf(X) - c_lift(X))
 
 
 @dataclass(frozen=True)
@@ -136,15 +132,14 @@ def _same_chart(M: MetallicStructure, cs: CrossSection):
 
 def invariance_check(M: MetallicStructure, cs: CrossSection) -> Invariance:
     _same_chart(M, cs)
-    tb = cs.bundle()
     lie = lie_derivative_t11(cs.V, M.tensor)
-    psi_c = complete_lift_t11(M.tensor, tb)
+    psi_c = complete_lift_t11(M.tensor)
     images, decomposition = [], []
     for i in range(cs.chart.dimension):
         e = VectorField.basis(cs.chart, i)
         image = restrict_to_section(apply_t11(psi_c, b_lift(e, cs)), cs)
         rhs = restrict_to_section(
-            b_lift(apply_t11(M.tensor, e), cs) + c_lift(apply_t11(lie, e), tb), cs)
+            b_lift(apply_t11(M.tensor, e), cs) + c_lift(apply_t11(lie, e)), cs)
         images.append(image)
         decomposition.append(tuple(a - b for a, b in zip(image, rhs)))
     return Invariance(lie, tuple(images), tuple(decomposition))
@@ -161,18 +156,11 @@ def induced_structure(M: MetallicStructure, cs: CrossSection) -> MetallicStructu
 
     chart = cs.chart
     n = chart.dimension
-    names = chart.variables
-    columns = []
-    for image in inv.images:
-        col = image[:n]
-        # Tangency: the fiber part must be the push-forward of the base part.
-        for h in range(n):
-            expect = RatFunc.constant(chart, 0)
-            for a in range(n):
-                expect = expect + cs.V.components[h].diff(names[a]) * col[a]
-            if not (image[n + h] - expect).is_zero:
-                raise StructureError("image of BX is not tangent to the section")
-        columns.append(col)
+    columns = [image[:n] for image in inv.images]
+    for image, col in zip(inv.images, columns):
+        # Tangency: the image must be B of its base part.
+        if restrict_to_section(b_lift(VectorField(chart, col), cs), cs) != image:
+            raise StructureError("image of BX is not tangent to the section")
     rows = tuple(tuple(columns[i][h] for i in range(n)) for h in range(n))
     return MetallicStructure(M.params, Tensor11Field(chart, rows))
 
@@ -206,8 +194,7 @@ def section_nijenhuis_check(M: MetallicStructure, cs: CrossSection) -> SectionNi
     _same_chart(M, cs)
     chart = cs.chart
     n = chart.dimension
-    tb = cs.bundle()
-    psi_c = complete_lift_t11(M.tensor, tb)
+    n_lift = nijenhuis_t11(complete_lift_t11(M.tensor))
     n_base = nijenhuis_t11(M.tensor)
     lie_n = lie_derivative_t12(cs.V, n_base)
     basis = [VectorField.basis(chart, i) for i in range(n)]
@@ -215,9 +202,9 @@ def section_nijenhuis_check(M: MetallicStructure, cs: CrossSection) -> SectionNi
     section, decomposition = {}, {}
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = restrict_to_section(nijenhuis_apply(psi_c, lifted[i], lifted[j]), cs)
+            lhs = restrict_to_section(n_lift.evaluate(lifted[i], lifted[j]), cs)
             rhs = restrict_to_section(b_lift(n_base.evaluate(basis[i], basis[j]), cs)
-                                      + c_lift(lie_n.evaluate(basis[i], basis[j]), tb), cs)
+                                      + c_lift(lie_n.evaluate(basis[i], basis[j])), cs)
             section[i, j] = lhs
             decomposition[i, j] = tuple(a - b for a, b in zip(lhs, rhs))
     return SectionNijenhuis(section, decomposition, n_base, lie_n,

@@ -141,16 +141,6 @@ class Tensor12Field:
             raise ValueError("(1,2)-tensor must be cubical of chart dimension")
 
     @classmethod
-    def make(cls, chart: Chart, cube) -> Tensor12Field:
-        return cls(chart, tuple(tuple(tuple(_as_ratfunc(chart, c) for c in row)
-                                      for row in plane) for plane in cube))
-
-    @classmethod
-    def zero(cls, chart: Chart) -> Tensor12Field:
-        n = chart.dimension
-        return cls.make(chart, [[[0] * n for _ in range(n)] for _ in range(n)])
-
-    @classmethod
     def antisymmetric(cls, chart: Chart, value) -> Tensor12Field:
         """The tensor with N(e_i, e_j) = value(i, j) (a VectorField) for
         i < j, N(e_j, e_i) = -N(e_i, e_j) and N(e_i, e_i) = 0."""

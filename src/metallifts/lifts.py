@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import Connection, Tensor11Field, VectorField, compose_t11, invert_t11
+from .geometry import (Connection, Tensor11Field, VectorField, apply_t11, compose_t11,
+                       invert_t11)
 from .metallic import metallic_recipe
 from .numfield import MetallicParams
 from .symexpr import Chart, RatFunc
@@ -35,8 +36,18 @@ class TangentBundleChart:
     def fiber_variables(self) -> tuple[str, ...]:
         return self.chart.variables[self.n:]
 
-    def fiber_var(self, a: int) -> RatFunc:
-        return RatFunc.variable(self.chart, self.fiber_variables[a])
+    def up(self, f: RatFunc) -> RatFunc:
+        """A base-chart function read on TM."""
+        return f.on_chart(self.chart)
+
+    def fiber_sum(self, fs) -> RatFunc:
+        """sum_a y^a f_a on TM for base-chart functions f_a; zero f_a are
+        skipped."""
+        acc = RatFunc.constant(self.chart, 0)
+        for y, f in zip(self.fiber_variables, fs):
+            if not f.is_zero:
+                acc = acc + RatFunc.variable(self.chart, y) * self.up(f)
+        return acc
 
 
 @lru_cache(maxsize=None)
@@ -50,150 +61,94 @@ def tangent_bundle(base: Chart) -> TangentBundleChart:
     return TangentBundleChart(base, Chart(base.variables + tuple(fiber)))
 
 
-def _up(f: RatFunc, tb: TangentBundleChart) -> RatFunc:
-    return f.on_chart(tb.chart)
-
-
-def vertical_lift_vf(X: VectorField, tb: TangentBundleChart | None = None) -> VectorField:
-    tb = tb or tangent_bundle(X.chart)
+def vertical_lift_vf(X: VectorField) -> VectorField:
+    tb = tangent_bundle(X.chart)
     zero = RatFunc.constant(tb.chart, 0)
-    comps = [zero] * tb.n + [_up(c, tb) for c in X.components]
-    return VectorField(tb.chart, tuple(comps))
+    return VectorField(tb.chart, tuple([zero] * tb.n + [tb.up(c) for c in X.components]))
 
 
-def complete_lift_vf(X: VectorField, tb: TangentBundleChart | None = None) -> VectorField:
-    tb = tb or tangent_bundle(X.chart)
-    n = tb.n
-    upper = [_up(c, tb) for c in X.components]
-    lower = []
-    for h in range(n):
-        acc = RatFunc.constant(tb.chart, 0)
-        for a in range(n):
-            acc = acc + tb.fiber_var(a) * _up(X.components[h].diff(X.chart.variables[a]), tb)
-        lower.append(acc)
-    return VectorField(tb.chart, tuple(upper + lower))
+def complete_lift_vf(X: VectorField) -> VectorField:
+    tb = tangent_bundle(X.chart)
+    names = X.chart.variables
+    return VectorField(tb.chart, tuple(
+        [tb.up(c) for c in X.components]
+        + [tb.fiber_sum([c.diff(v) for v in names]) for c in X.components]))
 
 
-def _fiber_contraction(T: Tensor11Field, tb: TangentBundleChart):
-    """(dT)^h_i = y^a d_a T^h_i, the lower-left block of the complete lift."""
-    n = tb.n
-    block = []
-    for h in range(n):
-        row = []
-        for i in range(n):
-            acc = RatFunc.constant(tb.chart, 0)
-            for a in range(n):
-                acc = acc + tb.fiber_var(a) * _up(T.components[h][i].diff(T.chart.variables[a]), tb)
-            row.append(acc)
-        block.append(row)
-    return block
+def _lower_triangular(diag, lower) -> Tensor11Field:
+    """[[diag, 0], [lower, diag]] on TM from n x n blocks; diag None is zero."""
+    chart = lower[0][0].chart
+    zero = (RatFunc.constant(chart, 0),) * len(lower)
+    diag = diag or [zero] * len(lower)
+    return Tensor11Field(chart, tuple(
+        [tuple(row) + zero for row in diag]
+        + [tuple(low) + tuple(row) for low, row in zip(lower, diag)]))
 
 
-def _from_blocks(tb: TangentBundleChart, ul, ur, ll, lr) -> Tensor11Field:
-    n = tb.n
-    zero = RatFunc.constant(tb.chart, 0)
-
-    def cell(block, h, i):
-        if block is None:
-            return zero
-        return block[h][i]
-
-    rows = []
-    for h in range(2 * n):
-        row = []
-        for i in range(2 * n):
-            if h < n:
-                row.append(cell(ul, h, i) if i < n else cell(ur, h, i - n))
-            else:
-                row.append(cell(ll, h - n, i) if i < n else cell(lr, h - n, i - n))
-        rows.append(tuple(row))
-    return Tensor11Field(tb.chart, tuple(rows))
+def complete_lift_t11(T: Tensor11Field) -> Tensor11Field:
+    tb = tangent_bundle(T.chart)
+    names = T.chart.variables
+    # (dT)^h_i = y^a d_a T^h_i, the lower-left block.
+    dT = [[tb.fiber_sum([c.diff(v) for v in names]) for c in row] for row in T.components]
+    return _lower_triangular([[tb.up(c) for c in row] for row in T.components], dT)
 
 
-def _base_block(T: Tensor11Field, tb: TangentBundleChart):
-    return [[_up(c, tb) for c in row] for row in T.components]
-
-
-def complete_lift_t11(T: Tensor11Field, tb: TangentBundleChart | None = None) -> Tensor11Field:
-    tb = tb or tangent_bundle(T.chart)
-    base = _base_block(T, tb)
-    return _from_blocks(tb, base, None, _fiber_contraction(T, tb), base)
-
-
-def nabla_gamma_t11(T: Tensor11Field, conn: Connection,
-                    tb: TangentBundleChart | None = None) -> Tensor11Field:
+def nabla_gamma_t11(T: Tensor11Field, conn: Connection) -> Tensor11Field:
     if T.chart != conn.chart:
         raise ValueError("tensor and connection must share a chart")
-    tb = tb or tangent_bundle(T.chart)
+    tb = tangent_bundle(T.chart)
     n = tb.n
     names = T.chart.variables
-    block = []
-    for h in range(n):
-        row = []
-        for i in range(n):
-            acc = RatFunc.constant(tb.chart, 0)
-            for l in range(n):
-                cov = T.components[h][i].diff(names[l])
-                for a in range(n):
-                    cov = cov + conn.coefficients[h][l][a] * T.components[a][i]
-                    cov = cov - conn.coefficients[a][l][i] * T.components[h][a]
-                acc = acc + tb.fiber_var(l) * _up(cov, tb)
-            row.append(acc)
-        block.append(row)
-    return _from_blocks(tb, None, None, block, None)
+
+    def cov(h: int, i: int, l: int) -> RatFunc:
+        """(nabla_l T)^h_i"""
+        out = T.components[h][i].diff(names[l])
+        for a in range(n):
+            out = out + conn.coefficients[h][l][a] * T.components[a][i]
+            out = out - conn.coefficients[a][l][i] * T.components[h][a]
+        return out
+
+    block = [[tb.fiber_sum([cov(h, i, l) for l in range(n)]) for i in range(n)]
+             for h in range(n)]
+    return _lower_triangular(None, block)
 
 
-def horizontal_lift_vf(X: VectorField, conn: Connection,
-                       tb: TangentBundleChart | None = None) -> VectorField:
+def horizontal_lift_vf(X: VectorField, conn: Connection) -> VectorField:
     if X.chart != conn.chart:
         raise ValueError("field and connection must share a chart")
-    tb = tb or tangent_bundle(X.chart)
-    n = tb.n
-    upper = [_up(c, tb) for c in X.components]
-    lower = []
-    for h in range(n):
-        acc = RatFunc.constant(tb.chart, 0)
-        for l in range(n):
-            for a in range(n):
-                g = conn.coefficients[h][l][a]
-                if not g.is_zero:
-                    acc = acc - _up(g * X.components[a], tb) * tb.fiber_var(l)
-        lower.append(acc)
-    return VectorField(tb.chart, tuple(upper + lower))
+    tb = tangent_bundle(X.chart)
+    # Row h of the fiber part is -y^l Gamma^h_{la} X^a.
+    lower = [-tb.fiber_sum(apply_t11(Tensor11Field(X.chart, gamma), X).components)
+             for gamma in conn.coefficients]
+    return VectorField(tb.chart, tuple([tb.up(c) for c in X.components] + lower))
 
 
-def horizontal_lift_t11(T: Tensor11Field, conn: Connection,
-                        tb: TangentBundleChart | None = None) -> Tensor11Field:
-    tb = tb or tangent_bundle(T.chart)
-    return complete_lift_t11(T, tb) - nabla_gamma_t11(T, conn, tb)
+def horizontal_lift_t11(T: Tensor11Field, conn: Connection) -> Tensor11Field:
+    return complete_lift_t11(T) - nabla_gamma_t11(T, conn)
 
 
-def frame_matrix(conn: Connection, tb: TangentBundleChart | None = None) -> Tensor11Field:
+def frame_matrix(conn: Connection) -> Tensor11Field:
     """Columns are the horizontal frame E_1..E_n then the vertical frame
     V_1..V_n of the connection, as coordinate components on TM."""
-    tb = tb or tangent_bundle(conn.chart)
+    tb = tangent_bundle(conn.chart)
     n = tb.n
-    cols = []
-    for a in range(n):
-        cols.append(horizontal_lift_vf(VectorField.basis(conn.chart, a), conn, tb))
-    for a in range(n):
-        cols.append(vertical_lift_vf(VectorField.basis(conn.chart, a), tb))
+    basis = [VectorField.basis(conn.chart, a) for a in range(n)]
+    cols = ([horizontal_lift_vf(e, conn) for e in basis]
+            + [vertical_lift_vf(e) for e in basis])
     rows = tuple(tuple(cols[i].components[h] for i in range(2 * n)) for h in range(2 * n))
     return Tensor11Field(tb.chart, rows)
 
 
-def frame_swap_product(conn: Connection, tb: TangentBundleChart) -> Tensor11Field:
+def frame_swap_product(conn: Connection) -> Tensor11Field:
     """P~ = F S F^-1, the almost product structure on TM that swaps the
     horizontal and vertical frames (F = frame_matrix, S the block swap)."""
-    n = tb.n
-    F = frame_matrix(conn, tb)
-    swap = Tensor11Field.make(tb.chart, [
+    F = frame_matrix(conn)
+    n = conn.chart.dimension
+    swap = Tensor11Field.make(F.chart, [
         [1 if abs(i - h) == n else 0 for i in range(2 * n)] for h in range(2 * n)])
     return compose_t11(compose_t11(F, swap), invert_t11(F))
 
 
-def jtilde_structure(conn: Connection, params: MetallicParams,
-                     tb: TangentBundleChart | None = None) -> Tensor11Field:
+def jtilde_structure(conn: Connection, params: MetallicParams) -> Tensor11Field:
     """The metallic structure J~ = (alpha*I + sqrtD*P~)/2 on TM."""
-    return metallic_recipe(frame_swap_product(conn, tb or tangent_bundle(conn.chart)),
-                           params)
+    return metallic_recipe(frame_swap_product(conn), params)

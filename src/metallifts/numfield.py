@@ -147,10 +147,8 @@ class QuadScalar:
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
-    def to_float(self, radical_value: float | None = None) -> float:
-        if radical_value is None:
-            radical_value = self.d ** 0.5
-        return float(self.a) + float(self.b) * radical_value
+    def to_float(self) -> float:
+        return float(self.a) + float(self.b) * self.d ** 0.5
 
     def __str__(self):
         if self.b == 0:
@@ -185,10 +183,6 @@ class QuadScalar:
         if not seen:
             raise ValueError(f"empty quadratic scalar: {text!r}")
         return total
-
-
-ZERO = QuadScalar.rational(0)
-ONE = QuadScalar.rational(1)
 
 
 @dataclass(frozen=True)

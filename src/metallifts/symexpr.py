@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import sympy
 from sympy import QQ
@@ -39,6 +40,10 @@ class DivisionByZeroExpr(ExprError):
 
 class ResampleNeeded(RuntimeError):
     """Numeric evaluation hit a near-zero denominator; pick another point."""
+
+
+# eval_numeric refuses a point where the denominator's magnitude is below this.
+DEN_THRESHOLD = 1e-8
 
 
 @lru_cache(maxsize=None)
@@ -114,10 +119,6 @@ class Chart:
     @property
     def dimension(self) -> int:
         return len(self.variables)
-
-    @property
-    def symbols(self):
-        return _chart_symbols(self.variables)
 
     def index(self, name: str) -> int:
         try:
@@ -298,7 +299,7 @@ class RatFunc:
         return self.field.join(other.field)
 
     @staticmethod
-    def _coerce(chart, field, x):
+    def _coerce(chart, x):
         if isinstance(x, RatFunc):
             return x
         if isinstance(x, (int, Fraction, QuadScalar)):
@@ -308,7 +309,7 @@ class RatFunc:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(self.chart, self.field, other)
+        other = self._coerce(self.chart, other)
         if other is None:
             return NotImplemented
         field = self._join(other)
@@ -351,7 +352,7 @@ class RatFunc:
         return RatFunc._trusted(self.chart, self.field, -self.num, self.factors)
 
     def __sub__(self, other):
-        other = self._coerce(self.chart, self.field, other)
+        other = self._coerce(self.chart, other)
         if other is None:
             return NotImplemented
         return self + (-other)
@@ -360,7 +361,7 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(self.chart, self.field, other)
+        other = self._coerce(self.chart, other)
         if other is None:
             return NotImplemented
         field = self._join(other)
@@ -411,14 +412,14 @@ class RatFunc:
         return RatFunc._trusted(self.chart, self.field, num, ((base, 1),))
 
     def __truediv__(self, other):
-        other = self._coerce(self.chart, self.field, other)
+        other = self._coerce(self.chart, other)
         if other is None:
             return NotImplemented
         self._join(other)
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
-        return self._coerce(self.chart, self.field, other) / self
+        return self._coerce(self.chart, other) / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -449,7 +450,7 @@ class RatFunc:
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
-            other = self._coerce(self.chart, self.field, other)
+            other = self._coerce(self.chart, other)
             if other is None:
                 return NotImplemented
         self._join(other)
@@ -520,16 +521,14 @@ class RatFunc:
 
     # -- numeric ------------------------------------------------------
 
-    def eval_numeric(self, point: dict[str, float], radical_value: float | None = None,
-                     den_threshold: float = 1e-8) -> float:
+    def eval_numeric(self, point: dict[str, float]) -> float:
         vals = [point[name] for name in self.chart.variables]
-        if radical_value is None:
-            radical_value = self.field.d ** 0.5
+        radical_value = self.field.d ** 0.5
         nv = _poly_float(self.num, vals, radical_value)
         dv = 1.0
         for base, e in self.factors:
             dv *= _poly_float(base, vals, radical_value) ** e
-        if abs(dv) < den_threshold:
+        if abs(dv) < DEN_THRESHOLD:
             raise ResampleNeeded(f"denominator ~ {dv}")
         return nv / dv
 
@@ -663,6 +662,15 @@ PARAM_NAMES = ("alpha", "beta", "sigma", "sqrtD")
 # Parentheses and prefix signs nest at most this deep, which keeps the
 # recursive-descent parser well inside the interpreter's recursion limit.
 MAX_NESTING = 100
+# Every value the parser builds has a numerator and an expanded denominator
+# of total degree at most MAX_DEGREE, each with at most MAX_TERMS terms, and
+# no exponent exceeds MAX_DEGREE.  Sums, products, quotients and powers are
+# refused from their operands' sizes, by the most terms the result can
+# have, before they are expanded: expanding is where the time goes.  The
+# square of (x+y+1)^60 (1891 terms) takes 1891^2 products of large
+# coefficients.
+MAX_DEGREE = 2000
+MAX_TERMS = 1000
 
 
 class ParseError(ExprError):
@@ -672,6 +680,11 @@ class ParseError(ExprError):
 
 
 _TOKEN_CHARS = set("+-*/^()")
+
+
+def _degree(p) -> int:
+    """Total degree of p in the chart coordinates."""
+    return max((sum(m[:-1]) for m in p.itermonoms()), default=0)
 
 
 def _tokenize(text: str):
@@ -727,12 +740,36 @@ class _Parser:
             raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2])
         return out
 
+    def check(self, at: int, degree: int, terms: int):
+        """Refuse a polynomial of this total degree with up to ``terms``
+        terms; none has more terms than there are chart monomials of its
+        degree (twice that with sqrt(d))."""
+        k = self.chart.dimension
+        terms = min(terms, comb(degree + k, k) * (2 if self.field.d else 1))
+        if degree > MAX_DEGREE or terms > MAX_TERMS:
+            raise ParseError(f"expression too large: degree {degree} with up to {terms} "
+                             f"terms (limits {MAX_DEGREE} and {MAX_TERMS})", at)
+
+    def products(self, at: int, *pairs):
+        """Check, before it is expanded, the product p*q of each pair."""
+        for p, q in pairs:
+            self.check(at, _degree(p) + _degree(q), len(p) * len(q))
+
+    def fits(self, at: int, value: RatFunc) -> RatFunc:
+        """Check a value once it is built."""
+        for p in (value.num, value.den):
+            self.check(at, _degree(p), len(p))
+        return value
+
     def expr(self) -> RatFunc:
         out = self.term()
         while self.peek()[0] in "+-":
-            op = self.take()[0]
+            op, _, at = self.take()
             rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
+            if out.factors != rhs.factors:
+                # Each numerator is multiplied by part of the other denominator.
+                self.products(at, (out.num, rhs.den), (rhs.num, out.den), (out.den, rhs.den))
+            out = self.fits(at, out + rhs if op == "+" else out - rhs)
         return out
 
     def term(self) -> RatFunc:
@@ -740,12 +777,14 @@ class _Parser:
         while self.peek()[0] in "*/":
             op, _, at = self.take()
             rhs = self.unary()
-            if op == "*":
-                out = out * rhs
-            else:
+            if op == "/":
                 if rhs.is_zero:
                     raise ParseError("division by the zero expression", at)
-                out = out / rhs
+                if _has_radical(rhs.num):  # the reciprocal multiplies out its norm
+                    self.products(at, (rhs.num, rhs.num))
+                rhs = self.fits(at, rhs.reciprocal())
+            self.products(at, (out.num, rhs.num), (out.den, rhs.den))
+            out = self.fits(at, out * rhs)
         return out
 
     def unary(self) -> RatFunc:
@@ -773,7 +812,13 @@ class _Parser:
             tok = self.take("int")
             if neg:
                 raise ParseError("exponent must be a nonnegative integer", tok[2])
-            base = base ** int(tok[1])
+            n = int(tok[1])
+            if n > MAX_DEGREE:
+                raise ParseError(f"exponent {n} exceeds the limit {MAX_DEGREE}", tok[2])
+            for p in (base.num, base.den):
+                # p^n has at most one term per multiset of n terms of p.
+                self.check(tok[2], n * _degree(p), comb(max(len(p), 1) + n - 1, n))
+            base = base ** n
         return base
 
     def atom(self) -> RatFunc:

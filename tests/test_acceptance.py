@@ -177,8 +177,7 @@ def test_criterion_3_complete_lift_metallic():
     for params in THREE_PARAMS:
         tag = f"(a={params.alpha},b={params.beta})"
         for k, P in enumerate(products_20()):
-            lifted = complete_lift_t11(metallic_from_product(P, params).tensor,
-                                       TB)
+            lifted = complete_lift_t11(metallic_from_product(P, params).tensor)
             expect_zero(f"{tag} P{k}: lifted defining relation",
                         metallic_residual(lifted, params))
 
@@ -188,9 +187,9 @@ def test_criterion_3_lift_is_multiplicative():
     for k in range(5):
         S, G = rand_t11(rng, CH), rand_t11(rng, CH)
         expect_zero(f"pair {k}: (S G)^C - S^C G^C",
-                    complete_lift_t11(compose_t11(S, G), TB)
-                    - compose_t11(complete_lift_t11(S, TB),
-                                  complete_lift_t11(G, TB)))
+                    complete_lift_t11(compose_t11(S, G))
+                    - compose_t11(complete_lift_t11(S),
+                                  complete_lift_t11(G)))
 
 
 def test_criterion_3_tangent_polynomial():
@@ -238,8 +237,8 @@ def test_criterion_4_product_metallic_nijenhuis_relation():
         psi = metallic_from_product(P, params).tensor
         for label, prod, met in [
                 ("base", P, psi),
-                ("lifted", complete_lift_t11(P, TB),
-                 complete_lift_t11(psi, TB))]:
+                ("lifted", complete_lift_t11(P),
+                 complete_lift_t11(psi))]:
             chart = prod.chart
             n = chart.dimension
             for i in range(n):
@@ -281,7 +280,7 @@ def test_criterion_4_worked_example():
     expect_zero("example: N_Psi",
                 tuple(c for plane in n_base.components
                       for row in plane for c in row))
-    lifted = complete_lift_t11(M.tensor, tangent_bundle(chart))
+    lifted = complete_lift_t11(M.tensor)
     n_lift = nijenhuis_t11(lifted)
     expect_zero("example: N_{Psi^C}",
                 tuple(c for plane in n_lift.components
@@ -313,7 +312,7 @@ def test_criterion_4_lift_preserves_vanishing_nijenhuis():
     constant structure gives a second, independent instance."""
     M = metallic_from_product(Tensor11Field.make(CH, [[0, 1], [1, 0]]), GOLDEN)
     assert nijenhuis_t11(M.tensor).is_zero
-    lifted = complete_lift_t11(M.tensor, TB)
+    lifted = complete_lift_t11(M.tensor)
     expect_zero("constant example: N_{Psi^C}",
                 tuple(c for plane in nijenhuis_t11(lifted).components
                       for row in plane for c in row))
@@ -334,11 +333,11 @@ def test_criterion_5_horizontal_lift_metallic():
         tag = f"(a={params.alpha},b={params.beta})"
         conn = _rand_connection(rng)
         psi = metallic_from_product(involutive_product(rng, CH), params).tensor
-        TH = horizontal_lift_t11(psi, conn, TB)
+        TH = horizontal_lift_t11(psi, conn)
         expect_zero(f"{tag}: horizontal defining relation",
                     metallic_residual(TH, params))
         expect_zero(f"{tag}: (Psi^2)^H - (Psi^H)^2",
-                    horizontal_lift_t11(compose_t11(psi, psi), conn, TB)
+                    horizontal_lift_t11(compose_t11(psi, psi), conn)
                     - compose_t11(TH, TH))
 
 
@@ -347,7 +346,7 @@ def test_criterion_5_frame_swap_structure():
     conn = _rand_connection(rng)
     for pair in [(1, 1), (2, 1), (1, 2)]:
         params = make_params(*pair)
-        J = jtilde_structure(conn, params, TB)
+        J = jtilde_structure(conn, params)
         expect_zero(f"J~ (a={params.alpha},b={params.beta})",
                     metallic_residual(J, params))
 
@@ -356,12 +355,12 @@ def test_criterion_5_printed_form_at_unit_alpha():
     rng = random.Random(5353)
     conn = _rand_connection(rng)
     n = TB.n
-    F = frame_matrix(conn, TB)
+    F = frame_matrix(conn)
     swap = Tensor11Field.make(TB.chart, [
         [1 if (i == h + n or i == h - n) else 0 for i in range(2 * n)]
         for h in range(2 * n)])
     p_swap = compose_t11(compose_t11(F, swap), invert_t11(F))
-    expect_zero("P~ = F S F^-1", frame_swap_product(conn, TB) - p_swap)
+    expect_zero("P~ = F S F^-1", frame_swap_product(conn) - p_swap)
     I = Tensor11Field.identity(TB.chart)
     half = RatFunc.constant(TB.chart, Fraction(1, 2))
 
@@ -370,10 +369,10 @@ def test_criterion_5_printed_form_at_unit_alpha():
 
     golden = make_params(1, 1)
     expect_zero("printed J~ at alpha=1",
-                printed(golden) - jtilde_structure(conn, golden, TB))
+                printed(golden) - jtilde_structure(conn, golden))
     silver = make_params(2, 1)
     expect_nonzero("printed J~ at alpha=2",
-                   printed(silver) - jtilde_structure(conn, silver, TB))
+                   printed(silver) - jtilde_structure(conn, silver))
 
 
 # -- criterion 6: cross-sections --------------------------------------------
@@ -387,22 +386,22 @@ def test_criterion_6_lift_decompositions():
     expect_zero("[BX,BY] - B[X,Y]",
                 lie_bracket(b_lift(X, cs), b_lift(Y, cs))
                 - b_lift(lie_bracket(X, Y), cs))
-    expect_zero("[CX,CY]", lie_bracket(c_lift(X, TB), c_lift(Y, TB)))
+    expect_zero("[CX,CY]", lie_bracket(c_lift(X), c_lift(Y)))
     # X^C = BX + C(L_V X) along the section; X^V = CX everywhere.
-    lhs = restrict_to_section(complete_lift_vf(X, TB), cs)
+    lhs = restrict_to_section(complete_lift_vf(X), cs)
     rhs = restrict_to_section(
-        b_lift(X, cs) + c_lift(lie_bracket(V, X), TB), cs)
+        b_lift(X, cs) + c_lift(lie_bracket(V, X)), cs)
     expect_zero("X^C - (BX + C[V,X]) on section",
                 tuple(a - b for a, b in zip(lhs, rhs)))
-    expect_zero("X^V - CX", vertical_lift_vf(X, TB) - c_lift(X, TB))
+    expect_zero("X^V - CX", vertical_lift_vf(X) - c_lift(X))
     # Psi^C(BX) = B(Psi X) + C((L_V Psi) X) along the section.
     M = metallic_from_product(involutive_product(rng, CH), GOLDEN)
     lie = lie_derivative_t11(V, M.tensor)
-    psi_c = complete_lift_t11(M.tensor, TB)
+    psi_c = complete_lift_t11(M.tensor)
     lhs = restrict_to_section(apply_t11(psi_c, b_lift(X, cs)), cs)
     rhs = restrict_to_section(
         b_lift(apply_t11(M.tensor, X), cs)
-        + c_lift(apply_t11(lie, X), TB), cs)
+        + c_lift(apply_t11(lie, X)), cs)
     expect_zero("Psi^C(BX) decomposition",
                 tuple(a - b for a, b in zip(lhs, rhs)))
     # N_{Psi^C}(BX, BY) = B(N_Psi(X,Y)) + C((L_V N_Psi)(X,Y)) along it.
@@ -412,7 +411,7 @@ def test_criterion_6_lift_decompositions():
                                               b_lift(Y, cs)), cs)
     rhs = restrict_to_section(
         b_lift(n_base.evaluate(X, Y), cs)
-        + c_lift(lie_n.evaluate(X, Y), TB), cs)
+        + c_lift(lie_n.evaluate(X, Y)), cs)
     expect_zero("N_{Psi^C}(BX,BY) decomposition",
                 tuple(a - b for a, b in zip(lhs, rhs)))
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,34 @@ def test_deeply_nested_check_argument_is_an_error_not_a_crash(tmp_path, capsys):
     assert "nests deeper than 100 levels" in captured.out
     assert "[PASS] check almost_product P" in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+# Each is refused before its first oversized power or product is expanded.
+OVERSIZED = {"power": "(x+y+1)^3000", "nested_power": "((x+y+1)^60)^60",
+             "product": "*".join(["(x+y+1)^60"] * 50)}
+
+
+@pytest.mark.parametrize("expr", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_oversized_check_argument_is_an_error_not_a_hang(tmp_path, capsys, expr):
+    path = tmp_path / "big.scn"
+    path.write_text(OVERFLOWING.replace("x^2000", expr))
+    start = time.perf_counter()
+    assert main(["run", str(path)]) == 1
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert "[ERROR] check component P 1 1 (" in captured.out
+    assert "limit" in captured.out
+    assert "[PASS] check almost_product P" in captured.out
+
+
+@pytest.mark.parametrize("expr", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_oversized_structure_row_exits_2(tmp_path, capsys, expr):
+    path = tmp_path / "big.scn"
+    path.write_text(OVERFLOWING.replace("row 1 , 0", f"row {expr} , 0"))
+    start = time.perf_counter()
+    assert main(["run", str(path)]) == 2
+    assert time.perf_counter() - start < 5
+    assert "limit" in capsys.readouterr().err
 
 
 def test_deeply_nested_structure_row_exits_2(tmp_path, capsys):

@@ -6,6 +6,8 @@ from metallifts.cross_section import (CrossSection, b_lift,
                                       restrict_to_section,
                                       section_nijenhuis_check)
 from metallifts.geometry import Tensor11Field, VectorField
+from metallifts.integrability import nijenhuis_apply
+from metallifts.lifts import complete_lift_t11
 from metallifts.metallic import (StructureError, metallic_from_product,
                                  metallic_residual)
 from metallifts.numfield import make_params
@@ -149,3 +151,28 @@ def test_chart_mismatch_rejected():
         invariance_check(M, CrossSection(V))
     with pytest.raises(ValueError):
         section_nijenhuis_check(M, CrossSection(V))
+
+
+def test_section_nijenhuis_formula_matches_the_definition():
+    """N_{Psi^C}(B e_i, B e_j), read off the coordinate formula, equals the
+    bracket definition on the lifted fields, for a Psi with N_Psi != 0 (from
+    the contact-type projector onto span{d/dx, d/dy + x d/dz}) along a
+    non-invariant section."""
+    ch3 = Chart(("x", "y", "z"))
+    x = parse_expr("x", ch3)
+    r = Tensor11Field.make(ch3, [[1, 0, 0], [0, 1, 0], [0, x, 0]])
+    M = metallic_from_product(r.scale(2) - Tensor11Field.identity(ch3), GOLDEN)
+    cs = CrossSection(VectorField.make(ch3, [parse_expr(t, ch3)
+                                             for t in ("y*z", "x", "x^2 + 1")]))
+    report = section_nijenhuis_check(M, cs)
+    assert not report.nijenhuis.is_zero
+    assert not report.lie_derivative.is_zero
+    psi_c = complete_lift_t11(M.tensor)
+    basis = [b_lift(VectorField.basis(ch3, i), cs) for i in range(3)]
+    compared = []
+    for i in range(3):
+        for j in range(i + 1, 3):
+            direct = restrict_to_section(nijenhuis_apply(psi_c, basis[i], basis[j]), cs)
+            assert report.section[i, j] == direct
+            compared.extend(direct)
+    assert any(not c.is_zero for c in compared)

@@ -13,7 +13,7 @@ from metallifts.integrability import (Distribution, affine_invariance,
                                       example_41_structure, frobenius_criterion,
                                       nijenhuis_apply, nijenhuis_t11,
                                       np_relation, projector_criterion)
-from metallifts.lifts import complete_lift_t11, tangent_bundle
+from metallifts.lifts import complete_lift_t11
 from metallifts.metallic import (MetallicStructure, StructureError,
                                  projectors_from_metallic)
 from metallifts.numfield import make_params
@@ -80,13 +80,13 @@ def test_nijenhuis_formula_matches_definition(seed):
     rng = random.Random(seed)
     T = _quad_t11(rng, GOLDEN)
     den = parse_expr("x^2 + sqrtD*y + 3", CH, GOLDEN)
-    for case in (T, complete_lift_t11(T, tangent_bundle(CH)), T.scale(1 / den)):
+    for case in (T, complete_lift_t11(T), T.scale(1 / den)):
         assert not _assert_formula_matches_definition(case).is_zero
 
 
 def test_nijenhuis_formula_on_the_integrable_example():
     M = example_41_structure(GOLDEN)
-    for case in (M.tensor, complete_lift_t11(M.tensor, tangent_bundle(M.chart))):
+    for case in (M.tensor, complete_lift_t11(M.tensor)):
         assert _assert_formula_matches_definition(case).is_zero
 
 
@@ -107,7 +107,7 @@ def test_np_relation_random_products(pair, rng):
     params = make_params(*pair)
     P = involutive_product(rng, CH)
     assert np_relation(P, params).is_zero
-    assert np_relation(complete_lift_t11(P, tangent_bundle(CH)), params).is_zero
+    assert np_relation(complete_lift_t11(P), params).is_zero
 
 
 def test_np_relation_rejects_non_involutive(rng):
@@ -155,7 +155,7 @@ def test_example_eigendistributions():
 def test_example_nijenhuis_vanishes_base_and_lifted():
     M = example_41_structure(GOLDEN)
     assert nijenhuis_t11(M.tensor).is_zero
-    lifted = complete_lift_t11(M.tensor, tangent_bundle(M.chart))
+    lifted = complete_lift_t11(M.tensor)
     assert nijenhuis_t11(lifted).is_zero
 
 
@@ -167,7 +167,7 @@ def test_example_distributions_integrable():
 
 def test_example_projector_criteria():
     M = example_41_structure(GOLDEN)
-    lifted = MetallicStructure(GOLDEN, complete_lift_t11(M.tensor, tangent_bundle(CH)))
+    lifted = MetallicStructure(GOLDEN, complete_lift_t11(M.tensor))
     for which in ("r_on_s", "s_on_r"):
         assert projector_criterion(M, which).is_zero
         assert projector_criterion(lifted, which).is_zero
@@ -185,7 +185,7 @@ def test_example_with_other_params():
     P = (M.tensor.scale(2) - Tensor11Field.identity(M.chart).scale(
         silver.alpha)).scale(silver.sqrtD.inverse())
     assert np_relation(P, silver).is_zero
-    assert np_relation(complete_lift_t11(P, tangent_bundle(CH)), silver).is_zero
+    assert np_relation(complete_lift_t11(P), silver).is_zero
 
 
 # -- distribution plumbing --------------------------------------------------

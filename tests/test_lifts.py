@@ -38,21 +38,21 @@ def test_tangent_bundle_chart_names():
 
 def test_complete_complete_bracket(rng):
     X, Y = rand_vector(rng, CH), rand_vector(rng, CH)
-    lhs = lie_bracket(complete_lift_vf(X, TB), complete_lift_vf(Y, TB))
-    rhs = complete_lift_vf(lie_bracket(X, Y), TB)
+    lhs = lie_bracket(complete_lift_vf(X), complete_lift_vf(Y))
+    rhs = complete_lift_vf(lie_bracket(X, Y))
     assert (lhs - rhs).is_zero
 
 
 def test_complete_vertical_bracket(rng):
     X, Y = rand_vector(rng, CH), rand_vector(rng, CH)
-    lhs = lie_bracket(complete_lift_vf(X, TB), vertical_lift_vf(Y, TB))
-    rhs = vertical_lift_vf(lie_bracket(X, Y), TB)
+    lhs = lie_bracket(complete_lift_vf(X), vertical_lift_vf(Y))
+    rhs = vertical_lift_vf(lie_bracket(X, Y))
     assert (lhs - rhs).is_zero
 
 
 def test_vertical_vertical_bracket(rng):
     X, Y = rand_vector(rng, CH), rand_vector(rng, CH)
-    assert lie_bracket(vertical_lift_vf(X, TB), vertical_lift_vf(Y, TB)).is_zero
+    assert lie_bracket(vertical_lift_vf(X), vertical_lift_vf(Y)).is_zero
 
 
 # -- complete lift of (1,1)-tensors ----------------------------------------
@@ -60,25 +60,25 @@ def test_vertical_vertical_bracket(rng):
 def test_complete_lift_action_on_lifts(rng):
     T = rand_t11(rng, CH)
     X = rand_vector(rng, CH)
-    TC = complete_lift_t11(T, TB)
+    TC = complete_lift_t11(T)
     # T^C X^V = (T X)^V and T^C X^C = (T X)^C + ((L_X T) applied)^V; on
     # the vertical lift the law is clean, so assert that one exactly.
-    lhs = apply_t11(TC, vertical_lift_vf(X, TB))
-    rhs = vertical_lift_vf(apply_t11(T, X), TB)
+    lhs = apply_t11(TC, vertical_lift_vf(X))
+    rhs = vertical_lift_vf(apply_t11(T, X))
     assert (lhs - rhs).is_zero
 
 
 def test_complete_lift_is_multiplicative(rng):
     S, T = rand_t11(rng, CH), rand_t11(rng, CH)
-    lhs = complete_lift_t11(compose_t11(S, T), TB)
-    rhs = compose_t11(complete_lift_t11(S, TB), complete_lift_t11(T, TB))
+    lhs = complete_lift_t11(compose_t11(S, T))
+    rhs = compose_t11(complete_lift_t11(S), complete_lift_t11(T))
     assert (lhs - rhs).is_zero
 
 
 @pytest.mark.parametrize("params", all_params(), ids=lambda p: f"a{p.alpha}b{p.beta}")
 def test_complete_lift_preserves_metallic(params, rng):
     M = metallic_from_product(involutive_product(rng, CH), params)
-    lifted = complete_lift_t11(M.tensor, TB)
+    lifted = complete_lift_t11(M.tensor)
     assert metallic_residual(lifted, params).is_zero
     # Constructing the structure object revalidates it.
     MetallicStructure(params, lifted)
@@ -90,21 +90,21 @@ def test_horizontal_lift_action(rng):
     conn = rand_connection(rng)
     T = rand_t11(rng, CH)
     X = rand_vector(rng, CH)
-    TH = horizontal_lift_t11(T, conn, TB)
-    lhs_h = apply_t11(TH, horizontal_lift_vf(X, conn, TB))
-    rhs_h = horizontal_lift_vf(apply_t11(T, X), conn, TB)
+    TH = horizontal_lift_t11(T, conn)
+    lhs_h = apply_t11(TH, horizontal_lift_vf(X, conn))
+    rhs_h = horizontal_lift_vf(apply_t11(T, X), conn)
     assert (lhs_h - rhs_h).is_zero
-    lhs_v = apply_t11(TH, vertical_lift_vf(X, TB))
-    rhs_v = vertical_lift_vf(apply_t11(T, X), TB)
+    lhs_v = apply_t11(TH, vertical_lift_vf(X))
+    rhs_v = vertical_lift_vf(apply_t11(T, X))
     assert (lhs_v - rhs_v).is_zero
 
 
 def test_horizontal_lift_square_law(rng):
     conn = rand_connection(rng)
     T = rand_t11(rng, CH)
-    lhs = horizontal_lift_t11(compose_t11(T, T), conn, TB)
-    rhs = compose_t11(horizontal_lift_t11(T, conn, TB),
-                      horizontal_lift_t11(T, conn, TB))
+    lhs = horizontal_lift_t11(compose_t11(T, T), conn)
+    rhs = compose_t11(horizontal_lift_t11(T, conn),
+                      horizontal_lift_t11(T, conn))
     assert (lhs - rhs).is_zero
 
 
@@ -112,29 +112,29 @@ def test_horizontal_lift_square_law(rng):
 def test_horizontal_lift_preserves_metallic(params, rng):
     conn = rand_connection(rng)
     M = metallic_from_product(involutive_product(rng, CH), params)
-    lifted = horizontal_lift_t11(M.tensor, conn, TB)
+    lifted = horizontal_lift_t11(M.tensor, conn)
     assert metallic_residual(lifted, params).is_zero
 
 
 def test_nabla_gamma_vanishes_for_flat_connection_and_constant_tensor():
     conn = Connection.flat(CH)
     T = Tensor11Field.make(CH, [[1, 2], [3, 4]])
-    assert nabla_gamma_t11(T, conn, TB).is_zero
+    assert nabla_gamma_t11(T, conn).is_zero
 
 
 # -- frame matrix and the swap structure -----------------------------------
 
 def test_frame_matrix_invertible(rng):
     conn = rand_connection(rng)
-    F = frame_matrix(conn, TB)
+    F = frame_matrix(conn)
     I = Tensor11Field.identity(TB.chart)
     assert (compose_t11(F, invert_t11(F)) - I).is_zero
 
 
 def test_frame_matrix_columns_are_frames(rng):
     conn = rand_connection(rng)
-    F = frame_matrix(conn, TB)
-    e0 = horizontal_lift_vf(VectorField.basis(CH, 0), conn, TB)
+    F = frame_matrix(conn)
+    e0 = horizontal_lift_vf(VectorField.basis(CH, 0), conn)
     for h in range(4):
         assert (F.components[h][0] - e0.components[h]).is_zero
 
@@ -143,7 +143,7 @@ def test_frame_matrix_columns_are_frames(rng):
 def test_jtilde_is_metallic(pair, rng):
     params = make_params(*pair)
     conn = rand_connection(rng)
-    J = jtilde_structure(conn, params, TB)
+    J = jtilde_structure(conn, params)
     assert metallic_residual(J, params).is_zero
 
 
@@ -155,7 +155,7 @@ def test_jtilde_printed_form_matches_only_for_unit_alpha(rng):
     half = RatFunc.constant(TB.chart, 1) / 2
 
     def printed(params):
-        F = frame_matrix(conn, TB)
+        F = frame_matrix(conn)
         n = TB.n
         swap = Tensor11Field.make(TB.chart, [
             [1 if (i == h + n or i == h - n) else 0 for i in range(2 * n)]
@@ -165,10 +165,10 @@ def test_jtilde_printed_form_matches_only_for_unit_alpha(rng):
         return (I + p_swap.scale(params.sqrtD)).scale(half)
 
     golden = make_params(1, 1)
-    assert (printed(golden) - jtilde_structure(conn, golden, TB)).is_zero
+    assert (printed(golden) - jtilde_structure(conn, golden)).is_zero
 
     silver = make_params(2, 1)
-    diff = printed(silver) - jtilde_structure(conn, silver, TB)
+    diff = printed(silver) - jtilde_structure(conn, silver)
     assert not diff.is_zero
     assert not metallic_residual(printed(silver), silver).is_zero
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metallifts.numfield import IncompatibleRadicands, QuadScalar, make_params
-from metallifts.symexpr import (Chart, DivisionByZeroExpr, ExprError,
-                                ParseError, RatFunc, ResampleNeeded,
+from metallifts.symexpr import (MAX_DEGREE, MAX_TERMS, Chart, DivisionByZeroExpr,
+                                ExprError, ParseError, RatFunc, ResampleNeeded,
                                 parse_expr)
 
 CH = Chart(("x", "y"))
@@ -263,6 +263,27 @@ def test_parse_errors_carry_positions(text, pos):
 def test_parse_unknown_param_without_params():
     with pytest.raises(ParseError):
         parse_expr("alpha", CH)
+
+
+def test_parser_size_bound_is_sharp():
+    # (x+y+1)^n has (n+1)(n+2)/2 terms: 990 for n = 43, 1035 for n = 44.
+    assert len(parse_expr("(x+y+1)^43", CH).num) == 990 <= MAX_TERMS
+    with pytest.raises(ParseError, match="too large"):
+        parse_expr("(x+y+1)^44", CH)
+    assert parse_expr(f"x^{MAX_DEGREE}", CH) == parse_expr("x", CH) ** MAX_DEGREE
+    with pytest.raises(ParseError, match="exceeds the limit"):
+        parse_expr(f"x^{MAX_DEGREE + 1}", CH)
+
+
+@pytest.mark.parametrize("text", [
+    "(x+y+1)^40 * (x+y+2)^40",   # refused before the product is expanded
+    "(x+y+1)^40 / (x+y+2)^40 + (x+y+3)^40 / (x+y+4)^40",
+    "(x+y+1)^30 / (1 + sqrtD*(x+y)^30)",
+])
+def test_parser_refuses_oversized_products(text):
+    params = make_params(1, 1)
+    with pytest.raises(ParseError, match="too large"):
+        parse_expr(text, CH, params)
 
 
 # -- numerics ---------------------------------------------------------------
