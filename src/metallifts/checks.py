@@ -65,37 +65,27 @@ class CheckOutcome:
         return self
 
 
-def _memo(entries: list, T: Tensor11Field, build):
-    """build(T), computed once for each value of T: a stored result is
-    reused only for a tensor exactly equal to its key (``==`` compares
-    every component exactly)."""
-    for key, value in entries:
-        if key == T:
-            return value
-    value = build(T)
-    entries.append((T, value))
-    return value
+def _lookup(table: dict, what: str, name: str):
+    try:
+        return table[name]
+    except KeyError:
+        raise CheckError(f"unknown {what} {name!r}") from None
 
 
 class Context:
-    """Resolution of scenario names plus the memos of one run: each named
-    structure's metallic form and its validated lift, and each complete
-    lift and Nijenhuis tensor, built once for all exactly equal tensors."""
+    """Resolution of scenario names, and each named structure's metallic
+    form, built once per run.  Lifts, Nijenhuis tensors and metallic
+    residuals are memoised by the library itself (``geometry.per_run``)
+    inside the ``run_memo()`` scope of a scenario run."""
 
     def __init__(self, scenario: Scenario):
         self.s = scenario
         self.params = scenario.params
         self.chart = scenario.chart
         self._metallic: dict[str, MetallicStructure] = {}
-        self._lifted: dict[str, MetallicStructure] = {}
-        self._lifts: list[tuple[Tensor11Field, Tensor11Field]] = []
-        self._nijenhuis: list[tuple[Tensor11Field, Tensor12Field]] = []
 
     def structure(self, name: str) -> tuple[str, Tensor11Field]:
-        try:
-            return self.s.structures[name]
-        except KeyError:
-            raise CheckError(f"unknown structure {name!r}") from None
+        return _lookup(self.s.structures, "structure", name)
 
     def metallic(self, name: str) -> MetallicStructure:
         """The named structure as a metallic structure (products are
@@ -111,44 +101,20 @@ class Context:
                                  "a product or metallic structure is required")
         return self._metallic[name]
 
-    def lifted_metallic(self, name: str) -> MetallicStructure:
-        """The complete lift of the named metallic structure, validated once."""
-        if name not in self._lifted:
-            self._lifted[name] = MetallicStructure(
-                self.params, self.lift(self.metallic(name).tensor))
-        return self._lifted[name]
-
     def product(self, name: str) -> Tensor11Field:
         kind, T = self.structure(name)
         if kind == "product":
             return T
         return product_from_metallic(self.metallic(name))
 
-    def lift(self, T: Tensor11Field) -> Tensor11Field:
-        """The complete lift T^C on the tangent bundle."""
-        return _memo(self._lifts, T, complete_lift_t11)
-
-    def nijenhuis(self, T: Tensor11Field) -> Tensor12Field:
-        """N_T, shared by every check of the run that needs it."""
-        return _memo(self._nijenhuis, T, nijenhuis_t11)
-
     def vector(self, name: str) -> VectorField:
-        try:
-            return self.s.fields[name]
-        except KeyError:
-            raise CheckError(f"unknown field {name!r}") from None
+        return _lookup(self.s.fields, "field", name)
 
     def connection(self, name: str) -> Connection:
-        try:
-            return self.s.connections[name]
-        except KeyError:
-            raise CheckError(f"unknown connection {name!r}") from None
+        return _lookup(self.s.connections, "connection", name)
 
     def distribution(self, name: str) -> tuple[VectorField, ...]:
-        try:
-            return self.s.distributions[name]
-        except KeyError:
-            raise CheckError(f"unknown distribution {name!r}") from None
+        return _lookup(self.s.distributions, "distribution", name)
 
     def expr(self, tokens: tuple[str, ...]) -> RatFunc:
         text = " ".join(tokens)
@@ -330,7 +296,7 @@ def check_complete_lift_metallic(ctx: Context, args) -> CheckOutcome:
     out = CheckOutcome("complete_lift_metallic",
                        f"the complete lift of {args[0]} is metallic on TM")
     _tensor_residuals(out, "(Psi^C)^2 - alpha*Psi^C - beta*I",
-                      metallic_residual(ctx.lift(M.tensor), ctx.params))
+                      metallic_residual(complete_lift_t11(M.tensor), ctx.params))
     return out
 
 
@@ -399,7 +365,7 @@ def check_nijenhuis_zero(ctx: Context, args) -> CheckOutcome:
     _arity(args, 1)
     M = ctx.metallic(args[0])
     out = CheckOutcome("nijenhuis_zero", f"N_Psi of {args[0]} vanishes identically")
-    _pair_residuals(out, "N", ctx.nijenhuis(M.tensor))
+    _pair_residuals(out, "N", nijenhuis_t11(M.tensor))
     return out
 
 
@@ -408,7 +374,7 @@ def check_nijenhuis_zero_lifted(ctx: Context, args) -> CheckOutcome:
     M = ctx.metallic(args[0])
     out = CheckOutcome("nijenhuis_zero_lifted",
                        f"N of the complete lift of {args[0]} vanishes identically")
-    _pair_residuals(out, "N", ctx.nijenhuis(ctx.lift(M.tensor)))
+    _pair_residuals(out, "N", nijenhuis_t11(complete_lift_t11(M.tensor)))
     return out
 
 
@@ -417,8 +383,8 @@ def check_np_relation(ctx: Context, args) -> CheckOutcome:
     out = CheckOutcome("np_relation",
                        "D*N_P = 4*N_Psi on the base chart and for the complete lifts")
     P = ctx.product(args[0])
-    _base_and_lifted(out, lambda P: np_relation(P, ctx.params, ctx.nijenhuis),
-                     P, lambda: ctx.lift(P))
+    _base_and_lifted(out, lambda P: np_relation(P, ctx.params),
+                     P, lambda: complete_lift_t11(P))
     return out
 
 
@@ -431,7 +397,7 @@ def check_affine_invariance(ctx: Context, args) -> CheckOutcome:
         raise CheckError("affine_invariance needs integer coefficients a b") from None
     out = CheckOutcome("affine_invariance",
                        f"N of {a}*I + {b}*{args[0]} equals {b}^2 * N of {args[0]}")
-    _pair_residuals(out, "diff", affine_invariance(T, a, b, ctx.nijenhuis))
+    _pair_residuals(out, "diff", affine_invariance(T, a, b))
     return out
 
 
@@ -443,8 +409,9 @@ def check_projector_criterion(ctx: Context, args) -> CheckOutcome:
     out = CheckOutcome("projector_criterion",
                        f"{'r N(sX,sY)' if which == 'r_on_s' else 's N(rX,rY)'} = 0 "
                        "on the base chart and for the lifted structure")
-    _base_and_lifted(out, lambda M: projector_criterion(M, which, ctx.nijenhuis),
-                     ctx.metallic(args[0]), lambda: ctx.lifted_metallic(args[0]))
+    M = ctx.metallic(args[0])
+    _base_and_lifted(out, lambda M: projector_criterion(M, which), M,
+                     lambda: MetallicStructure(ctx.params, complete_lift_t11(M.tensor)))
     return out
 
 

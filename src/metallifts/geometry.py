@@ -7,9 +7,46 @@ A (1,2)-tensor is N[h][i][j] with N(X, Y)^h = N[h][i][j] X^i Y^j.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import wraps
 
 from .symexpr import Chart, RatFunc
+
+# Per function, the (arguments, result) pairs of the open run_memo() scope.
+_RUN_MEMO: ContextVar[dict | None] = ContextVar("run_memo", default=None)
+
+
+@contextmanager
+def run_memo():
+    """A scope, such as one scenario run, in which ``per_run`` functions
+    memoise their results; the memo is dropped when the scope closes."""
+    token = _RUN_MEMO.set({})
+    try:
+        yield
+    finally:
+        _RUN_MEMO.reset(token)
+
+
+def per_run(build):
+    """Memoise ``build`` inside ``run_memo()`` and call it directly outside.
+    A result is reused only for an argument tuple ``==`` to its key, which
+    compares every component exactly.  A miss calls ``__wrapped__``."""
+    @wraps(build)
+    def memoised(*args):
+        memo = _RUN_MEMO.get()
+        if memo is None:
+            return memoised.__wrapped__(*args)
+        entries = memo.setdefault(memoised, [])
+        for key, value in entries:
+            if key == args:
+                return value
+        value = memoised.__wrapped__(*args)
+        entries.append((args, value))
+        return value
+
+    return memoised
 
 
 class ChartMismatch(ValueError):

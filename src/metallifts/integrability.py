@@ -15,33 +15,22 @@ fields ([e_i, e_j] = 0) it reduces to the coordinate formula
     N^h_ij = T^k_i d_k T^h_j - T^k_j d_k T^h_i + T^h_k (d_j T^k_i - d_i T^k_j),
 
 which ``nijenhuis_t11`` evaluates from one table of derivatives d_k T^h_i.
-
-``np_relation``, ``affine_invariance`` and ``projector_criterion`` take an
-optional ``nijenhuis`` builder (default ``nijenhuis_t11``).  A scenario run
-passes a memo that lives for that run only and returns a stored N_S for T
-only when T == S exactly (component by component, by cross-multiplication),
-so equal tensors built along different routes, such as Psi^C and
-(alpha*I + sqrtD*P^C)/2, share one build, and no identity is derived from
-another: each still reads N off its own tensor.
+Within a scenario run it is built once for all exactly equal T
+(``geometry.per_run``); each identity still reads N off its own tensor.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (Tensor11Field, Tensor12Field, VectorField, apply_t11,
-                       compose_t11, invert_t11, lie_bracket)
+                       compose_t11, invert_t11, lie_bracket, per_run)
 from .metallic import (MetallicStructure, StructureError, check_square_is,
                        metallic_from_product, metallic_recipe,
                        projectors_from_metallic)
 from .numfield import MetallicParams
 from .symexpr import Chart, RatFunc, parse_expr
-
-
-# Builds N_T for a tensor T: ``nijenhuis_t11`` itself, or a memo around it.
-Nijenhuis = Callable[[Tensor11Field], Tensor12Field]
 
 
 def nijenhuis_apply(T: Tensor11Field, X: VectorField, Y: VectorField) -> VectorField:
@@ -54,6 +43,7 @@ def nijenhuis_apply(T: Tensor11Field, X: VectorField, Y: VectorField) -> VectorF
     return out
 
 
+@per_run
 def nijenhuis_t11(T: Tensor11Field) -> Tensor12Field:
     """N_T in coordinates,
 
@@ -86,36 +76,30 @@ def nijenhuis_t11(T: Tensor11Field) -> Tensor12Field:
     return Tensor12Field.antisymmetric(chart, pair)
 
 
-def np_relation(P: Tensor11Field, params: MetallicParams,
-                nijenhuis: Nijenhuis | None = None) -> Tensor12Field:
+def np_relation(P: Tensor11Field, params: MetallicParams) -> Tensor12Field:
     """D*N_P - 4*N_Psi for the Psi induced by the almost product structure P
     (metallic since Psi^2 - alpha*Psi - beta*I = (D/4)(P^2 - I))."""
-    nijenhuis = nijenhuis or nijenhuis_t11
     check_square_is(P, 1, "not an almost product structure")
     psi = metallic_recipe(P, params)
-    return nijenhuis(P).scale(params.discriminant) - nijenhuis(psi).scale(4)
+    return nijenhuis_t11(P).scale(params.discriminant) - nijenhuis_t11(psi).scale(4)
 
 
-def affine_invariance(T: Tensor11Field, a, b,
-                      nijenhuis: Nijenhuis | None = None) -> Tensor12Field:
+def affine_invariance(T: Tensor11Field, a, b) -> Tensor12Field:
     """N_{a*I + b*T} - b^2 N_T: the Nijenhuis tensor only sees the
     non-scalar part of T."""
-    nijenhuis = nijenhuis or nijenhuis_t11
     shifted = Tensor11Field.identity(T.chart).scale(a) + T.scale(b)
-    return nijenhuis(shifted) - nijenhuis(T).scale(Fraction(b) ** 2)
+    return nijenhuis_t11(shifted) - nijenhuis_t11(T).scale(Fraction(b) ** 2)
 
 
-def projector_criterion(M: MetallicStructure, which: str,
-                        nijenhuis: Nijenhuis | None = None) -> Tensor12Field:
+def projector_criterion(M: MetallicStructure, which: str) -> Tensor12Field:
     """(X, Y) -> r N_Psi(sX, sY) for ``r_on_s``, s N_Psi(rX, rY) for
     ``s_on_r``; zero when the corresponding eigendistribution is integrable."""
     if which not in ("r_on_s", "s_on_r"):
         raise ValueError("which must be 'r_on_s' or 's_on_r'")
-    nijenhuis = nijenhuis or nijenhuis_t11
     pair = projectors_from_metallic(M)
     outer, inner = (pair.r, pair.s) if which == "r_on_s" else (pair.s, pair.r)
     chart = M.chart
-    N = nijenhuis(M.tensor)
+    N = nijenhuis_t11(M.tensor)
     cols = [apply_t11(inner, VectorField.basis(chart, i)) for i in range(chart.dimension)]
     return Tensor12Field.antisymmetric(
         chart, lambda i, j: apply_t11(outer, N.evaluate(cols[i], cols[j])))

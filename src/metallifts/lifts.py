@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .geometry import (Connection, Tensor11Field, VectorField, apply_t11, compose_t11,
-                       invert_t11)
+                       invert_t11, per_run)
 from .metallic import metallic_recipe
 from .numfield import MetallicParams
 from .symexpr import Chart, RatFunc
@@ -85,6 +85,7 @@ def _lower_triangular(diag, lower) -> Tensor11Field:
         + [tuple(low) + tuple(row) for low, row in zip(lower, diag)]))
 
 
+@per_run
 def complete_lift_t11(T: Tensor11Field) -> Tensor11Field:
     tb = tangent_bundle(T.chart)
     names = T.chart.variables

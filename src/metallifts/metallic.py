@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Tensor11Field, compose_t11
+from .geometry import Tensor11Field, compose_t11, per_run
 from .numfield import MetallicParams, QuadScalar
 from .symexpr import RatFunc
 
@@ -50,6 +50,7 @@ class MetallicStructure:
         return self.tensor.chart
 
 
+@per_run
 def metallic_residual(T: Tensor11Field, params: MetallicParams) -> Tensor11Field:
     identity = Tensor11Field.identity(T.chart)
     return (compose_t11(T, T) - T.scale(params.alpha)

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .checks import CheckOutcome, Context, Residual, run_check
+from .geometry import run_memo
 from .scenario import Scenario
 from .symexpr import RatFunc, ResampleNeeded
 
@@ -93,13 +94,14 @@ def run_scenario(scenario: Scenario, seed: int = DEFAULT_SEED) -> Report:
     ctx = Context(scenario)
     rng = random.Random(seed)
     reports = []
-    for spec in scenario.checks:
-        outcome = run_check(ctx, spec.kind, spec.args, spec.raw)
-        numeric = []
-        for res in outcome.residuals:
-            summary = _corroborate(res, _sample(res.expr, rng))
-            numeric.append((res, summary))
-        reports.append(CheckReport(spec.raw, outcome, numeric))
+    with run_memo():
+        for spec in scenario.checks:
+            outcome = run_check(ctx, spec.kind, spec.args, spec.raw)
+            numeric = []
+            for res in outcome.residuals:
+                summary = _corroborate(res, _sample(res.expr, rng))
+                numeric.append((res, summary))
+            reports.append(CheckReport(spec.raw, outcome, numeric))
     return Report(scenario.name, seed, reports)
 
 

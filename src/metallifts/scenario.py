@@ -152,6 +152,9 @@ class _Loader:
         elif kind == "distribution":
             if not rows:
                 raise self.err(f"distribution {name!r} needs at least one generator", lineno)
+            if any(len(r) != n for r in rows):
+                raise self.err(f"distribution {name!r} needs generators of {n} components",
+                               lineno)
             gens = tuple(VectorField(self.chart, tuple(r)) for r in rows)
             self.distributions[name] = gens
 

@@ -1,11 +1,17 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metallifts import checks
 from metallifts.cli import builtin_names, load_builtin, main
@@ -189,6 +195,16 @@ def test_unexpected_exception_in_a_check_is_contained(tmp_path, capsys, monkeypa
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_generator_of_the_wrong_length_exits_2(tmp_path, capsys):
+    path = tmp_path / "short.scn"
+    path.write_text(FAILING.replace("check component",
+                                    "distribution R\n  generator 1 -(x+y)\ncheck component"))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "distribution 'R' needs generators of 2 components" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["alpha", "beta", "sigma", "sqrtD"])
 def test_chart_variable_shadowing_a_parameter_exits_2(tmp_path, capsys, name):
     path = tmp_path / "shadow.scn"
@@ -239,3 +255,58 @@ def test_seed_recorded_in_report(capsys):
 def test_each_small_builtin_passes(name):
     report = run_scenario(load_builtin(name))
     assert report.ok, [c.raw for c in report.checks if c.verdict != "pass"]
+
+
+# -- fuzzing scenario text ---------------------------------------------------
+
+def _builtin_lines(name: str) -> list[str]:
+    path = resources.files("metallifts") / "scenarios" / f"{name}.scn"
+    return [line for line in path.read_text(encoding="utf-8").splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+BUILTIN_LINES = {name: _builtin_lines(name) for name in sorted(EXPECTED_BUILTINS)}
+# Names (with a trailing ``=value``), numbers and single characters.
+LEXEME = re.compile(r"[A-Za-z_]\w*(?:=\w*)?|\d+|\S")
+# Every token of every builtin, plus a few that no builtin uses.
+TOKENS = sorted({tok for lines in BUILTIN_LINES.values() for line in lines
+                 for tok in LEXEME.findall(line)}
+                | {"0", "-1", "1/0", "x^-1", "kind=", "alpha=0", "nope", "row", "block",
+                   "generator", "field", "check"})
+
+
+@st.composite
+def mutated_scenarios(draw) -> str:
+    """A builtin's declarations and one of its checks, with a few tokens
+    replaced, deleted or inserted.  One check per scenario keeps every
+    run short."""
+    lines = BUILTIN_LINES[draw(st.sampled_from(sorted(BUILTIN_LINES)))]
+    decls = [line for line in lines if not line.startswith("check ")]
+    lines = decls + [draw(st.sampled_from([line for line in lines
+                                           if line.startswith("check ")]))]
+    for _ in range(draw(st.integers(1, 3))):
+        # Any token, or the end of any line, is equally likely to change.
+        k, i = draw(st.sampled_from([(k, i) for k, line in enumerate(lines)
+                                     for i in range(len(LEXEME.findall(line)) + 1)]))
+        toks = LEXEME.findall(lines[k])
+        op = draw(st.sampled_from(("replace", "delete", "insert")))
+        if op == "insert" or i == len(toks):
+            toks.insert(i, draw(st.sampled_from(TOKENS)))
+        elif op == "replace":
+            toks[i] = draw(st.sampled_from(TOKENS))
+        else:
+            del toks[i]
+        lines[k] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(text=mutated_scenarios())
+def test_mutated_scenario_text_exits_0_1_or_2(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "mutant.scn"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["run", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

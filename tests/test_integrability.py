@@ -4,9 +4,8 @@ from importlib import resources
 
 import pytest
 
-from metallifts import checks, integrability
 from metallifts.cli import load_builtin
-from metallifts.geometry import Tensor11Field, VectorField, apply_t11
+from metallifts.geometry import Tensor11Field, VectorField, apply_t11, run_memo
 from metallifts.integrability import (Distribution, affine_invariance,
                                       example_41_distribution_generators,
                                       example_41_distributions,
@@ -291,21 +290,20 @@ def test_projector_criterion_detects_non_integrable_eigendistribution():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts of Nijenhuis and complete-lift builds, under every name the
-    checks can reach them by."""
+    """Counts of the Nijenhuis and complete-lift builds that actually run:
+    memo misses inside a run, every call outside one."""
     counts = {"nijenhuis": 0, "lift": 0}
 
-    def counting(fn, key):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def count(memoised, key):
+        build = memoised.__wrapped__
 
-    nij = counting(integrability.nijenhuis_t11, "nijenhuis")
-    monkeypatch.setattr(integrability, "nijenhuis_t11", nij)
-    monkeypatch.setattr(checks, "nijenhuis_t11", nij)
-    monkeypatch.setattr(checks, "complete_lift_t11",
-                        counting(checks.complete_lift_t11, "lift"))
+        def counted(*args):
+            counts[key] += 1
+            return build(*args)
+        monkeypatch.setattr(memoised, "__wrapped__", counted)
+
+    count(nijenhuis_t11, "nijenhuis")
+    count(complete_lift_t11, "lift")
     return counts
 
 
@@ -319,18 +317,34 @@ def test_example_run_builds_each_nijenhuis_tensor_once(builds):
     assert builds == {"nijenhuis": 10, "lift": 4}
 
 
+@pytest.mark.parametrize("name, lifts", [
+    ("section_linear", 1),     # Psi^C, shared by the three section checks
+    ("horizontal_curved", 2),  # Psi^C and (Psi^2)^C, under Psi^H and (Psi^2)^H
+])
+def test_run_builds_each_complete_lift_once(builds, name, lifts):
+    assert run_scenario(load_builtin(name)).ok
+    assert builds["lift"] == lifts
+
+
+def test_calls_outside_a_run_build_every_time(builds):
+    T = example_41_structure(GOLDEN).tensor
+    assert nijenhuis_t11(T) is not nijenhuis_t11(T)
+    assert complete_lift_t11(T) is not complete_lift_t11(T)
+    assert builds == {"nijenhuis": 2, "lift": 2}
+
+
 def test_memo_hits_only_exactly_equal_tensors(builds):
-    ctx = checks.Context(load_builtin("example_4_1"))
-    _, T = ctx.structure("PSI")
+    _, T = load_builtin("example_4_1").structures["PSI"]
     shifted = T + Tensor11Field.identity(CH).scale(parse_expr("x", CH))
-    n_t, n_shifted = ctx.nijenhuis(T), ctx.nijenhuis(shifted)
-    assert builds["nijenhuis"] == 2
+    with run_memo():
+        n_t, n_shifted = nijenhuis_t11(T), nijenhuis_t11(shifted)
+        assert builds["nijenhuis"] == 2
+        builds["nijenhuis"] = 0
+        # An equal tensor built another way is found; the stored results stay apart.
+        rebuilt = shifted - Tensor11Field.identity(CH).scale(parse_expr("x", CH))
+        assert rebuilt is not T
+        assert nijenhuis_t11(rebuilt) is n_t
+        assert nijenhuis_t11(shifted) is n_shifted
+        assert builds["nijenhuis"] == 0
     assert n_t.is_zero and not n_shifted.is_zero
     assert (n_shifted - nijenhuis_t11(shifted)).is_zero
-    builds["nijenhuis"] = 0
-    # An equal tensor built another way is found; the stored results stay apart.
-    rebuilt = shifted - Tensor11Field.identity(CH).scale(parse_expr("x", CH))
-    assert rebuilt is not T
-    assert ctx.nijenhuis(rebuilt) is n_t
-    assert ctx.nijenhuis(shifted) is n_shifted
-    assert builds["nijenhuis"] == 0
