@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import (Tensor11Field, Tensor12Field, VectorField, apply_t11,
+from .geometry import (Tensor11Field, Tensor12Field, VectorField, _same_chart, apply_t11,
                        lie_bracket, lie_derivative_t11, lie_derivative_t12)
 from .integrability import nijenhuis_t11
-from .lifts import (TangentBundleChart, complete_lift_t11, complete_lift_vf,
-                    tangent_bundle, vertical_lift_vf)
+from .lifts import complete_lift_t11, complete_lift_vf, tangent_bundle, vertical_lift_vf
 from .metallic import MetallicStructure, StructureError
 from .symexpr import RatFunc
 
@@ -28,19 +27,15 @@ class CrossSection:
     def chart(self):
         return self.V.chart
 
-    def bundle(self) -> TangentBundleChart:
-        return tangent_bundle(self.chart)
-
     def bindings(self) -> dict[str, RatFunc]:
-        tb = self.bundle()
+        tb = tangent_bundle(self.chart)
         return dict(zip(tb.fiber_variables, self.V.components))
 
 
 def b_lift(X: VectorField, cs: CrossSection) -> VectorField:
     """BX = (X^h, X^i d_i V^h); tangent to the section, x-only components."""
-    if X.chart != cs.chart:
-        raise ValueError("field and section must share the base chart")
-    tb = cs.bundle()
+    _same_chart(X, cs)
+    tb = tangent_bundle(cs.chart)
     names = cs.chart.variables
     lower = []
     for v in cs.V.components:
@@ -65,7 +60,7 @@ def restrict_to_section(obj, cs: CrossSection):
     binds = cs.bindings()
 
     def sub(f: RatFunc) -> RatFunc:
-        return f.substitute(binds, cs.chart)
+        return f.substitute(binds)
 
     if isinstance(obj, RatFunc):
         return sub(obj)
@@ -123,11 +118,6 @@ class Invariance:
     @property
     def is_zero(self) -> bool:
         return self.lie_derivative.is_zero and all(map(_zero, self.decomposition))
-
-
-def _same_chart(M: MetallicStructure, cs: CrossSection):
-    if M.chart != cs.chart:
-        raise ValueError("structure and section must share the base chart")
 
 
 def invariance_check(M: MetallicStructure, cs: CrossSection) -> Invariance:

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import (Connection, Tensor11Field, VectorField, apply_t11, compose_t11,
-                       invert_t11, per_run)
+from .geometry import (Connection, Tensor11Field, VectorField, _same_chart, apply_t11,
+                       compose_t11, invert_t11, per_run)
 from .metallic import metallic_recipe
 from .numfield import MetallicParams
 from .symexpr import Chart, RatFunc
@@ -95,8 +95,7 @@ def complete_lift_t11(T: Tensor11Field) -> Tensor11Field:
 
 
 def nabla_gamma_t11(T: Tensor11Field, conn: Connection) -> Tensor11Field:
-    if T.chart != conn.chart:
-        raise ValueError("tensor and connection must share a chart")
+    _same_chart(T, conn)
     tb = tangent_bundle(T.chart)
     n = tb.n
     names = T.chart.variables
@@ -115,8 +114,7 @@ def nabla_gamma_t11(T: Tensor11Field, conn: Connection) -> Tensor11Field:
 
 
 def horizontal_lift_vf(X: VectorField, conn: Connection) -> VectorField:
-    if X.chart != conn.chart:
-        raise ValueError("field and connection must share a chart")
+    _same_chart(X, conn)
     tb = tangent_bundle(X.chart)
     # Row h of the fiber part is -y^l Gamma^h_{la} X^a.
     lower = [-tb.fiber_sum(apply_t11(Tensor11Field(X.chart, gamma), X).components)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Tensor11Field, compose_t11, per_run
+from .geometry import Tensor11Field, _same_chart, compose_t11, per_run
 from .numfield import MetallicParams, QuadScalar
 from .symexpr import RatFunc
 
@@ -97,8 +97,7 @@ class PolynomialReport:
 
     ``computed`` holds the coefficients of p(X) = X^2 + c1*X + c0 (or
     (c1, c0) of X + c0 for the degenerate scalar case, flagged by
-    ``degree``); ``claimed`` is the kind's published polynomial, and
-    ``agrees`` whether the two coincide.
+    ``degree``); ``claimed`` is the kind's published polynomial.
     """
 
     kind: str
@@ -107,11 +106,6 @@ class PolynomialReport:
     computed_c0: QuadScalar
     claimed_c1: QuadScalar
     claimed_c0: QuadScalar
-
-    @property
-    def agrees(self) -> bool:
-        return (self.degree == 2 and self.computed_c1 == self.claimed_c1
-                and self.computed_c0 == self.claimed_c0)
 
 
 _KIND_SQUARE = {"product": 1, "tangent": 0, "complex": -1}
@@ -192,8 +186,7 @@ def composite_relation(P: Tensor11Field, F: Tensor11Field,
     """sqrtD*Psi_J - (2*Psi_P*Psi_F - alpha*Psi_P - alpha*Psi_F + alpha*sigma*I)
     with J = P o F and Psi_T = (alpha*I + sqrtD*T)/2; zero for every P, F,
     as the identity is purely algebraic and needs no involutivity."""
-    if P.chart != F.chart:
-        raise ValueError("P and F must live on the same chart")
+    _same_chart(P, F)
     psi_p, psi_f = metallic_recipe(P, params), metallic_recipe(F, params)
     lhs = metallic_recipe(compose_t11(P, F), params).scale(params.sqrtD)
     rhs = (compose_t11(psi_p, psi_f).scale(2) - psi_p.scale(params.alpha)

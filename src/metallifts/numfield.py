@@ -7,7 +7,6 @@ radicand ``d``.  ``d == 0`` marks a pure rational.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -157,32 +156,6 @@ class QuadScalar:
             return f"{self.b}*sqrt({self.d})"
         sign, b = ("-", -self.b) if self.b < 0 else ("+", self.b)
         return f"{self.a} {sign} {b}*sqrt({self.d})"
-
-    _TERM = re.compile(
-        r"\s*(?P<sign>[+-]?)\s*(?:(?P<coef>\d+(?:/\d+)?)\s*\*?\s*)?"
-        r"(?P<rad>sqrt\(\s*(?P<d>\d+)\s*\))?\s*"
-    )
-
-    @classmethod
-    def parse(cls, text: str) -> QuadScalar:
-        """Parse 'a + b*sqrt(d)' with exact rationals 'p/q'."""
-        pos, total = 0, cls.rational(0)
-        seen = False
-        while pos < len(text) and text[pos:].strip():
-            m = cls._TERM.match(text, pos)
-            if not m or m.end() == pos or (m["coef"] is None and m["rad"] is None):
-                raise ValueError(f"bad quadratic scalar at position {pos}: {text!r}")
-            coef = Fraction(m["coef"]) if m["coef"] else Fraction(1)
-            if m["sign"] == "-":
-                coef = -coef
-            if m["rad"]:
-                total = total + cls(Fraction(0), coef, int(m["d"]))
-            else:
-                total = total + cls(coef)
-            pos, seen = m.end(), True
-        if not seen:
-            raise ValueError(f"empty quadratic scalar: {text!r}")
-        return total
 
 
 @dataclass(frozen=True)

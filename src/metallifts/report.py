@@ -97,10 +97,15 @@ def run_scenario(scenario: Scenario, seed: int = DEFAULT_SEED) -> Report:
     with run_memo():
         for spec in scenario.checks:
             outcome = run_check(ctx, spec.kind, spec.args, spec.raw)
-            numeric = []
-            for res in outcome.residuals:
-                summary = _corroborate(res, _sample(res.expr, rng))
-                numeric.append((res, summary))
+            try:
+                numeric = [(res, _corroborate(res, _sample(res.expr, rng)))
+                           for res in outcome.residuals]
+            except Exception as exc:
+                # Like a check that raises, a residual that cannot be
+                # sampled ends its own check, not the run.
+                outcome = CheckOutcome(outcome.name, outcome.claim,
+                                       error=f"{type(exc).__name__}: {exc}").settle()
+                numeric = []
             reports.append(CheckReport(spec.raw, outcome, numeric))
     return Report(scenario.name, seed, reports)
 

@@ -46,7 +46,7 @@ class ScenarioError(ValueError):
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
         where = ""
         if path is not None:
-            where = f"{path}:" if line is None else f"{path}:{line}: "
+            where = f"{path}: " if line is None else f"{path}:{line}: "
         elif line is not None:
             where = f"line {line}: "
         super().__init__(f"{where}{message}")
@@ -126,6 +126,10 @@ class _Loader:
             return
         kind, name, extra, rows, lineno = self.pending
         self.pending = None
+        declared = {"structure": self.structures, "field": self.fields,
+                    "connection": self.connections, "distribution": self.distributions}
+        if name in declared[kind]:
+            raise self.err(f"{kind} {name!r} is declared twice", lineno)
         n = self.chart.dimension
         if kind == "structure":
             if len(rows) != n or any(len(r) != n for r in rows):
@@ -272,5 +276,10 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        return parse_scenario(fh.read(), str(path))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"not UTF-8 text (byte {exc.start}: {exc.reason})",
+                            str(path)) from exc
+    return parse_scenario(text, str(path))

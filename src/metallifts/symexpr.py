@@ -488,15 +488,15 @@ class RatFunc:
         self._diffs[var] = out
         return out
 
-    def substitute(self, bindings: dict[str, "RatFunc"], target: Chart | None = None) -> RatFunc:
-        """Simultaneous substitution; unbound variables pass through to the
-        target chart."""
-        if not bindings:
-            return self if target in (None, self.chart) else self.on_chart(target)
+    def substitute(self, bindings: dict[str, "RatFunc"]) -> RatFunc:
+        """Simultaneous substitution onto the bindings' chart, to which
+        unbound variables pass through.  The numerator and each denominator
+        factor are mapped on their own, so a factor (B, e) comes back as
+        (B', e) for the image B' of B."""
         charts = {b.chart for b in bindings.values()}
         if len(charts) != 1:
             raise ExprError("all bindings must live on one chart")
-        target = target or charts.pop()
+        target = charts.pop()
         for name in bindings:
             self.chart.index(name)
 
@@ -506,18 +506,30 @@ class RatFunc:
             return RatFunc.variable(target, name)
 
         imgs = [image(n) for n in self.chart.variables]
-        num = _poly_at(self.num, imgs, target, self.field)
-        den = _poly_at(self.den, imgs, target, self.field)
-        if den.is_zero:
-            raise DivisionByZeroExpr("denominator vanishes identically after substitution")
-        return num / den
+        out = _poly_at(self.num, imgs, target, self.field)
+        for base, e in self.factors:
+            img = _poly_at(base, imgs, target, self.field)
+            if img.is_zero:
+                raise DivisionByZeroExpr("denominator vanishes identically after substitution")
+            out = out * img.reciprocal() ** e
+        return out
 
     def on_chart(self, target: Chart) -> RatFunc:
-        """Reinterpret on a chart containing all of this chart's variables."""
-        for name in self.chart.variables:
-            target.index(name)
-        v0 = self.chart.variables[0]
-        return self.substitute({v0: RatFunc.variable(target, v0)}, target)
+        """The same function on a chart whose variables begin with this
+        chart's: each exponent tuple gains zeros for the new variables,
+        before the exponent of s.  Factors, exponents and their order are
+        kept, so no arithmetic is done."""
+        n = self.chart.dimension
+        if target.variables[:n] != self.chart.variables:
+            raise ExprError(f"{target} does not begin with {self.chart}'s variables")
+        zero = _poly_ring(target.variables).zero
+        pad = (0,) * (target.dimension - n)
+
+        def lift(p):
+            return zero.new({m[:-1] + pad + m[-1:]: c for m, c in p.items()})
+
+        return RatFunc._trusted(target, self.field, lift(self.num),
+                                tuple((lift(base), e) for base, e in self.factors))
 
     # -- numeric ------------------------------------------------------
 

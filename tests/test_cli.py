@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from metallifts import checks
 from metallifts.cli import builtin_names, load_builtin, main
 from metallifts.report import render_structured, run_scenario
+from metallifts.symexpr import RatFunc
 
 EXPECTED_BUILTINS = {
     "errata", "example_3_1", "example_4_1", "gold_diag", "horizontal_curved",
@@ -193,6 +194,53 @@ def test_unexpected_exception_in_a_check_is_contained(tmp_path, capsys, monkeypa
     assert [(c["verdict"], c["error"]) for c in doc["checks"]] == [
         ("error", "RuntimeError: boom"), ("pass", None)]
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_unexpected_exception_while_sampling_is_contained(capsys, monkeypatch):
+    evaluate = RatFunc.eval_numeric
+    calls = []
+
+    def first_call_fails(expr, point):
+        calls.append(point)
+        if len(calls) == 1:
+            raise ZeroDivisionError("float division by zero")
+        return evaluate(expr, point)
+
+    monkeypatch.setattr(RatFunc, "eval_numeric", first_call_fails)
+    assert main(["run", "--builtin", "means_gold", "--format", "structured"]) == 1
+    captured = capsys.readouterr()
+    outcomes = [(c["verdict"], c["error"]) for c in json.loads(captured.out)["checks"]]
+    assert outcomes[0] == ("error", "ZeroDivisionError: float division by zero")
+    assert len(outcomes) > 1 and set(outcomes[1:]) == {("pass", None)}
+    assert "Traceback" not in captured.err
+
+
+def test_non_utf8_scenario_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.scn"
+    path.write_bytes(FAILING.encode() + b"# \xff\n")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+DECLARATIONS = {
+    "structure": "structure P kind=product\n  row 0 , 1\n  row 1 , 0\n",
+    "field": "field P\n  row x , y\n",
+    "connection": "connection P\n" + "  block\n    row 0 , 0\n    row 0 , 0\n" * 2,
+    "distribution": "distribution P\n  generator 1 , 0\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DECLARATIONS))
+def test_duplicate_declaration_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "twice.scn"
+    decl = DECLARATIONS[kind]
+    path.write_text(FAILING.replace("check component", decl + decl + "check component"))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{kind} 'P' is declared twice" in err
+    assert "Traceback" not in err
 
 
 def test_generator_of_the_wrong_length_exits_2(tmp_path, capsys):

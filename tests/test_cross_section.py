@@ -7,7 +7,7 @@ from metallifts.cross_section import (CrossSection, b_lift,
                                       section_nijenhuis_check)
 from metallifts.geometry import Tensor11Field, VectorField
 from metallifts.integrability import nijenhuis_apply
-from metallifts.lifts import complete_lift_t11
+from metallifts.lifts import complete_lift_t11, tangent_bundle
 from metallifts.metallic import (StructureError, metallic_from_product,
                                  metallic_residual)
 from metallifts.numfield import make_params
@@ -41,11 +41,21 @@ def test_section_bindings():
 
 def test_restrict_to_section():
     cs = CrossSection(euler_field())
-    tb = cs.bundle()
+    tb = tangent_bundle(CH)
     f = parse_expr("vx*vy + x", tb.chart)
     assert restrict_to_section(f, cs) == parse_expr("x*y + x", CH)
     with pytest.raises(TypeError):
         restrict_to_section(object(), cs)
+
+
+def test_restrict_to_section_keeps_the_factored_denominator():
+    tb = tangent_bundle(CH)
+    h = parse_expr("1/((x+y)^2 + 1)", tb.chart)
+    f = parse_expr("vx", tb.chart) * h * h
+    assert f.factors == ((parse_expr("x^2 + 2*x*y + y^2 + 1", tb.chart).num, 2),)
+    g = restrict_to_section(f, CrossSection(euler_field()))
+    assert g.factors == ((parse_expr("x^2 + 2*x*y + y^2 + 1", CH).num, 2),)
+    assert g == parse_expr("x / ((x+y)^2 + 1)^2", CH)
 
 
 def test_lift_decomposition_random_fields(rng):

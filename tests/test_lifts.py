@@ -1,5 +1,6 @@
 import pytest
 
+from metallifts.cli import load_builtin
 from metallifts.geometry import (Connection, Tensor11Field, VectorField,
                                  apply_t11, compose_t11, invert_t11,
                                  lie_bracket)
@@ -10,7 +11,7 @@ from metallifts.lifts import (complete_lift_t11, complete_lift_vf, frame_matrix,
 from metallifts.metallic import (MetallicStructure, metallic_from_product,
                                  metallic_residual)
 from metallifts.numfield import make_params
-from metallifts.symexpr import Chart, RatFunc
+from metallifts.symexpr import Chart, RatFunc, parse_expr
 
 from conftest import (all_params, involutive_product, rand_poly, rand_t11,
                       rand_vector)
@@ -32,6 +33,23 @@ def test_tangent_bundle_chart_names():
     clash = Chart(("x", "vx"))
     tb2 = tangent_bundle(clash)
     assert len(set(tb2.chart.variables)) == 4
+
+
+def test_up_keeps_the_factored_denominator():
+    f = parse_expr("1/((x+y)^2 + 1)", CH).diff("x")
+    g = TB.up(f)
+    assert g.factors == ((parse_expr("x^2 + 2*x*y + y^2 + 1", TB.chart).num, 2),)
+    assert g == parse_expr("-2*(x+y) / (x^2 + 2*x*y + y^2 + 1)^2", TB.chart)
+
+
+def test_complete_lift_keeps_the_squared_factor():
+    """The lower-left block y^a d_a Psi of example 4.1's lift carries
+    ((x+y)^2 + 1)^2, not its expansion."""
+    psi = load_builtin("example_4_1").structures["PSI"][1]
+    lifted = complete_lift_t11(psi)
+    for row in lifted.components[2:]:
+        for c in row[:2]:
+            assert c.factors == ((parse_expr("x^2 + 2*x*y + y^2 + 1", TB.chart).num, 2),)
 
 
 # -- bracket laws for the three lifts --------------------------------------

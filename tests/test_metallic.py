@@ -103,7 +103,7 @@ def _complex_structure():
 @pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"a{p.alpha}b{p.beta}")
 def test_product_polynomial(params):
     rep = minimal_polynomial_check(_swap_product(), "product", params)
-    assert rep.agrees
+    assert (rep.degree, rep.computed_c1, rep.computed_c0) == (2, rep.claimed_c1, rep.claimed_c0)
     assert rep.computed_c1 == QuadScalar.rational(-params.alpha)
     assert rep.computed_c0 == QuadScalar.rational(-params.beta)
 
@@ -111,7 +111,7 @@ def test_product_polynomial(params):
 @pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"a{p.alpha}b{p.beta}")
 def test_tangent_polynomial(params):
     rep = minimal_polynomial_check(_nilpotent_tangent(), "tangent", params)
-    assert rep.agrees
+    assert (rep.degree, rep.computed_c1, rep.computed_c0) == (2, rep.claimed_c1, rep.claimed_c0)
     assert rep.computed_c0 == QuadScalar.rational(Fraction(params.alpha ** 2, 4))
 
 
@@ -121,7 +121,7 @@ def test_complex_polynomial_disagrees_with_printed_constant(params):
     X^2 - alpha*X + (alpha^2 - eps*D)/4; with eps = -1 the constant term is
     alpha^2/2 + beta, not the printed alpha^2/4 + beta."""
     rep = minimal_polynomial_check(_complex_structure(), "complex", params)
-    assert not rep.agrees
+    assert (rep.degree, rep.computed_c1, rep.computed_c0) != (2, rep.claimed_c1, rep.claimed_c0)
     expected = QuadScalar.rational(Fraction(params.alpha ** 2 + params.discriminant, 4))
     assert rep.computed_c0 == expected
     assert expected == QuadScalar.rational(
@@ -135,7 +135,7 @@ def test_degenerate_scalar_structure_reported_linear():
     params = make_params(2, 1)
     rep = minimal_polynomial_check(Tensor11Field.zero(CH), "tangent", params)
     assert rep.degree == 1
-    assert not rep.agrees
+    assert (rep.degree, rep.computed_c1, rep.computed_c0) != (2, rep.claimed_c1, rep.claimed_c0)
     # Psi collapses to (alpha/2) I, annihilated by X - alpha/2.
     assert rep.computed_c0 == QuadScalar.rational(-Fraction(params.alpha, 2))
 

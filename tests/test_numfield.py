@@ -46,11 +46,6 @@ def test_multiplicative_inverse(a):
             a.inverse()
 
 
-@given(quads())
-def test_parse_str_roundtrip(a):
-    assert QuadScalar.parse(str(a)) == a
-
-
 def test_mixed_radicands_rejected():
     with pytest.raises(IncompatibleRadicands):
         QuadScalar.root(2) + QuadScalar.root(3)

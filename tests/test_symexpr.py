@@ -158,6 +158,18 @@ def test_substitute_onto_new_chart():
     assert g == parse_expr("x + y", big)
     with pytest.raises(ExprError):
         (X + Y).on_chart(Chart(("x", "w")))
+    # The factors come along as they are, not expanded.
+    base = parse_expr("x^2 + y^2 + 1", CH)
+    h = (X * base.reciprocal() ** 3).on_chart(big)
+    assert h.factors == ((parse_expr("x^2 + y^2 + 1", big).num, 3),)
+    assert h == parse_expr("x / (x^2 + y^2 + 1)^3", big)
+
+
+def test_substitute_keeps_the_factored_denominator():
+    f = X * parse_expr("x^2 + y^2 + 1", CH).reciprocal() ** 3
+    h = f.substitute({"x": Y, "y": X})
+    assert h.factors == ((parse_expr("x^2 + y^2 + 1", CH).num, 3),)
+    assert h == parse_expr("y / (x^2 + y^2 + 1)^3", CH)
 
 
 def test_substitute_vanishing_denominator():
