@@ -1,9 +1,12 @@
 """The check catalog executed by scenario runs.
 
-Every check resolves its arguments against the scenario's declarations,
-calls the library function that computes the identity's residual, and
-returns a :class:`CheckOutcome` whose ``residuals`` carry the exact
-expressions that decide the verdict:
+A check is its function: the line ``check KIND ARG ...`` runs
+``check_KIND(ctx, ARG, ...)``, so the function's name gives the kind and
+its parameters give the arity and the argument names (a ``*args``
+parameter takes any number).  Every check resolves its arguments against
+the scenario's declarations, calls the library function that computes the
+identity's residual, and returns a :class:`CheckOutcome` whose
+``residuals`` carry the exact expressions that decide the verdict:
 an ``expect="zero"`` residual must be identically zero, an
 ``expect="nonzero"`` residual must not be.  The runner later corroborates
 each residual numerically at seeded random points.
@@ -11,6 +14,7 @@ each residual numerically at seeded random points.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,8 +47,8 @@ class Residual:
 
 @dataclass
 class CheckOutcome:
-    name: str
     claim: str
+    name: str = ""
     verdict: str = "pass"  # pass | fail | error
     residuals: list[Residual] = field(default_factory=list)
     facts: list[tuple[str, bool]] = field(default_factory=list)
@@ -73,16 +77,15 @@ def _lookup(table: dict, what: str, name: str):
 
 
 class Context:
-    """Resolution of scenario names, and each named structure's metallic
-    form, built once per run.  Lifts, Nijenhuis tensors and metallic
-    residuals are memoised by the library itself (``geometry.per_run``)
-    inside the ``run_memo()`` scope of a scenario run."""
+    """Resolution of scenario names.  Lifts, Nijenhuis tensors, metallic
+    forms and residuals are memoised by the library itself
+    (``geometry.per_run``) inside the ``run_memo()`` scope of a scenario
+    run."""
 
     def __init__(self, scenario: Scenario):
         self.s = scenario
         self.params = scenario.params
         self.chart = scenario.chart
-        self._metallic: dict[str, MetallicStructure] = {}
 
     def structure(self, name: str) -> tuple[str, Tensor11Field]:
         return _lookup(self.s.structures, "structure", name)
@@ -90,16 +93,13 @@ class Context:
     def metallic(self, name: str) -> MetallicStructure:
         """The named structure as a metallic structure (products are
         converted through the half-trace recipe first)."""
-        if name not in self._metallic:
-            kind, T = self.structure(name)
-            if kind == "metallic":
-                self._metallic[name] = MetallicStructure(self.params, T)
-            elif kind == "product":
-                self._metallic[name] = metallic_from_product(T, self.params)
-            else:
-                raise CheckError(f"structure {name!r} has kind {kind!r}; "
-                                 "a product or metallic structure is required")
-        return self._metallic[name]
+        kind, T = self.structure(name)
+        if kind == "metallic":
+            return MetallicStructure(self.params, T)
+        if kind == "product":
+            return metallic_from_product(T, self.params)
+        raise CheckError(f"structure {name!r} has kind {kind!r}; "
+                         "a product or metallic structure is required")
 
     def product(self, name: str) -> Tensor11Field:
         kind, T = self.structure(name)
@@ -170,21 +170,13 @@ def _scalar_residual(out: CheckOutcome, label: str, chart: Chart,
     out.residuals.append(Residual(label, RatFunc.constant(chart, value), expect))
 
 
-def _arity(args, *counts):
-    if len(args) not in counts:
-        want = " or ".join(str(c) for c in counts)
-        raise CheckError(f"expected {want} argument(s), got {len(args)}")
-
-
 # ---------------------------------------------------------------------------
 # The catalog
 # ---------------------------------------------------------------------------
 
-def check_mean_defining(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 0)
+def check_mean_defining(ctx: Context) -> CheckOutcome:
     p = ctx.params
-    out = CheckOutcome("mean_defining",
-                       "sigma solves x^2 - alpha*x - beta = 0 and is the positive root")
+    out = CheckOutcome("sigma solves x^2 - alpha*x - beta = 0 and is the positive root")
     res = p.sigma * p.sigma - QuadScalar.rational(p.alpha) * p.sigma - QuadScalar.rational(p.beta)
     _scalar_residual(out, "sigma^2 - alpha*sigma - beta", ctx.chart, res)
     out.facts.append(("sigma > 0 numerically", p.sigma.to_float() > 0))
@@ -192,61 +184,53 @@ def check_mean_defining(ctx: Context, args) -> CheckOutcome:
     return out
 
 
-def check_mean_value(ctx: Context, args) -> CheckOutcome:
-    expr = ctx.expr(args)
-    out = CheckOutcome("mean_value", f"sigma equals {' '.join(args)} exactly")
-    out.residuals.append(Residual("sigma - claimed", expr - RatFunc.constant(
+def check_mean_value(ctx: Context, *expr) -> CheckOutcome:
+    value = ctx.expr(expr)
+    out = CheckOutcome(f"sigma equals {' '.join(expr)} exactly")
+    out.residuals.append(Residual("sigma - claimed", value - RatFunc.constant(
         ctx.chart, ctx.params.sigma), "zero"))
     return out
 
 
-def check_almost_product(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 1)
-    _, T = ctx.structure(args[0])
-    out = CheckOutcome("almost_product", f"{args[0]}^2 = I")
+def check_almost_product(ctx: Context, name) -> CheckOutcome:
+    _, T = ctx.structure(name)
+    out = CheckOutcome(f"{name}^2 = I")
     _tensor_residuals(out, "P^2 - I",
                       compose_t11(T, T) - Tensor11Field.identity(T.chart))
     return out
 
 
-def check_metallic(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 1)
-    M = ctx.metallic(args[0])
-    out = CheckOutcome("metallic", f"{args[0]} satisfies Psi^2 = alpha*Psi + beta*I")
+def check_metallic(ctx: Context, name) -> CheckOutcome:
+    M = ctx.metallic(name)
+    out = CheckOutcome(f"{name} satisfies Psi^2 = alpha*Psi + beta*I")
     _tensor_residuals(out, "Psi^2 - alpha*Psi - beta*I",
                       metallic_residual(M.tensor, ctx.params))
     return out
 
 
-def check_metallic_from_product(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 1)
-    out = CheckOutcome("metallic_from_product",
-                       f"(alpha*I + sqrtD*{args[0]})/2 is metallic")
-    M = metallic_from_product(ctx.structure(args[0])[1], ctx.params)
+def check_metallic_from_product(ctx: Context, name) -> CheckOutcome:
+    out = CheckOutcome(f"(alpha*I + sqrtD*{name})/2 is metallic")
+    M = metallic_from_product(ctx.structure(name)[1], ctx.params)
     _tensor_residuals(out, "Psi^2 - alpha*Psi - beta*I",
                       metallic_residual(M.tensor, ctx.params))
     return out
 
 
-def check_roundtrip(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 1)
-    _, P = ctx.structure(args[0])
-    out = CheckOutcome("roundtrip",
-                       f"product -> metallic -> product returns {args[0]} exactly")
+def check_roundtrip(ctx: Context, name) -> CheckOutcome:
+    _, P = ctx.structure(name)
+    out = CheckOutcome(f"product -> metallic -> product returns {name} exactly")
     M = metallic_from_product(P, ctx.params)
     _tensor_residuals(out, "P' - P", product_from_metallic(M) - P)
     return out
 
 
-def check_projector_algebra(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 1)
-    M = ctx.metallic(args[0])
+def check_projector_algebra(ctx: Context, name) -> CheckOutcome:
+    M = ctx.metallic(name)
     p = ctx.params
     pair = projectors_from_metallic(M)
     I = Tensor11Field.identity(M.chart)
     psi = M.tensor
-    out = CheckOutcome("projector_algebra",
-                       "r + s = I, rs = sr = 0, r^2 = r, s^2 = s, "
+    out = CheckOutcome("r + s = I, rs = sr = 0, r^2 = r, s^2 = s, "
                        "Psi r = sigma r, Psi s = (alpha - sigma) s")
     _tensor_residuals(out, "r + s - I", pair.r + pair.s - I)
     _tensor_residuals(out, "r s", compose_t11(pair.r, pair.s))
@@ -264,9 +248,8 @@ def check_projector_algebra(ctx: Context, args) -> CheckOutcome:
     return out
 
 
-def check_projector_expansions(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 1)
-    M = ctx.metallic(args[0])
+def check_projector_expansions(ctx: Context, name) -> CheckOutcome:
+    M = ctx.metallic(name)
     p = ctx.params
     pair = projectors_from_metallic(M)
     I = Tensor11Field.identity(M.chart)
@@ -274,7 +257,6 @@ def check_projector_expansions(ctx: Context, args) -> CheckOutcome:
     inv = p.sqrtD.inverse()
     beta_over = QuadScalar.rational(p.beta) * inv
     out = CheckOutcome(
-        "projector_expansions",
         "sign-corrected expansions: sigma*r = (sigma/sqrtD)*Psi + (beta/sqrtD)*I "
         "and (alpha-sigma)*s = ((sigma-alpha)/sqrtD)*Psi - (beta/sqrtD)*I")
     derived_r = psi.scale(p.sigma * inv) + I.scale(beta_over)
@@ -290,22 +272,18 @@ def check_projector_expansions(ctx: Context, args) -> CheckOutcome:
     return out
 
 
-def check_complete_lift_metallic(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 1)
-    M = ctx.metallic(args[0])
-    out = CheckOutcome("complete_lift_metallic",
-                       f"the complete lift of {args[0]} is metallic on TM")
+def check_complete_lift_metallic(ctx: Context, name) -> CheckOutcome:
+    M = ctx.metallic(name)
+    out = CheckOutcome(f"the complete lift of {name} is metallic on TM")
     _tensor_residuals(out, "(Psi^C)^2 - alpha*Psi^C - beta*I",
                       metallic_residual(complete_lift_t11(M.tensor), ctx.params))
     return out
 
 
-def check_composition_lift(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 2)
-    _, S = ctx.structure(args[0])
-    _, T = ctx.structure(args[1])
-    out = CheckOutcome("composition_lift", f"({args[0]} {args[1]})^C = "
-                       f"{args[0]}^C {args[1]}^C")
+def check_composition_lift(ctx: Context, left, right) -> CheckOutcome:
+    _, S = ctx.structure(left)
+    _, T = ctx.structure(right)
+    out = CheckOutcome(f"({left} {right})^C = {left}^C {right}^C")
     lhs = complete_lift_t11(compose_t11(S, T))
     rhs = compose_t11(complete_lift_t11(S), complete_lift_t11(T))
     _tensor_residuals(out, "(S T)^C - S^C T^C", lhs - rhs)
@@ -314,7 +292,7 @@ def check_composition_lift(ctx: Context, args) -> CheckOutcome:
 
 def _polynomial_outcome(ctx, name, kind, claim, expect_agreement: bool) -> CheckOutcome:
     _, T = ctx.structure(name)
-    out = CheckOutcome(f"{kind}_polynomial", claim)
+    out = CheckOutcome(claim)
     rep = minimal_polynomial_check(T, kind, ctx.params)
     out.notes.append(f"computed annihilator: X^{rep.degree} "
                      f"{'+ (' + str(rep.computed_c1) + ')*X ' if rep.degree == 2 else ''}"
@@ -333,146 +311,122 @@ def _polynomial_outcome(ctx, name, kind, claim, expect_agreement: bool) -> Check
     return out
 
 
-def check_tangent_polynomial(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 1)
+def check_tangent_polynomial(ctx: Context, name) -> CheckOutcome:
     return _polynomial_outcome(
-        ctx, args[0], "tangent",
+        ctx, name, "tangent",
         "the tangent-derived structure satisfies X^2 - alpha*X + alpha^2/4",
         expect_agreement=True)
 
 
-def check_complex_polynomial(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 1)
+def check_complex_polynomial(ctx: Context, name) -> CheckOutcome:
     return _polynomial_outcome(
-        ctx, args[0], "complex",
+        ctx, name, "complex",
         "the complex-derived structure's exact constant term differs from the "
         "printed alpha^2/4 + beta",
         expect_agreement=False)
 
 
-def check_composite_relation(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 2)
-    _, P = ctx.structure(args[0])
-    _, F = ctx.structure(args[1])
-    out = CheckOutcome("composite_relation",
-                       "sqrtD*Psi_J = 2 Psi_P Psi_F - alpha*Psi_P - alpha*Psi_F "
+def check_composite_relation(ctx: Context, p, f) -> CheckOutcome:
+    _, P = ctx.structure(p)
+    _, F = ctx.structure(f)
+    out = CheckOutcome("sqrtD*Psi_J = 2 Psi_P Psi_F - alpha*Psi_P - alpha*Psi_F "
                        "+ alpha*sigma*I for J = P F")
     _tensor_residuals(out, "lhs - rhs", composite_relation(P, F, ctx.params))
     return out
 
 
-def check_nijenhuis_zero(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 1)
-    M = ctx.metallic(args[0])
-    out = CheckOutcome("nijenhuis_zero", f"N_Psi of {args[0]} vanishes identically")
+def check_nijenhuis_zero(ctx: Context, name) -> CheckOutcome:
+    M = ctx.metallic(name)
+    out = CheckOutcome(f"N_Psi of {name} vanishes identically")
     _pair_residuals(out, "N", nijenhuis_t11(M.tensor))
     return out
 
 
-def check_nijenhuis_zero_lifted(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 1)
-    M = ctx.metallic(args[0])
-    out = CheckOutcome("nijenhuis_zero_lifted",
-                       f"N of the complete lift of {args[0]} vanishes identically")
+def check_nijenhuis_zero_lifted(ctx: Context, name) -> CheckOutcome:
+    M = ctx.metallic(name)
+    out = CheckOutcome(f"N of the complete lift of {name} vanishes identically")
     _pair_residuals(out, "N", nijenhuis_t11(complete_lift_t11(M.tensor)))
     return out
 
 
-def check_np_relation(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 1)
-    out = CheckOutcome("np_relation",
-                       "D*N_P = 4*N_Psi on the base chart and for the complete lifts")
-    P = ctx.product(args[0])
+def check_np_relation(ctx: Context, name) -> CheckOutcome:
+    out = CheckOutcome("D*N_P = 4*N_Psi on the base chart and for the complete lifts")
+    P = ctx.product(name)
     _base_and_lifted(out, lambda P: np_relation(P, ctx.params),
                      P, lambda: complete_lift_t11(P))
     return out
 
 
-def check_affine_invariance(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 3)
-    _, T = ctx.structure(args[0])
+def check_affine_invariance(ctx: Context, name, a, b) -> CheckOutcome:
+    _, T = ctx.structure(name)
     try:
-        a, b = int(args[1]), int(args[2])
+        a, b = int(a), int(b)
     except ValueError:
         raise CheckError("affine_invariance needs integer coefficients a b") from None
-    out = CheckOutcome("affine_invariance",
-                       f"N of {a}*I + {b}*{args[0]} equals {b}^2 * N of {args[0]}")
+    out = CheckOutcome(f"N of {a}*I + {b}*{name} equals {b}^2 * N of {name}")
     _pair_residuals(out, "diff", affine_invariance(T, a, b))
     return out
 
 
-def check_projector_criterion(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 2)
-    which = args[1]
+def check_projector_criterion(ctx: Context, name, which) -> CheckOutcome:
     if which not in ("r_on_s", "s_on_r"):
         raise CheckError("second argument must be r_on_s or s_on_r")
-    out = CheckOutcome("projector_criterion",
-                       f"{'r N(sX,sY)' if which == 'r_on_s' else 's N(rX,rY)'} = 0 "
+    out = CheckOutcome(f"{'r N(sX,sY)' if which == 'r_on_s' else 's N(rX,rY)'} = 0 "
                        "on the base chart and for the lifted structure")
-    M = ctx.metallic(args[0])
+    M = ctx.metallic(name)
     _base_and_lifted(out, lambda M: projector_criterion(M, which), M,
                      lambda: MetallicStructure(ctx.params, complete_lift_t11(M.tensor)))
     return out
 
 
-def check_distributions_integrable(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 3)
-    M = ctx.metallic(args[0])
-    gens_r = ctx.distribution(args[1])
-    gens_s = ctx.distribution(args[2])
+def check_distributions_integrable(ctx: Context, name, dist_r, dist_s) -> CheckOutcome:
+    M = ctx.metallic(name)
+    gens_r = ctx.distribution(dist_r)
+    gens_s = ctx.distribution(dist_s)
     pair = projectors_from_metallic(M)
-    out = CheckOutcome("distributions_integrable",
-                       "both eigendistributions are integrable and contain "
+    out = CheckOutcome("both eigendistributions are integrable and contain "
                        "their declared generators")
-    dist_r = Distribution(M.chart, gens_r, pair.r)
-    dist_s = Distribution(M.chart, gens_s, pair.s)
-    out.facts.append((f"{args[1]} integrable",
-                      frobenius_criterion(dist_r, pair.s).is_zero))
-    out.facts.append((f"{args[2]} integrable",
-                      frobenius_criterion(dist_s, pair.r).is_zero))
-    for name, dist, proj in ((args[1], dist_r, pair.r), (args[2], dist_s, pair.s)):
+    r = Distribution(M.chart, gens_r, pair.r)
+    s = Distribution(M.chart, gens_s, pair.s)
+    out.facts.append((f"{dist_r} integrable", frobenius_criterion(r, pair.s).is_zero))
+    out.facts.append((f"{dist_s} integrable", frobenius_criterion(s, pair.r).is_zero))
+    for label, dist, proj in ((dist_r, r, pair.r), (dist_s, s, pair.s)):
         for k, g in enumerate(dist.generators):
-            _vector_residuals(out, f"{name} generator {k + 1} fixed",
+            _vector_residuals(out, f"{label} generator {k + 1} fixed",
                               (apply_t11(proj, g) - g).components)
     return out
 
 
-def check_horizontal_metallic(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 2)
-    M = ctx.metallic(args[0])
-    conn = ctx.connection(args[1])
-    out = CheckOutcome("horizontal_metallic",
-                       f"the horizontal lift of {args[0]} along {args[1]} is metallic")
+def check_horizontal_metallic(ctx: Context, name, connection) -> CheckOutcome:
+    M = ctx.metallic(name)
+    conn = ctx.connection(connection)
+    out = CheckOutcome(f"the horizontal lift of {name} along {connection} is metallic")
     _tensor_residuals(out, "(Psi^H)^2 - alpha*Psi^H - beta*I",
                       metallic_residual(horizontal_lift_t11(M.tensor, conn), ctx.params))
     return out
 
 
-def check_horizontal_square(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 2)
-    M = ctx.metallic(args[0])
-    conn = ctx.connection(args[1])
-    out = CheckOutcome("horizontal_square", "(Psi^2)^H = (Psi^H)^2")
+def check_horizontal_square(ctx: Context, name, connection) -> CheckOutcome:
+    M = ctx.metallic(name)
+    conn = ctx.connection(connection)
+    out = CheckOutcome("(Psi^2)^H = (Psi^H)^2")
     th = horizontal_lift_t11(M.tensor, conn)
     lhs = horizontal_lift_t11(compose_t11(M.tensor, M.tensor), conn)
     _tensor_residuals(out, "(Psi^2)^H - (Psi^H)^2", lhs - compose_t11(th, th))
     return out
 
 
-def check_jtilde(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 1)
-    conn = ctx.connection(args[0])
-    out = CheckOutcome("jtilde",
-                       "the frame-swap structure (alpha*I + sqrtD*Ptilde)/2 is metallic")
+def check_jtilde(ctx: Context, connection) -> CheckOutcome:
+    conn = ctx.connection(connection)
+    out = CheckOutcome("the frame-swap structure (alpha*I + sqrtD*Ptilde)/2 is metallic")
     J = jtilde_structure(conn, ctx.params)
     _tensor_residuals(out, "Jtilde^2 - alpha*Jtilde - beta*I",
                       metallic_residual(J, ctx.params))
     return out
 
 
-def check_jtilde_printed(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 1)
-    conn = ctx.connection(args[0])
+def check_jtilde_printed(ctx: Context, connection) -> CheckOutcome:
+    conn = ctx.connection(connection)
     p = ctx.params
     p_swap = frame_swap_product(conn)
     half = QuadScalar.rational(Fraction(1, 2))
@@ -481,7 +435,6 @@ def check_jtilde_printed(ctx: Context, args) -> CheckOutcome:
     derived = metallic_recipe(p_swap, p)
     coincide = p.alpha == 1
     out = CheckOutcome(
-        "jtilde_printed",
         "the printed coefficients (X^H + sqrtD*X^V)/2 coincide with the derived "
         "(alpha*X^H + sqrtD*X^V)/2 exactly when alpha = 1")
     if coincide:
@@ -497,12 +450,10 @@ def check_jtilde_printed(ctx: Context, args) -> CheckOutcome:
     return out
 
 
-def check_section_lifts(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 3)
-    cs = CrossSection(ctx.vector(args[0]))
-    rep = lift_decomposition_check(ctx.vector(args[1]), ctx.vector(args[2]), cs)
-    out = CheckOutcome("section_lifts",
-                       "[BX,BY] = B[X,Y], [CX,CY] = 0, X^C|section = BX + C(L_V X), "
+def check_section_lifts(ctx: Context, section, x, y) -> CheckOutcome:
+    cs = CrossSection(ctx.vector(section))
+    rep = lift_decomposition_check(ctx.vector(x), ctx.vector(y), cs)
+    out = CheckOutcome("[BX,BY] = B[X,Y], [CX,CY] = 0, X^C|section = BX + C(L_V X), "
                        "X^V = CX")
     out.facts.append(("[BX,BY] = B[X,Y]", rep.b_bracket.is_zero))
     out.facts.append(("[CX,CY] = 0", rep.c_bracket.is_zero))
@@ -514,27 +465,24 @@ def check_section_lifts(ctx: Context, args) -> CheckOutcome:
     return out
 
 
-def _section_invariance(ctx: Context, args, out: CheckOutcome) -> Tensor11Field:
+def _section_invariance(ctx: Context, name, section, out: CheckOutcome) -> Tensor11Field:
     """Emit the decomposition residuals; return L_V Psi."""
-    _arity(args, 2)
-    rep = invariance_check(ctx.metallic(args[0]), CrossSection(ctx.vector(args[1])))
+    rep = invariance_check(ctx.metallic(name), CrossSection(ctx.vector(section)))
     for i, comps in enumerate(rep.decomposition):
         _vector_residuals(out, f"decomposition(e{i + 1})", comps)
     return rep.lie_derivative
 
 
-def check_section_invariant(ctx: Context, args) -> CheckOutcome:
-    out = CheckOutcome("section_invariant",
-                       "Psi^C(BX) = B(Psi X) + C((L_V Psi) X) and L_V Psi = 0")
-    _tensor_residuals(out, "L_V Psi", _section_invariance(ctx, args, out))
+def check_section_invariant(ctx: Context, name, section) -> CheckOutcome:
+    out = CheckOutcome("Psi^C(BX) = B(Psi X) + C((L_V Psi) X) and L_V Psi = 0")
+    _tensor_residuals(out, "L_V Psi", _section_invariance(ctx, name, section, out))
     return out
 
 
-def check_section_not_invariant(ctx: Context, args) -> CheckOutcome:
-    out = CheckOutcome("section_not_invariant",
-                       "the decomposition holds but L_V Psi != 0, so the section "
+def check_section_not_invariant(ctx: Context, name, section) -> CheckOutcome:
+    out = CheckOutcome("the decomposition holds but L_V Psi != 0, so the section "
                        "is not invariant")
-    bad = _section_invariance(ctx, args, out).first_nonzero()
+    bad = _section_invariance(ctx, name, section, out).first_nonzero()
     if bad is None:
         out.facts.append(("L_V Psi has a nonzero component", False))
     else:
@@ -543,25 +491,21 @@ def check_section_not_invariant(ctx: Context, args) -> CheckOutcome:
     return out
 
 
-def check_induced_metallic(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 2)
-    M = ctx.metallic(args[0])
-    cs = CrossSection(ctx.vector(args[1]))
-    out = CheckOutcome("induced_metallic",
-                       "the tensor induced on the invariant section is metallic")
+def check_induced_metallic(ctx: Context, name, section) -> CheckOutcome:
+    M = ctx.metallic(name)
+    cs = CrossSection(ctx.vector(section))
+    out = CheckOutcome("the tensor induced on the invariant section is metallic")
     induced = induced_structure(M, cs)
     _tensor_residuals(out, "induced residual",
                       metallic_residual(induced.tensor, ctx.params))
     return out
 
 
-def check_section_nijenhuis(ctx: Context, args) -> CheckOutcome:
-    _arity(args, 2)
-    M = ctx.metallic(args[0])
-    cs = CrossSection(ctx.vector(args[1]))
+def check_section_nijenhuis(ctx: Context, name, section) -> CheckOutcome:
+    M = ctx.metallic(name)
+    cs = CrossSection(ctx.vector(section))
     rep = section_nijenhuis_check(M, cs)
     out = CheckOutcome(
-        "section_nijenhuis",
         "N_{Psi^C}(BX,BY) = B(N_Psi(X,Y)) + C((L_V N_Psi)(X,Y)); on invariant "
         "sections the section Nijenhuis vanishes iff the base one does")
     section_zero = all(c.is_zero for comps in rep.section.values() for c in comps)
@@ -574,7 +518,7 @@ def check_section_nijenhuis(ctx: Context, args) -> CheckOutcome:
     return out
 
 
-def check_component(ctx: Context, args) -> CheckOutcome:
+def check_component(ctx: Context, *args) -> CheckOutcome:
     if len(args) < 4:
         raise CheckError("component needs NAME ROW COL EXPR")
     _, T = ctx.structure(args[0])
@@ -586,86 +530,68 @@ def check_component(ctx: Context, args) -> CheckOutcome:
     if not (1 <= h <= n and 1 <= i <= n):
         raise CheckError(f"component indices must lie in 1..{n}")
     expr = ctx.expr(args[3:])
-    out = CheckOutcome("component",
-                       f"{args[0]}[{h}][{i}] equals the given expression exactly")
+    out = CheckOutcome(f"{args[0]}[{h}][{i}] equals the given expression exactly")
     out.residuals.append(Residual(f"{args[0]}[{h}][{i}] - claimed",
                                   T.components[h - 1][i - 1] - expr, "zero"))
     return out
 
 
-def check_errata_projector_signs(ctx: Context, args) -> CheckOutcome:
-    out = check_projector_expansions(ctx, args)
-    out.name = "errata_projector_signs"
+def check_errata_projector_signs(ctx: Context, name) -> CheckOutcome:
+    out = check_projector_expansions(ctx, name)
     out.claim = ("erratum: the printed projector expansions carry a sign error; "
                  "the derived forms hold exactly")
     return out
 
 
-def check_errata_complex_constant(ctx: Context, args) -> CheckOutcome:
-    out = check_complex_polynomial(ctx, args)
-    out.name = "errata_complex_constant"
+def check_errata_complex_constant(ctx: Context, name) -> CheckOutcome:
+    out = check_complex_polynomial(ctx, name)
     out.claim = ("erratum: the complex-derived structure's constant term is "
                  "alpha^2/2 + beta, not the printed alpha^2/4 + beta")
     return out
 
 
-def check_errata_frame_swap_lift(ctx: Context, args) -> CheckOutcome:
-    out = check_jtilde_printed(ctx, args)
-    out.name = "errata_frame_swap_lift"
+def check_errata_frame_swap_lift(ctx: Context, connection) -> CheckOutcome:
+    out = check_jtilde_printed(ctx, connection)
     out.claim = ("erratum: the printed lift coefficients (X^H + sqrtD*X^V)/2 miss "
                  "a factor alpha on the first term; the derived "
                  "(alpha*X^H + sqrtD*X^V)/2 is metallic for every alpha, beta")
     return out
 
 
-CHECKS = {
-    "mean_defining": check_mean_defining,
-    "mean_value": check_mean_value,
-    "almost_product": check_almost_product,
-    "metallic": check_metallic,
-    "metallic_from_product": check_metallic_from_product,
-    "roundtrip": check_roundtrip,
-    "projector_algebra": check_projector_algebra,
-    "projector_expansions": check_projector_expansions,
-    "complete_lift_metallic": check_complete_lift_metallic,
-    "composition_lift": check_composition_lift,
-    "tangent_polynomial": check_tangent_polynomial,
-    "complex_polynomial": check_complex_polynomial,
-    "composite_relation": check_composite_relation,
-    "nijenhuis_zero": check_nijenhuis_zero,
-    "nijenhuis_zero_lifted": check_nijenhuis_zero_lifted,
-    "np_relation": check_np_relation,
-    "affine_invariance": check_affine_invariance,
-    "projector_criterion": check_projector_criterion,
-    "distributions_integrable": check_distributions_integrable,
-    "horizontal_metallic": check_horizontal_metallic,
-    "horizontal_square": check_horizontal_square,
-    "jtilde": check_jtilde,
-    "jtilde_printed": check_jtilde_printed,
-    "section_lifts": check_section_lifts,
-    "section_invariant": check_section_invariant,
-    "section_not_invariant": check_section_not_invariant,
-    "induced_metallic": check_induced_metallic,
-    "section_nijenhuis": check_section_nijenhuis,
-    "component": check_component,
-    "errata_projector_signs": check_errata_projector_signs,
-    "errata_complex_constant": check_errata_complex_constant,
-    "errata_frame_swap_lift": check_errata_frame_swap_lift,
-}
+# Check kind -> check function; the kind is the function's name without
+# its ``check_`` prefix.
+CHECKS = {fn.__name__.removeprefix("check_"): fn for fn in (
+    check_mean_defining, check_mean_value, check_almost_product, check_metallic,
+    check_metallic_from_product, check_roundtrip, check_projector_algebra,
+    check_projector_expansions, check_complete_lift_metallic, check_composition_lift,
+    check_tangent_polynomial, check_complex_polynomial, check_composite_relation,
+    check_nijenhuis_zero, check_nijenhuis_zero_lifted, check_np_relation,
+    check_affine_invariance, check_projector_criterion, check_distributions_integrable,
+    check_horizontal_metallic, check_horizontal_square, check_jtilde, check_jtilde_printed,
+    check_section_lifts, check_section_invariant, check_section_not_invariant,
+    check_induced_metallic, check_section_nijenhuis, check_component,
+    check_errata_projector_signs, check_errata_complex_constant,
+    check_errata_frame_swap_lift)}
 
 
 def run_check(ctx: Context, kind: str, args: tuple[str, ...],
               raw: str) -> CheckOutcome:
-    if kind not in CHECKS:
-        out = CheckOutcome(kind, raw)
-        out.error = f"unknown check type {kind!r}"
-        return out.settle()
+    fn = CHECKS.get(kind)
     try:
-        out = CHECKS[kind](ctx, args)
+        if fn is None:
+            raise CheckError(f"unknown check type {kind!r}")
+        # A check takes the context and then one parameter per scenario
+        # argument, unless it collects them with *args.  Wrapped checks
+        # (functools.wraps) report the arity of the function they wrap.
+        code = inspect.unwrap(fn).__code__
+        if not code.co_flags & inspect.CO_VARARGS and len(args) != code.co_argcount - 1:
+            raise CheckError(f"expected {code.co_argcount - 1} argument(s), got {len(args)}")
+        out = fn(ctx, *args)
     except Exception as exc:
         # A failing check never aborts the run.  Problems with the declared
         # objects (the ValueError family) read as plain messages; anything
         # else keeps its type name.
-        out = CheckOutcome(kind, raw)
+        out = CheckOutcome(raw)
         out.error = str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+    out.name = kind
     return out.settle()

@@ -25,10 +25,11 @@ def builtin_names() -> list[str]:
 
 
 def load_builtin(name: str) -> Scenario:
-    path = resources.files("metallifts") / "scenarios" / f"{name}.scn"
-    if not path.is_file():
+    names = builtin_names()
+    if name not in names:
         raise ScenarioError(f"no builtin scenario named {name!r}; "
-                            f"available: {', '.join(builtin_names())}")
+                            f"available: {', '.join(names)}")
+    path = resources.files("metallifts") / "scenarios" / f"{name}.scn"
     return parse_scenario(path.read_text(encoding="utf-8"), f"builtin:{name}")
 
 

@@ -70,6 +70,7 @@ def metallic_recipe(T: Tensor11Field, params: MetallicParams) -> Tensor11Field:
             + T.scale(half * params.sqrtD))
 
 
+@per_run
 def metallic_from_product(P: Tensor11Field, params: MetallicParams) -> MetallicStructure:
     check_square_is(P, 1, "not an almost product structure")
     return MetallicStructure(params, metallic_recipe(P, params))

@@ -103,7 +103,7 @@ def run_scenario(scenario: Scenario, seed: int = DEFAULT_SEED) -> Report:
             except Exception as exc:
                 # Like a check that raises, a residual that cannot be
                 # sampled ends its own check, not the run.
-                outcome = CheckOutcome(outcome.name, outcome.claim,
+                outcome = CheckOutcome(outcome.claim, name=outcome.name,
                                        error=f"{type(exc).__name__}: {exc}").settle()
                 numeric = []
             reports.append(CheckReport(spec.raw, outcome, numeric))

@@ -94,6 +94,7 @@ class _Loader:
         self.name: str | None = None
         self.chart: Chart | None = None
         self.params: MetallicParams | None = None
+        self.headers: set[str] = set()  # the scenario/chart/params lines seen
         self.structures: dict = {}
         self.fields: dict = {}
         self.connections: dict = {}
@@ -193,6 +194,10 @@ class _Loader:
 
         self.close_pending()
 
+        if head in ("scenario", "chart", "params"):
+            if head in self.headers:
+                raise self.err(f"{head!r} is given twice", lineno)
+            self.headers.add(head)
         if head == "scenario":
             if not rest:
                 raise self.err("scenario needs a name", lineno)

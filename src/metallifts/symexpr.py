@@ -555,10 +555,7 @@ class RatFunc:
         return f"({num})/({den})"
 
     def __repr__(self):
-        try:
-            return f"RatFunc({self.to_text()})"
-        except ExprError:
-            return f"RatFunc({self.num}/{self.den})"
+        return f"RatFunc({self.to_text()})"
 
 
 @lru_cache(maxsize=None)
@@ -622,13 +619,15 @@ def _poly_float(p, vals: list[float], radical_value: float) -> float:
 
 
 def _quad_text(c: QuadScalar, params: MetallicParams | None) -> str:
-    """Render a coefficient inside the expression grammar."""
+    """Render a coefficient inside the expression grammar, whose radical is
+    params' sqrtD; without matching params the radical reads sqrt(d)."""
     if c.is_rational:
         return str(c.a)
-    if params is None or params.radicand != c.d:
-        raise ExprError(f"cannot render sqrt({c.d}) without matching params")
-    scale = c.b / params.sqrtD.b  # b*sqrt(d) == scale * sqrtD
-    rad = "sqrtD" if scale == 1 else ("-sqrtD" if scale == -1 else f"{scale}*sqrtD")
+    if params is not None and params.radicand == c.d:
+        name, scale = "sqrtD", c.b / params.sqrtD.b  # b*sqrt(d) == scale * sqrtD
+    else:
+        name, scale = f"sqrt({c.d})", c.b
+    rad = name if scale == 1 else (f"-{name}" if scale == -1 else f"{scale}*{name}")
     if c.a == 0:
         return rad
     sign = "-" if rad.startswith("-") else "+"

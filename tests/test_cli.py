@@ -48,6 +48,19 @@ def test_unknown_builtin_exits_2(capsys):
     assert "available" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("outside", [False, True], ids=["in_package", "outside"])
+def test_builtin_name_that_is_a_path_exits_2(tmp_path, capsys, outside):
+    """--builtin takes a listed name, never a path: neither a builtin
+    reached through '..' nor a file outside the package runs."""
+    scenarios = Path(str(resources.files("metallifts") / "scenarios"))
+    name = "../scenarios/means_gold"
+    if outside:
+        (tmp_path / "outside.scn").write_text((scenarios / "means_gold.scn").read_text())
+        name = os.path.relpath(tmp_path / "outside", scenarios)
+    assert main(["run", "--builtin", name]) == 2
+    assert f"no builtin scenario named {name!r}" in capsys.readouterr().err
+
+
 def test_missing_scenario_argument_exits_2(capsys):
     assert main(["run"]) == 2
     assert "scenario file" in capsys.readouterr().err
@@ -241,6 +254,27 @@ def test_duplicate_declaration_exits_2(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert f"{kind} 'P' is declared twice" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["scenario other", "chart u v", "params alpha=2 beta=4"])
+def test_repeated_header_line_exits_2(tmp_path, capsys, line):
+    path = tmp_path / "twice.scn"
+    path.write_text(FAILING.replace("check component", line + "\ncheck component"))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{line.split()[0]!r} is given twice" in err
+    assert "Traceback" not in err
+
+
+def test_structure_error_names_the_radical_as_sqrt(tmp_path, capsys):
+    path = tmp_path / "radical.scn"
+    path.write_text(FAILING.replace("kind=product\n  row 0 , 1",
+                                    "kind=metallic\n  row 3/2*sqrtD*x - 1/2*x , 1")
+                    .replace("metallic_from_product", "metallic"))
+    assert main(["run", str(path), "--format", "structured"]) == 1
+    errors = [c["error"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert errors[1] == ("Psi^2 - alpha*Psi - beta*I has nonzero component [1][1]: "
+                         "RatFunc((23/2 - 3/2*sqrt(5))*x^2 + (1/2 - 3/2*sqrt(5))*x)")
 
 
 def test_generator_of_the_wrong_length_exits_2(tmp_path, capsys):

@@ -14,7 +14,7 @@ from metallifts.integrability import (Distribution, affine_invariance,
                                       np_relation, projector_criterion)
 from metallifts.lifts import complete_lift_t11
 from metallifts.metallic import (MetallicStructure, StructureError,
-                                 projectors_from_metallic)
+                                 metallic_from_product, projectors_from_metallic)
 from metallifts.numfield import make_params
 from metallifts.report import run_scenario
 from metallifts.scenario import parse_scenario
@@ -324,6 +324,17 @@ def test_example_run_builds_each_nijenhuis_tensor_once(builds):
 def test_run_builds_each_complete_lift_once(builds, name, lifts):
     assert run_scenario(load_builtin(name)).ok
     assert builds["lift"] == lifts
+
+
+def test_run_converts_each_product_once(monkeypatch):
+    """gold_diag uses P as a metallic structure in four checks and converts
+    it explicitly in two more; the run converts it once."""
+    calls = []
+    convert = metallic_from_product.__wrapped__
+    monkeypatch.setattr(metallic_from_product, "__wrapped__",
+                        lambda *args: calls.append(args) or convert(*args))
+    assert run_scenario(load_builtin("gold_diag")).ok
+    assert len(calls) == 1
 
 
 def test_calls_outside_a_run_build_every_time(builds):
