@@ -28,7 +28,7 @@ from .lifts import (complete_lift_t11, frame_swap_product, horizontal_lift_t11,
                     jtilde_structure)
 from .metallic import (MetallicStructure, composite_relation, metallic_from_product,
                        metallic_recipe, metallic_residual, minimal_polynomial_check,
-                       product_from_metallic, projectors_from_metallic)
+                       product_from_metallic, projectors_from_metallic, square_residual)
 from .numfield import QuadScalar
 from .scenario import Scenario
 from .symexpr import Chart, ExprError, RatFunc, parse_expr
@@ -195,8 +195,7 @@ def check_mean_value(ctx: Context, *expr) -> CheckOutcome:
 def check_almost_product(ctx: Context, name) -> CheckOutcome:
     _, T = ctx.structure(name)
     out = CheckOutcome(f"{name}^2 = I")
-    _tensor_residuals(out, "P^2 - I",
-                      compose_t11(T, T) - Tensor11Field.identity(T.chart))
+    _tensor_residuals(out, "P^2 - I", square_residual(T, 1))
     return out
 
 

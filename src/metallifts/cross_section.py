@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import (Tensor11Field, Tensor12Field, VectorField, _same_chart, apply_t11,
-                       lie_bracket, lie_derivative_t11, lie_derivative_t12)
+                       lie_derivative)
 from .integrability import nijenhuis_t11
 from .lifts import complete_lift_t11, complete_lift_vf, tangent_bundle, vertical_lift_vf
 from .metallic import MetallicStructure, StructureError
@@ -54,9 +54,8 @@ def c_lift(X: VectorField) -> VectorField:
 
 
 def restrict_to_section(obj, cs: CrossSection):
-    """Substitute y^h := V^h(x).  RatFuncs map to base-chart RatFuncs;
-    vector fields and (1,1)-tensors on TM map to tuples of base-chart
-    components of the same shape."""
+    """Substitute y^h := V^h(x).  A RatFunc maps to a base-chart RatFunc,
+    a vector field on TM to the tuple of its base-chart components."""
     binds = cs.bindings()
 
     def sub(f: RatFunc) -> RatFunc:
@@ -66,8 +65,6 @@ def restrict_to_section(obj, cs: CrossSection):
         return sub(obj)
     if isinstance(obj, VectorField):
         return tuple(sub(c) for c in obj.components)
-    if isinstance(obj, Tensor11Field):
-        return tuple(tuple(sub(c) for c in row) for row in obj.components)
     raise TypeError(f"cannot restrict {type(obj).__name__}")
 
 
@@ -98,10 +95,10 @@ def lift_decomposition_check(X: VectorField, Y: VectorField,
                              cs: CrossSection) -> LiftDecomposition:
     bx = b_lift(X, cs)
     return LiftDecomposition(
-        b_bracket=lie_bracket(bx, b_lift(Y, cs)) - b_lift(lie_bracket(X, Y), cs),
-        c_bracket=lie_bracket(c_lift(X), c_lift(Y)),
+        b_bracket=lie_derivative(bx, b_lift(Y, cs)) - b_lift(lie_derivative(X, Y), cs),
+        c_bracket=lie_derivative(c_lift(X), c_lift(Y)),
         complete=restrict_to_section(
-            complete_lift_vf(X) - bx - c_lift(lie_bracket(cs.V, X)), cs),
+            complete_lift_vf(X) - bx - c_lift(lie_derivative(cs.V, X)), cs),
         vertical=vertical_lift_vf(X) - c_lift(X))
 
 
@@ -122,7 +119,7 @@ class Invariance:
 
 def invariance_check(M: MetallicStructure, cs: CrossSection) -> Invariance:
     _same_chart(M, cs)
-    lie = lie_derivative_t11(cs.V, M.tensor)
+    lie = lie_derivative(cs.V, M.tensor)
     psi_c = complete_lift_t11(M.tensor)
     images, decomposition = [], []
     for i in range(cs.chart.dimension):
@@ -186,7 +183,7 @@ def section_nijenhuis_check(M: MetallicStructure, cs: CrossSection) -> SectionNi
     n = chart.dimension
     n_lift = nijenhuis_t11(complete_lift_t11(M.tensor))
     n_base = nijenhuis_t11(M.tensor)
-    lie_n = lie_derivative_t12(cs.V, n_base)
+    lie_n = lie_derivative(cs.V, n_base)
     basis = [VectorField.basis(chart, i) for i in range(n)]
     lifted = [b_lift(e, cs) for e in basis]
     section, decomposition = {}, {}
@@ -198,4 +195,4 @@ def section_nijenhuis_check(M: MetallicStructure, cs: CrossSection) -> SectionNi
             section[i, j] = lhs
             decomposition[i, j] = tuple(a - b for a, b in zip(lhs, rhs))
     return SectionNijenhuis(section, decomposition, n_base, lie_n,
-                            lie_derivative_t11(cs.V, M.tensor))
+                            lie_derivative(cs.V, M.tensor))

@@ -1,4 +1,4 @@
-"""Vector fields, (1,1)- and (1,2)-tensor fields, connections, Lie calculus.
+"""Vector fields, (1,1)- and (1,2)-tensor fields, connections, the Lie derivative.
 
 Index convention, used everywhere: a (1,1)-tensor is stored as the matrix
 T[h][i] with h the output (row) index, so (T X)^h = sum_i T[h][i] X^i.
@@ -281,58 +281,37 @@ def compose_t11(S: Tensor11Field, T: Tensor11Field) -> Tensor11Field:
     return Tensor11Field(chart, tuple(rows))
 
 
-def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    chart = _same_chart(X, Y)
-    n = chart.dimension
-    names = chart.variables
-    comps = []
-    for h in range(n):
-        acc = X.components[0].zero()
-        for a in range(n):
-            acc = acc + X.components[a] * Y.components[h].diff(names[a])
-            acc = acc - Y.components[a] * X.components[h].diff(names[a])
-        comps.append(acc)
-    return VectorField(chart, tuple(comps))
-
-
-def lie_derivative_t11(V: VectorField, T: Tensor11Field) -> Tensor11Field:
+def lie_derivative(V: VectorField, T: VectorField | Tensor11Field | Tensor12Field):
+    """L_V T for T with one upper index and 0, 1 or 2 lower ones (a
+    VectorField, Tensor11Field or Tensor12Field): (L_V T)^h_I = sum_a V^a d_a
+    T^h_I - T^a_I d_a V^h + sum_m T^h_{I, i_m -> a} d_{i_m} V^a, summed in
+    this order.  On a vector field it is the bracket [V, T]."""
     chart = _same_chart(V, T)
     n = chart.dimension
     names = chart.variables
-    rows = []
-    for h in range(n):
-        row = []
-        for i in range(n):
-            acc = V.components[0].zero()
-            for a in range(n):
-                acc = acc + V.components[a] * T.components[h][i].diff(names[a])
-                acc = acc - T.components[a][i] * V.components[h].diff(names[a])
-                acc = acc + T.components[h][a] * V.components[a].diff(names[i])
-            row.append(acc)
-        rows.append(tuple(row))
-    return Tensor11Field(chart, tuple(rows))
+    v = V.components
 
+    def at(h, idx):
+        c = T.components[h]
+        for i in idx:
+            c = c[i]
+        return c
 
-def lie_derivative_t12(V: VectorField, N: Tensor12Field) -> Tensor12Field:
-    chart = _same_chart(V, N)
-    n = chart.dimension
-    names = chart.variables
-    cube = []
-    for h in range(n):
-        plane = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = V.components[0].zero()
-                for a in range(n):
-                    acc = acc + V.components[a] * N.components[h][i][j].diff(names[a])
-                    acc = acc - N.components[a][i][j] * V.components[h].diff(names[a])
-                    acc = acc + N.components[h][a][j] * V.components[a].diff(names[i])
-                    acc = acc + N.components[h][i][a] * V.components[a].diff(names[j])
-                row.append(acc)
-            plane.append(tuple(row))
-        cube.append(tuple(plane))
-    return Tensor12Field(chart, tuple(cube))
+    def entry(h, idx):
+        acc = v[0].zero()
+        for a in range(n):
+            acc = acc + v[a] * at(h, idx).diff(names[a])
+            acc = acc - at(a, idx) * v[h].diff(names[a])
+            for m, i in enumerate(idx):
+                acc = acc + at(h, idx[:m] + (a,) + idx[m + 1:]) * v[a].diff(names[i])
+        return acc
+
+    def build(h, idx, c):  # c = T^h_idx, a component or a tuple of them
+        if isinstance(c, RatFunc):
+            return entry(h, idx)
+        return tuple(build(h, idx + (i,), ci) for i, ci in enumerate(c))
+
+    return type(T)(chart, tuple(build(h, (), c) for h, c in enumerate(T.components)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (Tensor11Field, Tensor12Field, VectorField, apply_t11,
-                       compose_t11, invert_t11, lie_bracket, per_run)
+                       compose_t11, invert_t11, lie_derivative, per_run)
 from .metallic import (MetallicStructure, StructureError, check_square_is,
                        metallic_from_product, metallic_recipe,
                        projectors_from_metallic)
@@ -36,10 +36,10 @@ from .symexpr import Chart, RatFunc, parse_expr
 def nijenhuis_apply(T: Tensor11Field, X: VectorField, Y: VectorField) -> VectorField:
     """N_T(X, Y) straight from the definition, through Lie brackets."""
     tx, ty = apply_t11(T, X), apply_t11(T, Y)
-    out = lie_bracket(tx, ty)
-    out = out - apply_t11(T, lie_bracket(tx, Y))
-    out = out - apply_t11(T, lie_bracket(X, ty))
-    out = out + apply_t11(compose_t11(T, T), lie_bracket(X, Y))
+    out = lie_derivative(tx, ty)
+    out = out - apply_t11(T, lie_derivative(tx, Y))
+    out = out - apply_t11(T, lie_derivative(X, ty))
+    out = out + apply_t11(compose_t11(T, T), lie_derivative(X, Y))
     return out
 
 
@@ -128,7 +128,7 @@ def frobenius_criterion(D: Distribution, complement_projector: Tensor11Field) ->
         raise StructureError("projectors are not complementary")
     cols = [apply_t11(D.projector, VectorField.basis(chart, i)) for i in range(chart.dimension)]
     return Tensor12Field.antisymmetric(chart, lambda i, j: apply_t11(
-        complement_projector, lie_bracket(cols[i], cols[j])))
+        complement_projector, lie_derivative(cols[i], cols[j])))
 
 
 def example_41_chart() -> Chart:

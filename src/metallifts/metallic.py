@@ -19,11 +19,14 @@ class StructureError(ValueError):
     pass
 
 
+def square_residual(T: Tensor11Field, k) -> Tensor11Field:
+    """T o T - k*I."""
+    return compose_t11(T, T) - Tensor11Field.identity(T.chart).scale(k)
+
+
 def check_square_is(T: Tensor11Field, scalar, what: str) -> None:
     """Require T o T == scalar * I; raise naming the violating component."""
-    chart = T.chart
-    residual = compose_t11(T, T) - Tensor11Field.identity(chart).scale(scalar)
-    bad = residual.first_nonzero()
+    bad = square_residual(T, scalar).first_nonzero()
     if bad is not None:
         h, i, c = bad
         raise StructureError(

@@ -7,6 +7,7 @@ radicand ``d``.  ``d == 0`` marks a pure rational.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +32,25 @@ def squarefree_split(n: int) -> tuple[int, int]:
         if e % 2:
             d *= p
     return k, d
+
+
+def rational_text(q: Fraction) -> str:
+    """str(q), also for a part with more digits than str() converts at once
+    (sys.get_int_max_str_digits(), kept: it bounds what the parser reads)."""
+    num = _int_text(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_text(q.denominator)}"
+
+
+def _int_text(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past the limit: print in chunks below it
+        width = sys.get_int_max_str_digits() - 1
+    step, rest, chunks = 10 ** width, abs(n), []
+    while rest >= step:
+        rest, low = divmod(rest, step)
+        chunks.append(str(low).zfill(width))
+    return ("-" if n < 0 else "") + str(rest) + "".join(reversed(chunks))
 
 
 def _normalize(a: Fraction, b: Fraction, d: int) -> tuple[Fraction, Fraction, int]:
@@ -151,11 +171,11 @@ class QuadScalar:
 
     def __str__(self):
         if self.b == 0:
-            return str(self.a)
+            return rational_text(self.a)
         if self.a == 0:
-            return f"{self.b}*sqrt({self.d})"
+            return f"{rational_text(self.b)}*sqrt({self.d})"
         sign, b = ("-", -self.b) if self.b < 0 else ("+", self.b)
-        return f"{self.a} {sign} {b}*sqrt({self.d})"
+        return f"{rational_text(self.a)} {sign} {rational_text(b)}*sqrt({self.d})"
 
 
 @dataclass(frozen=True)

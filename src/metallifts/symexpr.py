@@ -9,25 +9,25 @@ kept in normal form, of degree at most 1 in ``s`` (``s^2`` is rewritten to
 ``s``: a divisor ``A + s*B`` is rationalised by its conjugate into the
 norm ``A^2 - d*B^2``.  Trial division, ``gcd``, ``monic`` and ``diff``
 therefore all run over ``QQ``.  Every operation cancels numerator against
-denominator bases by exact division, so the reduced pair is restored
-without expensive polynomial gcds; the zero function is represented
-uniquely by a zero numerator (``A + s*B == 0`` iff ``A == B == 0``), which
-makes ``is_zero`` the decidable verdict primitive behind every identity
-check.  Equality is decided by exact cross-multiplication, independent of
-how the denominators happen to be factored.
+denominator bases by exact division and hands the constructor a reduced
+pair, with no gcd of the two (only ``reduced()`` takes one).  The zero
+function is represented uniquely by a zero numerator (``A + s*B == 0`` iff
+``A == B == 0``), which makes ``is_zero`` the decidable verdict primitive
+behind every identity check.  Equality is decided by exact
+cross-multiplication, independent of how the denominators are factored.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-import sympy
-from sympy import QQ
+from sympy import QQ, Symbol
 from sympy.polys.rings import ring as _sparse_ring
 
-from .numfield import IncompatibleRadicands, MetallicParams, QuadScalar
+from .numfield import IncompatibleRadicands, MetallicParams, QuadScalar, rational_text
 
 
 class ExprError(ValueError):
@@ -128,17 +128,13 @@ class Chart:
 
 
 @lru_cache(maxsize=None)
-def _chart_symbols(names: tuple[str, ...]):
-    return tuple(sympy.Symbol(n) for n in names)
-
-
-@lru_cache(maxsize=None)
 def _poly_ring(names: tuple[str, ...]):
     """QQ[names..., s]; the radical's symbol is named apart from the chart's."""
     radical = "_s"
     while radical in names:
         radical = "_" + radical
-    return _sparse_ring(_chart_symbols(names) + (sympy.Symbol(radical),), QQ)[0]
+    # Symbols, not strings: ring() would parse "a:c" or "x,y" as several.
+    return _sparse_ring([Symbol(n) for n in names + (radical,)], QQ)[0]
 
 
 def _has_radical(p) -> bool:
@@ -205,42 +201,13 @@ class RatFunc:
 
     __slots__ = ("chart", "field", "num", "factors", "_den", "_diffs")
 
-    def __init__(self, chart: Chart, field: CoeffField, num, den):
-        self.chart = chart
-        self.field = field
-        if not den:
-            raise DivisionByZeroExpr("zero denominator")
-        if field.d and _has_radical(den):
-            # num/(A + s*B) = num*(A - s*B) / (A^2 - d*B^2)
-            a, b = _split(den)
-            num = field.fold(num * (a - b * den.ring.gens[-1]))
-            den = a * a - b * b * field.d
-        if not num:
-            self.num, self.factors = num, ()
-        elif den.is_ground:
-            lc = den.LC
-            self.num = num if lc == den.ring.domain.one else num.quo_ground(lc)
-            self.factors = ()
-        else:
-            g = num.gcd(den)
-            if not g.is_ground:
-                num, den = num.quo(g), den.quo(g)
-            lc = den.LC
-            if lc != den.ring.domain.one:
-                num, den = num.quo_ground(lc), den.monic()
-            self.num = num
-            self.factors = () if den == den.ring.one else ((den, 1),)
+    def __init__(self, chart: Chart, field: CoeffField, num, factors):
+        """num / prod(base**e for base, e in factors), taken as given: every
+        operation passes its result in normal form, each base monic."""
+        self.chart, self.field, self.num = chart, field, num
+        self.factors = factors if num else ()
         self._den = None
         self._diffs = None
-
-    @classmethod
-    def _trusted(cls, chart, field, num, factors) -> RatFunc:
-        obj = object.__new__(cls)
-        obj.chart, obj.field, obj.num = chart, field, num
-        obj.factors = factors if num else ()
-        obj._den = None
-        obj._diffs = None
-        return obj
 
     # -- denominator handling -----------------------------------------
 
@@ -323,7 +290,7 @@ class RatFunc:
             if not num:
                 return RatFunc.constant(a.chart, 0, field)
             num, factors = self._reduce(num, dict(a.factors))
-            return RatFunc._trusted(a.chart, field, num, factors)
+            return RatFunc(a.chart, field, num, factors)
         fa, fb = dict(a.factors), dict(b.factors)
         merged = dict(fa)
         for base, e in fb.items():
@@ -341,15 +308,15 @@ class RatFunc:
         if not num:
             return RatFunc.constant(a.chart, 0, field)
         num, factors = self._reduce(num, merged)
-        return RatFunc._trusted(a.chart, field, num, factors)
+        return RatFunc(a.chart, field, num, factors)
 
     __radd__ = __add__
 
     def _with_field(self, field: CoeffField) -> RatFunc:
-        return RatFunc._trusted(self.chart, field, self.num, self.factors)
+        return RatFunc(self.chart, field, self.num, self.factors)
 
     def __neg__(self):
-        return RatFunc._trusted(self.chart, self.field, -self.num, self.factors)
+        return RatFunc(self.chart, self.field, -self.num, self.factors)
 
     def __sub__(self, other):
         other = self._coerce(self.chart, other)
@@ -371,7 +338,7 @@ class RatFunc:
         for base, e in other.factors:
             merged[base] = merged.get(base, 0) + e
         num, factors = self._reduce(field.fold(self.num * other.num), merged)
-        return RatFunc._trusted(self.chart, field, num, factors)
+        return RatFunc(self.chart, field, num, factors)
 
     __rmul__ = __mul__
 
@@ -382,7 +349,9 @@ class RatFunc:
         if self.field.d and _has_radical(self.num):
             # 1/(g*(A + s*B)) = (A - s*B) / (g * (A^2 - d*B^2)), g = gcd(A, B).
             a, b = _split(self.num)
-            g = a.gcd(b) if a else b.monic()
+            # monic: over QQ, sympy's gcd keeps the content of a one-term
+            # operand (gcd(2, 4) = 2, gcd(2*x, 4*x) = 2*x).
+            g = (a.gcd(b) if a else b).monic()
             a, b = a.quo(g), b.quo(g)
             norm = a * a - b * b * self.field.d
             num = num.quo_ground(norm.LC) * (a - b * self.num.ring.gens[-1])
@@ -399,17 +368,16 @@ class RatFunc:
                 if not base.is_ground:
                     factors[base] = factors.get(base, 0) + 1
             num, factors = self._reduce(num, factors)
-            return RatFunc._trusted(self.chart, self.field, num, factors)
+            return RatFunc(self.chart, self.field, num, factors)
         if self.num.is_ground:
-            return RatFunc._trusted(self.chart, self.field,
-                                    num.quo_ground(self.num.LC), ())
+            return RatFunc(self.chart, self.field, num.quo_ground(self.num.LC), ())
         lc = self.num.LC
         if lc == self.num.ring.domain.one:
             base = self.num
         else:
             base = self.num.monic()
             num = num.quo_ground(lc)
-        return RatFunc._trusted(self.chart, self.field, num, ((base, 1),))
+        return RatFunc(self.chart, self.field, num, ((base, 1),))
 
     def __truediv__(self, other):
         other = self._coerce(self.chart, other)
@@ -429,8 +397,7 @@ class RatFunc:
         if n == 0:
             return self.one()
         factors = tuple((b, e * n) for b, e in self.factors)
-        return RatFunc._trusted(self.chart, self.field,
-                                self.field.fold(self.num ** n), factors)
+        return RatFunc(self.chart, self.field, self.field.fold(self.num ** n), factors)
 
     # -- predicates & equality ----------------------------------------
 
@@ -463,7 +430,12 @@ class RatFunc:
     def reduced(self) -> RatFunc:
         """Fully gcd-reduced canonical form (numerator and denominator
         coprime, denominator monic, expanded and free of s)."""
-        return RatFunc(self.chart, self.field, self.num, self.den)
+        num, den = self.num, self.den
+        if num and not den.is_ground:
+            g = num.gcd(den)
+            num, den = num.quo(g), den.quo(g)
+            num, den = num.quo_ground(den.LC), den.monic()
+        return RatFunc(self.chart, self.field, num, () if den.is_ground else ((den, 1),))
 
     # -- calculus -----------------------------------------------------
 
@@ -475,7 +447,7 @@ class RatFunc:
             return cached
         gen = self.num.ring.gens[self.chart.index(var)]
         if not self.factors:
-            out = RatFunc._trusted(self.chart, self.field, self.num.diff(gen), ())
+            out = RatFunc(self.chart, self.field, self.num.diff(gen), ())
         else:
             den = self.den
             t = self.num.diff(gen) * den - self.num * den.diff(gen)
@@ -484,7 +456,7 @@ class RatFunc:
             else:
                 merged = {base: 2 * e for base, e in self.factors}
                 num, factors = self._reduce(t, merged)
-                out = RatFunc._trusted(self.chart, self.field, num, factors)
+                out = RatFunc(self.chart, self.field, num, factors)
         self._diffs[var] = out
         return out
 
@@ -528,8 +500,8 @@ class RatFunc:
         def lift(p):
             return zero.new({m[:-1] + pad + m[-1:]: c for m, c in p.items()})
 
-        return RatFunc._trusted(target, self.field, lift(self.num),
-                                tuple((lift(base), e) for base, e in self.factors))
+        return RatFunc(target, self.field, lift(self.num),
+                       tuple((lift(base), e) for base, e in self.factors))
 
     # -- numeric ------------------------------------------------------
 
@@ -569,13 +541,13 @@ def _cached_constant(chart: Chart, d: int, value) -> RatFunc:
     n = chart.dimension
     parts = {(0,) * n + (0,): value.a, (0,) * n + (1,): value.b}
     num = R.from_dict({m: QQ(c.numerator, c.denominator) for m, c in parts.items() if c})
-    return RatFunc._trusted(chart, field, num, ())
+    return RatFunc(chart, field, num, ())
 
 
 @lru_cache(maxsize=None)
 def _cached_variable(chart: Chart, d: int, name: str) -> RatFunc:
     R = _poly_ring(chart.variables)
-    return RatFunc._trusted(chart, coeff_field(d), R.gens[chart.index(name)], ())
+    return RatFunc(chart, coeff_field(d), R.gens[chart.index(name)], ())
 
 
 def _fraction(c) -> Fraction:
@@ -622,16 +594,17 @@ def _quad_text(c: QuadScalar, params: MetallicParams | None) -> str:
     """Render a coefficient inside the expression grammar, whose radical is
     params' sqrtD; without matching params the radical reads sqrt(d)."""
     if c.is_rational:
-        return str(c.a)
+        return rational_text(c.a)
     if params is not None and params.radicand == c.d:
         name, scale = "sqrtD", c.b / params.sqrtD.b  # b*sqrt(d) == scale * sqrtD
     else:
         name, scale = f"sqrt({c.d})", c.b
-    rad = name if scale == 1 else (f"-{name}" if scale == -1 else f"{scale}*{name}")
+    rad = (name if scale == 1 else f"-{name}" if scale == -1
+           else f"{rational_text(scale)}*{name}")
     if c.a == 0:
         return rad
     sign = "-" if rad.startswith("-") else "+"
-    return f"({c.a} {sign} {rad.lstrip('-')})"
+    return f"({rational_text(c.a)} {sign} {rad.lstrip('-')})"
 
 
 def _poly_text(p, field: CoeffField, params: MetallicParams | None,
@@ -691,6 +664,15 @@ class ParseError(ExprError):
 
 
 _TOKEN_CHARS = set("+-*/^()")
+_DIGITS = set("0123456789")  # str.isdigit() also takes "²", which int() refuses
+
+
+def _integer(text: str, at: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"integer literal of {len(text)} digits exceeds the limit "
+                         f"{sys.get_int_max_str_digits()}", at) from None
 
 
 def _degree(p) -> int:
@@ -707,9 +689,9 @@ def _tokenize(text: str):
         elif ch in _TOKEN_CHARS:
             tokens.append((ch, ch, i))
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -823,7 +805,7 @@ class _Parser:
             tok = self.take("int")
             if neg:
                 raise ParseError("exponent must be a nonnegative integer", tok[2])
-            n = int(tok[1])
+            n = _integer(tok[1], tok[2])
             if n > MAX_DEGREE:
                 raise ParseError(f"exponent {n} exceeds the limit {MAX_DEGREE}", tok[2])
             for p in (base.num, base.den):
@@ -836,7 +818,7 @@ class _Parser:
         kind, text, at = self.peek()
         if kind == "int":
             self.take()
-            return RatFunc.constant(self.chart, int(text), self.field)
+            return RatFunc.constant(self.chart, _integer(text, at), self.field)
         if kind == "ident":
             self.take()
             return self.resolve(text, at)

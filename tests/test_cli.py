@@ -193,6 +193,42 @@ def test_deeply_nested_structure_row_exits_2(tmp_path, capsys):
     assert "nests deeper than 100 levels" in capsys.readouterr().err
 
 
+# Integer literals int() refuses: a digit outside ASCII, and one with more
+# digits than the interpreter converts (sys.get_int_max_str_digits()).
+BAD_LITERALS = {"superscript": "\u00b2", "long": "1" * 5000}
+
+
+@pytest.mark.parametrize("literal", BAD_LITERALS.values(), ids=BAD_LITERALS.keys())
+def test_unconvertible_literal_in_a_row_exits_2(tmp_path, capsys, literal):
+    path = tmp_path / "literal.scn"
+    path.write_text(OVERFLOWING.replace("row 1 , 0", f"row {literal} , 0"), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert "(at position 0)" in capsys.readouterr().err
+
+
+def test_unconvertible_literal_in_a_check_is_an_error_at_its_position(tmp_path, capsys):
+    path = tmp_path / "literal.scn"
+    path.write_text(OVERFLOWING.replace("x^2000", "x^\u00b2"), encoding="utf-8")
+    assert main(["run", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "error: in expression 'x^\u00b2': unexpected character '\u00b2' (at position 2)" in out
+    assert "[PASS] check almost_product P" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("where", ["check", "row"])
+def test_coefficient_past_the_int_string_limit_is_rendered(tmp_path, capsys, where, fmt):
+    # The residual's coefficient 10^6000 - 1 (or its square, for the row)
+    # has more digits than str() converts at once.
+    big = "(10^2000)^3"
+    text = (OVERFLOWING.replace("x^2000", big) if where == "check"
+            else OVERFLOWING.replace("row 1 , 0", f"row {big} , 0"))
+    path = tmp_path / "big.scn"
+    path.write_text(text)
+    assert main(["run", str(path), "--format", fmt]) == 1
+    assert "9" * 6000 in capsys.readouterr().out
+
+
 def test_unexpected_exception_in_a_check_is_contained(tmp_path, capsys, monkeypatch):
     def boom(ctx, args):
         raise RuntimeError("boom")

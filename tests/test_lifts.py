@@ -3,7 +3,7 @@ import pytest
 from metallifts.cli import load_builtin
 from metallifts.geometry import (Connection, Tensor11Field, VectorField,
                                  apply_t11, compose_t11, invert_t11,
-                                 lie_bracket)
+                                 lie_derivative)
 from metallifts.lifts import (complete_lift_t11, complete_lift_vf, frame_matrix,
                               horizontal_lift_t11, horizontal_lift_vf,
                               jtilde_structure, nabla_gamma_t11, tangent_bundle,
@@ -56,21 +56,21 @@ def test_complete_lift_keeps_the_squared_factor():
 
 def test_complete_complete_bracket(rng):
     X, Y = rand_vector(rng, CH), rand_vector(rng, CH)
-    lhs = lie_bracket(complete_lift_vf(X), complete_lift_vf(Y))
-    rhs = complete_lift_vf(lie_bracket(X, Y))
+    lhs = lie_derivative(complete_lift_vf(X), complete_lift_vf(Y))
+    rhs = complete_lift_vf(lie_derivative(X, Y))
     assert (lhs - rhs).is_zero
 
 
 def test_complete_vertical_bracket(rng):
     X, Y = rand_vector(rng, CH), rand_vector(rng, CH)
-    lhs = lie_bracket(complete_lift_vf(X), vertical_lift_vf(Y))
-    rhs = vertical_lift_vf(lie_bracket(X, Y))
+    lhs = lie_derivative(complete_lift_vf(X), vertical_lift_vf(Y))
+    rhs = vertical_lift_vf(lie_derivative(X, Y))
     assert (lhs - rhs).is_zero
 
 
 def test_vertical_vertical_bracket(rng):
     X, Y = rand_vector(rng, CH), rand_vector(rng, CH)
-    assert lie_bracket(vertical_lift_vf(X), vertical_lift_vf(Y)).is_zero
+    assert lie_derivative(vertical_lift_vf(X), vertical_lift_vf(Y)).is_zero
 
 
 # -- complete lift of (1,1)-tensors ----------------------------------------

@@ -95,16 +95,32 @@ def test_division_inverts_multiplication(a, b):
         assert a / b == a * b.reciprocal()
 
 
+def test_reciprocal_divides_by_a_monic_gcd():
+    # 1/(A + s*B) divides A and B by their gcd; over QQ sympy's gcd keeps
+    # the content of one-term operands: gcd(2, 4) = 2, gcd(2*x, 4*x) = 2*x.
+    c = parse_expr("2 + 2*sqrtD", CH, P8)  # A = 2, B = 4
+    assert c * c.reciprocal() == 1
+    # A base 2*x would make every later trial division by it loop forever.
+    f = parse_expr("2*x + 2*sqrtD*x", CH, P8)
+    assert [base.LC for base, _ in f.reciprocal().factors] == [1]
+
+
 @settings(max_examples=30, deadline=None)
 @given(any_ratfuncs())
 def test_equality_and_reduction(a):
-    r = a.reduced()
-    assert r == a
-    assert r.reduced() == r
-    assert radical_free_den(r)
+    m = X * Y + 1
+    # (a*m) / (m*(x+2)) keeps m on both sides: trial division by the whole
+    # base m*(x+2) fails, and only reduced() cancels m.
+    for f in (a, (a * m) / (m * (X + 2))):
+        r = f.reduced()
+        assert r == f
+        assert r.reduced() == r
+        assert radical_free_den(r)
+        # Fully reduced: numerator and denominator coprime, denominator monic.
+        assert r.num.gcd(r.den).is_ground
+        assert r.den.LC == r.den.ring.domain.one
     # Scaling numerator and denominator by the same polynomial must not
     # change the value.
-    m = X * Y + 1
     assert (a * m) / m == a
 
 
@@ -203,10 +219,7 @@ def test_constant_recognition_quad(c):
 def test_denominators_free_of_radical(a, b):
     results = [a, a * b, a + b, a.diff("x"), a.reduced()]
     if not b.is_zero:
-        # The constructor rationalises a numerator pair (a.num, b.num).
-        quotient = RatFunc(CH, a.field.join(b.field), a.num * b.den, b.num * a.den)
-        assert quotient == a / b
-        results += [a / b, b.reciprocal(), b ** -2, quotient]
+        results += [a / b, b.reciprocal(), b ** -2]
     assert all(radical_free_den(r) for r in results)
 
 
