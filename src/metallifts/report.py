@@ -169,9 +169,11 @@ def render_text(report: Report, params) -> str:
         zero_res = [ (r, s) for r, s in c.numeric if r.expect == "zero" ]
         if zero_res:
             worst = max(s.max_abs for _, s in zero_res)
+            fewest, most = min(s.points for _, s in zero_res), max(s.points for _, s in zero_res)
+            points = f"{fewest}" if fewest == most else f"{fewest} to {most}"
             lines.append(f"       {len(zero_res)} zero-residual(s), "
                          f"numeric max |value| = {worst:.3e} over "
-                         f"{NUM_POINTS} seeded points each")
+                         f"{points} seeded points each")
         for r, s in c.numeric:
             if r.expect == "zero" and not r.expr.is_zero:
                 lines.append(f"       nonzero residual {r.label} = "

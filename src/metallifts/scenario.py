@@ -87,6 +87,12 @@ def _split_kv(token: str, key: str, path, lineno) -> str:
     return token[len(key) + 1:]
 
 
+def _excerpt(text: str) -> str:
+    """text quoted for an error message, cut after 60 characters: the parse
+    error that follows it names the position."""
+    return repr(text) if len(text) <= 60 else f"{text[:60]!r}... ({len(text)} characters)"
+
+
 class _Loader:
     def __init__(self, text: str, path: str | None):
         self.path = path
@@ -119,7 +125,7 @@ class _Loader:
             try:
                 out.append(parse_expr(piece, self.chart, self.params))
             except ExprError as exc:
-                raise self.err(f"in expression {piece!r}: {exc}", lineno) from exc
+                raise self.err(f"in expression {_excerpt(piece)}: {exc}", lineno) from exc
         return out
 
     def close_pending(self):

@@ -1,20 +1,26 @@
 """Multivariate rational functions over Q(sqrt(d)) in named chart coordinates.
 
-A ``RatFunc`` is a numerator polynomial in ``QQ[x, s]/(s^2 - d)``, where
-``x`` are the chart coordinates and the extra generator ``s`` stands for
-``sqrt(d)``, together with a factored denominator: a tuple of monic base
-polynomials in ``QQ[x]`` with positive integer exponents.  Numerators are
-kept in normal form, of degree at most 1 in ``s`` (``s^2`` is rewritten to
-``d`` after every product and power), and denominators never contain
-``s``: a divisor ``A + s*B`` is rationalised by its conjugate into the
-norm ``A^2 - d*B^2``.  Trial division, ``gcd``, ``monic`` and ``diff``
-therefore all run over ``QQ``.  Every operation cancels numerator against
-denominator bases by exact division and hands the constructor a reduced
-pair, with no gcd of the two (only ``reduced()`` takes one).  The zero
-function is represented uniquely by a zero numerator (``A + s*B == 0`` iff
-``A == B == 0``), which makes ``is_zero`` the decidable verdict primitive
-behind every identity check.  Equality is decided by exact
-cross-multiplication, independent of how the denominators are factored.
+A ``RatFunc`` is ``c * N / prod(F_i^e_i)``: a rational content ``c`` (an
+int when integral, else a ``Fraction``), a numerator ``N`` in ``ZZ[x, s]/
+(s^2 - d)``, where ``x`` are the chart coordinates and ``s`` stands for
+``sqrt(d)``, and a tuple of denominator bases ``F_i`` in ``ZZ[x]`` with
+positive integer exponents.  ``N`` and each ``F_i`` are primitive
+(coefficient gcd 1) with a positive leading coefficient, which makes them
+unique, and all coefficient arithmetic is on integers.  ``N`` has degree at
+most 1 in ``s`` (``s^2`` is rewritten to ``d`` after every product and
+power), and denominators never contain ``s``: a divisor ``A + s*B`` is
+rationalised by its conjugate into the norm ``A^2 - d*B^2``.  By Gauss's
+lemma products and exact quotients of primitive polynomials are primitive,
+so the content is taken again only after a sum, a derivative or a rewrite
+of ``s^2`` (``(1+s)(1-s) = 1-d``), and for the conjugate product and norm
+of a reciprocal.  Every operation cancels numerator against denominator
+bases by exact trial division over ``ZZ``, with no gcd of the two (only
+``reduced()`` takes one).  Zero is represented uniquely by ``N == 0`` and
+``c == 0`` (``A + s*B == 0`` iff ``A == B == 0``), which makes ``is_zero``
+the decidable verdict primitive behind every identity check.  Equality is
+decided by exact cross-multiplication, independent of how the denominators
+are factored.  Rendering and numeric evaluation read the value as a
+numerator over ``QQ`` divided by monic bases.
 """
 
 from __future__ import annotations
@@ -22,9 +28,9 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
-from sympy import QQ, Symbol
+from sympy import ZZ, Symbol
 from sympy.polys.rings import ring as _sparse_ring
 
 from .numfield import IncompatibleRadicands, MetallicParams, QuadScalar, rational_text
@@ -129,12 +135,12 @@ class Chart:
 
 @lru_cache(maxsize=None)
 def _poly_ring(names: tuple[str, ...]):
-    """QQ[names..., s]; the radical's symbol is named apart from the chart's."""
+    """ZZ[names..., s]; the radical's symbol is named apart from the chart's."""
     radical = "_s"
     while radical in names:
         radical = "_" + radical
     # Symbols, not strings: ring() would parse "a:c" or "x,y" as several.
-    return _sparse_ring([Symbol(n) for n in names + (radical,)], QQ)[0]
+    return _sparse_ring([Symbol(n) for n in names + (radical,)], ZZ)[0]
 
 
 def _has_radical(p) -> bool:
@@ -152,27 +158,63 @@ def _split(p):
     return p.new(a), p.new(b)
 
 
-def _exact_quo(num, base):
-    """num / base when base (monic) divides num exactly, else None.
+def _primitive(p):
+    """(k, p / k) for the integer k that makes the quotient primitive with a
+    positive leading coefficient (the gcd of p's coefficients, signed like
+    its leading coefficient), or (0, 0) for p == 0."""
+    k = gcd(*p.values())
+    if p.LC < 0:
+        k = -k
+    return k, (p if k in (0, 1) else p.quo_ground(k))
 
-    Long division that gives up at the first leading term the leading
-    monomial of base does not divide: a nonzero remainder term can never
-    cancel later, so a failed trial costs a few steps, not a full
-    division."""
+
+def _rat(n, d):
+    """n / d as an int when it is one, else as a Fraction.  Contents are
+    mostly integers, and int arithmetic is many times cheaper."""
+    q = Fraction(n, d)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _combine(c1, p1, c2, p2):
+    """(c, N) with c*N == c1*p1 + c2*p2 and N as _primitive leaves it.  The
+    contents are brought to a common denominator by integer multipliers,
+    whose gcd is divided out first."""
+    if c1 == c2:
+        k, num = _primitive(p1 + p2)
+        return (c1 if k == 1 else c1 * k), num
+    den = lcm(c1.denominator, c2.denominator)
+    m1 = c1.numerator * (den // c1.denominator)
+    m2 = c2.numerator * (den // c2.denominator)
+    g = gcd(m1, m2)
+    m1, m2 = m1 // g, m2 // g
+    num = (p1 if m1 == 1 else p1.mul_ground(m1)) + (p2 if m2 == 1 else p2.mul_ground(m2))
+    k, num = _primitive(num)
+    return _rat(g * k, den), num
+
+
+def _exact_quo(num, base):
+    """num / base when base divides num exactly, else None.
+
+    base is primitive, so by Gauss's lemma every term of a quotient is an
+    integer.  The division gives up at the first leading term that base's
+    leading term does not divide, in monomial or coefficient: such a
+    remainder term can never cancel later, so a failed trial is cheap."""
     ring = num.ring
-    lead, mul, zero = ring.leading_expv, ring.monomial_mul, ring.domain.zero
-    base_lm = base.LM
+    lead, mul = ring.leading_expv, ring.monomial_mul
+    base_lm, base_lc = base.LM, base.LC
     rem, quo = num.copy(), {}
     while rem:
         lm = lead(rem)
         if any(e < f for e, f in zip(lm, base_lm)):
             return None
+        c, r = divmod(rem[lm], base_lc)
+        if r:
+            return None
         m = tuple(e - f for e, f in zip(lm, base_lm))
-        c = rem[lm]
         quo[m] = c
         for bm, bc in base.items():
             k = mul(bm, m)
-            v = rem.get(k, zero) - bc * c
+            v = rem.get(k, 0) - bc * c
             if v:
                 rem[k] = v
             else:
@@ -192,28 +234,45 @@ def _divide_out(num, base, max_exp: int):
     return num, k
 
 
+def _fold(field: CoeffField, c, num):
+    """(c', N) with c'*N == c*num and s^2 rewritten in N.  A product of
+    primitive polynomials stays primitive unless rewritten: (1+s)(1-s) = 1-d."""
+    folded = field.fold(num)
+    if folded is num:
+        return c, num
+    k, folded = _primitive(folded)
+    return (c if k == 1 else c * k), folded
+
+
 def _fkey(base):
-    return sum(base.degrees()), base.listterms()
+    """Bases sort by total degree, then by the terms of the monic base."""
+    lc = base.LC
+    return sum(base.degrees()), [(m, Fraction(c, lc)) for m, c in base.listterms()]
 
 
 class RatFunc:
     """Multivariate rational function on a chart, denominator kept factored."""
 
-    __slots__ = ("chart", "field", "num", "factors", "_den", "_diffs")
+    __slots__ = ("chart", "field", "c", "num", "factors", "_den", "_diffs", "_floats")
 
-    def __init__(self, chart: Chart, field: CoeffField, num, factors):
-        """num / prod(base**e for base, e in factors), taken as given: every
-        operation passes its result in normal form, each base monic."""
+    def __init__(self, chart: Chart, field: CoeffField, c, num, factors):
+        """c * num / prod(base**e for base, e in factors), taken as given:
+        every operation passes its result in normal form, with num and each
+        base primitive over ZZ with a positive leading coefficient, and c
+        an int or a Fraction, 0 exactly when num is."""
         self.chart, self.field, self.num = chart, field, num
+        self.c = c
         self.factors = factors if num else ()
         self._den = None
         self._diffs = None
+        self._floats = None
 
     # -- denominator handling -----------------------------------------
 
     @property
     def den(self):
-        """The expanded denominator polynomial (always monic, free of s)."""
+        """The expanded denominator polynomial (primitive with a positive
+        leading coefficient, free of s)."""
         if self._den is None:
             den = self.num.ring.one
             for base, e in self.factors:
@@ -236,6 +295,8 @@ class RatFunc:
                     del factors[base]
                 elif k:
                     factors[base] = e - k
+        if len(factors) < 2:
+            return num, tuple(factors.items())
         return num, tuple(sorted(factors.items(), key=lambda kv: _fkey(kv[0])))
 
     # -- constructors -------------------------------------------------
@@ -286,11 +347,9 @@ class RatFunc:
         if not b.num:
             return a if a.field is field else a._with_field(field)
         if a.factors == b.factors:
-            num = a.num + b.num
-            if not num:
-                return RatFunc.constant(a.chart, 0, field)
+            c, num = _combine(a.c, a.num, b.c, b.num)
             num, factors = self._reduce(num, dict(a.factors))
-            return RatFunc(a.chart, field, num, factors)
+            return RatFunc(a.chart, field, c, num, factors)
         fa, fb = dict(a.factors), dict(b.factors)
         merged = dict(fa)
         for base, e in fb.items():
@@ -304,19 +363,17 @@ class RatFunc:
                 cof_a = cof_a * base ** da
             if db:
                 cof_b = cof_b * base ** db
-        num = a.num * cof_a + b.num * cof_b
-        if not num:
-            return RatFunc.constant(a.chart, 0, field)
+        c, num = _combine(a.c, a.num * cof_a, b.c, b.num * cof_b)
         num, factors = self._reduce(num, merged)
-        return RatFunc(a.chart, field, num, factors)
+        return RatFunc(a.chart, field, c, num, factors)
 
     __radd__ = __add__
 
     def _with_field(self, field: CoeffField) -> RatFunc:
-        return RatFunc(self.chart, field, self.num, self.factors)
+        return RatFunc(self.chart, field, self.c, self.num, self.factors)
 
     def __neg__(self):
-        return RatFunc(self.chart, self.field, -self.num, self.factors)
+        return RatFunc(self.chart, self.field, -self.c, self.num, self.factors)
 
     def __sub__(self, other):
         other = self._coerce(self.chart, other)
@@ -337,25 +394,26 @@ class RatFunc:
         merged = dict(self.factors)
         for base, e in other.factors:
             merged[base] = merged.get(base, 0) + e
-        num, factors = self._reduce(field.fold(self.num * other.num), merged)
-        return RatFunc(self.chart, field, num, factors)
+        c = other.c if self.c == 1 else self.c if other.c == 1 else self.c * other.c
+        c, num = _fold(field, c, self.num * other.num)
+        num, factors = self._reduce(num, merged)
+        return RatFunc(self.chart, field, c, num, factors)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> RatFunc:
         if not self.num:
             raise DivisionByZeroExpr("division by the zero expression")
-        num = self.den
+        num, c = self.den, _rat(1, self.c)
         if self.field.d and _has_radical(self.num):
             # 1/(g*(A + s*B)) = (A - s*B) / (g * (A^2 - d*B^2)), g = gcd(A, B).
             a, b = _split(self.num)
-            # monic: over QQ, sympy's gcd keeps the content of a one-term
-            # operand (gcd(2, 4) = 2, gcd(2*x, 4*x) = 2*x).
-            g = (a.gcd(b) if a else b).monic()
-            a, b = a.quo(g), b.quo(g)
-            norm = a * a - b * b * self.field.d
-            num = num.quo_ground(norm.LC) * (a - b * self.num.ring.gens[-1])
-            norm = norm.monic()
+            g = _primitive(a.gcd(b) if a else b)[1]
+            if not g.is_ground:
+                a, b = _exact_quo(a, g), _exact_quo(b, g)
+            k, norm = _primitive(a * a - b * b * self.field.d)
+            sign, num = _primitive(num * (a - b * self.num.ring.gens[-1]))
+            c = _rat(c, k * sign)
             # A numerator made by rationalising an earlier denominator has
             # that denominator's norm as a factor of its own norm: split it
             # off, so it cancels against this denominator.
@@ -368,16 +426,10 @@ class RatFunc:
                 if not base.is_ground:
                     factors[base] = factors.get(base, 0) + 1
             num, factors = self._reduce(num, factors)
-            return RatFunc(self.chart, self.field, num, factors)
-        if self.num.is_ground:
-            return RatFunc(self.chart, self.field, num.quo_ground(self.num.LC), ())
-        lc = self.num.LC
-        if lc == self.num.ring.domain.one:
-            base = self.num
-        else:
-            base = self.num.monic()
-            num = num.quo_ground(lc)
-        return RatFunc(self.chart, self.field, num, ((base, 1),))
+            return RatFunc(self.chart, self.field, c, num, factors)
+        # Otherwise the numerator is free of s and is the base as it stands.
+        factors = () if self.num.is_ground else ((self.num, 1),)
+        return RatFunc(self.chart, self.field, c, num, factors)
 
     def __truediv__(self, other):
         other = self._coerce(self.chart, other)
@@ -396,8 +448,9 @@ class RatFunc:
             return self.reciprocal() ** (-n)
         if n == 0:
             return self.one()
+        c, num = _fold(self.field, self.c ** n, self.num ** n)
         factors = tuple((b, e * n) for b, e in self.factors)
-        return RatFunc(self.chart, self.field, self.field.fold(self.num ** n), factors)
+        return RatFunc(self.chart, self.field, c, num, factors)
 
     # -- predicates & equality ----------------------------------------
 
@@ -412,7 +465,7 @@ class RatFunc:
     def constant_value(self) -> QuadScalar:
         if not self.is_constant():
             raise ExprError("not a constant expression")
-        terms = [c for _, c in _poly_terms(self.num, self.field)]
+        terms = [c for _, c in _poly_terms(self.num, self.c, self.field)]
         return terms[0] if terms else QuadScalar(Fraction(0))
 
     def __eq__(self, other):
@@ -421,6 +474,10 @@ class RatFunc:
             if other is None:
                 return NotImplemented
         self._join(other)
+        # The primitive form with a positive leading coefficient is unique,
+        # so the contents must agree and the integer parts cross-multiply.
+        if self.c != other.c:
+            return False
         if self.factors == other.factors:
             return self.num == other.num
         return self.num * other.den == other.num * self.den
@@ -429,13 +486,13 @@ class RatFunc:
 
     def reduced(self) -> RatFunc:
         """Fully gcd-reduced canonical form (numerator and denominator
-        coprime, denominator monic, expanded and free of s)."""
+        coprime, denominator expanded, primitive and free of s)."""
         num, den = self.num, self.den
         if num and not den.is_ground:
-            g = num.gcd(den)
-            num, den = num.quo(g), den.quo(g)
-            num, den = num.quo_ground(den.LC), den.monic()
-        return RatFunc(self.chart, self.field, num, () if den.is_ground else ((den, 1),))
+            g = _primitive(num.gcd(den))[1]
+            num, den = _exact_quo(num, g), _exact_quo(den, g)
+        return RatFunc(self.chart, self.field, self.c, num,
+                       () if den.is_ground else ((den, 1),))
 
     # -- calculus -----------------------------------------------------
 
@@ -447,16 +504,14 @@ class RatFunc:
             return cached
         gen = self.num.ring.gens[self.chart.index(var)]
         if not self.factors:
-            out = RatFunc(self.chart, self.field, self.num.diff(gen), ())
+            t, merged = self.num.diff(gen), {}
         else:
             den = self.den
             t = self.num.diff(gen) * den - self.num * den.diff(gen)
-            if not t:
-                out = self.zero()
-            else:
-                merged = {base: 2 * e for base, e in self.factors}
-                num, factors = self._reduce(t, merged)
-                out = RatFunc(self.chart, self.field, num, factors)
+            merged = {base: 2 * e for base, e in self.factors}
+        k, t = _primitive(t)
+        num, factors = self._reduce(t, merged)
+        out = RatFunc(self.chart, self.field, self.c if k == 1 else self.c * k, num, factors)
         self._diffs[var] = out
         return out
 
@@ -478,9 +533,9 @@ class RatFunc:
             return RatFunc.variable(target, name)
 
         imgs = [image(n) for n in self.chart.variables]
-        out = _poly_at(self.num, imgs, target, self.field)
+        out = _poly_at(self.num, self.c, imgs, target, self.field)
         for base, e in self.factors:
-            img = _poly_at(base, imgs, target, self.field)
+            img = _poly_at(base, 1, imgs, target, self.field)
             if img.is_zero:
                 raise DivisionByZeroExpr("denominator vanishes identically after substitution")
             out = out * img.reciprocal() ** e
@@ -500,18 +555,26 @@ class RatFunc:
         def lift(p):
             return zero.new({m[:-1] + pad + m[-1:]: c for m, c in p.items()})
 
-        return RatFunc(target, self.field, lift(self.num),
+        return RatFunc(target, self.field, self.c, lift(self.num),
                        tuple((lift(base), e) for base, e in self.factors))
 
     # -- numeric ------------------------------------------------------
 
     def eval_numeric(self, point: dict[str, float]) -> float:
+        """The value at a point, from the numerator over QQ and the monic
+        denominator bases; their float coefficients are worked out once per
+        value."""
+        if self._floats is None:
+            r = self.field.d ** 0.5
+            self._floats = (_float_table(self.num, Fraction(self.c, self.den.LC), r),
+                            [(_float_table(base, Fraction(1, base.LC), r), e)
+                             for base, e in self.factors])
         vals = [point[name] for name in self.chart.variables]
-        radical_value = self.field.d ** 0.5
-        nv = _poly_float(self.num, vals, radical_value)
+        num_table, den_tables = self._floats
+        nv = _table_value(num_table, vals)
         dv = 1.0
-        for base, e in self.factors:
-            dv *= _poly_float(base, vals, radical_value) ** e
+        for table, e in den_tables:
+            dv *= _table_value(table, vals) ** e
         if abs(dv) < DEN_THRESHOLD:
             raise ResampleNeeded(f"denominator ~ {dv}")
         return nv / dv
@@ -519,11 +582,13 @@ class RatFunc:
     # -- rendering ----------------------------------------------------
 
     def to_text(self, params: MetallicParams | None = None) -> str:
+        """The numerator over QQ divided by the monic expanded denominator."""
         names = self.chart.variables
-        num = _poly_text(self.num, self.field, params, names)
+        lc = self.den.LC
+        num = _poly_text(self.num, Fraction(self.c, lc), self.field, params, names)
         if not self.factors:
             return num
-        den = _poly_text(self.den, self.field, params, names)
+        den = _poly_text(self.den, Fraction(1, lc), self.field, params, names)
         return f"({num})/({den})"
 
     def __repr__(self):
@@ -538,20 +603,17 @@ def _cached_constant(chart: Chart, d: int, value) -> RatFunc:
     if value.d not in (0, field.d):
         raise IncompatibleRadicands(f"sqrt({value.d}) in field sqrt({field.d})")
     R = _poly_ring(chart.variables)
+    den = lcm(value.a.denominator, value.b.denominator)
     n = chart.dimension
-    parts = {(0,) * n + (0,): value.a, (0,) * n + (1,): value.b}
-    num = R.from_dict({m: QQ(c.numerator, c.denominator) for m, c in parts.items() if c})
-    return RatFunc(chart, field, num, ())
+    parts = {(0,) * n + (0,): value.a * den, (0,) * n + (1,): value.b * den}
+    k, num = _primitive(R.from_dict({m: int(c) for m, c in parts.items() if c}))
+    return RatFunc(chart, field, _rat(k, den), num, ())
 
 
 @lru_cache(maxsize=None)
 def _cached_variable(chart: Chart, d: int, name: str) -> RatFunc:
     R = _poly_ring(chart.variables)
-    return RatFunc(chart, coeff_field(d), R.gens[chart.index(name)], ())
-
-
-def _fraction(c) -> Fraction:
-    return Fraction(int(c.numerator), int(c.denominator))
+    return RatFunc(chart, coeff_field(d), 1, R.gens[chart.index(name)], ())
 
 
 def _coeff_pairs(p):
@@ -563,14 +625,17 @@ def _coeff_pairs(p):
     return pairs.items()
 
 
-def _poly_terms(p, field: CoeffField):
+def _poly_terms(p, scale, field: CoeffField):
+    """The terms of scale * p, each coefficient a QuadScalar."""
     for mono, (a, b) in _coeff_pairs(p):
-        yield mono, QuadScalar(_fraction(a), _fraction(b), field.d)
+        yield mono, QuadScalar(scale * a, scale * b, field.d)
 
 
-def _poly_at(p, images: list[RatFunc], target: Chart, field: CoeffField) -> RatFunc:
+def _poly_at(p, scale, images: list[RatFunc], target: Chart,
+             field: CoeffField) -> RatFunc:
+    """scale * p with images[i] put for the i-th chart variable."""
     out = RatFunc.constant(target, 0, field)
-    for mono, coeff in _poly_terms(p, field):
+    for mono, coeff in _poly_terms(p, scale, field):
         term = RatFunc.constant(target, coeff, field)
         for img, e in zip(images, mono):
             if e:
@@ -579,10 +644,16 @@ def _poly_at(p, images: list[RatFunc], target: Chart, field: CoeffField) -> RatF
     return out
 
 
-def _poly_float(p, vals: list[float], radical_value: float) -> float:
+def _float_table(p, scale: Fraction, radical_value: float):
+    """(chart monomial, float coefficient) for each chart monomial of
+    scale * p."""
+    return [(mono, float(scale * a) + float(scale * b) * radical_value)
+            for mono, (a, b) in _coeff_pairs(p)]
+
+
+def _table_value(table, vals: list[float]) -> float:
     total = 0.0
-    for mono, (a, b) in _coeff_pairs(p):
-        t = float(a) + float(b) * radical_value
+    for mono, t in table:
         for v, e in zip(vals, mono):
             if e:
                 t *= v ** e
@@ -607,9 +678,9 @@ def _quad_text(c: QuadScalar, params: MetallicParams | None) -> str:
     return f"({rational_text(c.a)} {sign} {rad.lstrip('-')})"
 
 
-def _poly_text(p, field: CoeffField, params: MetallicParams | None,
+def _poly_text(p, scale: Fraction, field: CoeffField, params: MetallicParams | None,
                names: tuple[str, ...]) -> str:
-    terms = sorted(((mono, c) for mono, c in _poly_terms(p, field)),
+    terms = sorted(((mono, c) for mono, c in _poly_terms(p, scale, field)),
                    key=lambda mc: mc[0], reverse=True)
     if not terms:
         return "0"

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from metallifts import checks
 from metallifts.cli import builtin_names, load_builtin, main
-from metallifts.report import render_structured, run_scenario
+from metallifts.report import render_structured, render_text, run_scenario
+from metallifts.scenario import parse_scenario
 from metallifts.symexpr import RatFunc
 
 EXPECTED_BUILTINS = {
@@ -227,6 +228,34 @@ def test_coefficient_past_the_int_string_limit_is_rendered(tmp_path, capsys, whe
     path.write_text(text)
     assert main(["run", str(path), "--format", fmt]) == 1
     assert "9" * 6000 in capsys.readouterr().out
+
+
+def test_text_report_counts_the_points_sampled(tmp_path, capsys):
+    # The residual 1 - 10^6000 overflows a float at every point.
+    path = tmp_path / "big.scn"
+    path.write_text(OVERFLOWING.replace("x^2000", "(10^2000)^3"))
+    assert main(["run", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "1 zero-residual(s), numeric max |value| = 0.000e+00 over 0 seeded points each" in out
+    assert "4 zero-residual(s), numeric max |value| = 0.000e+00 over 10 seeded points each" in out
+
+
+def test_text_report_gives_the_range_of_points_sampled():
+    scenario = parse_scenario(OVERFLOWING)
+    report = run_scenario(scenario)
+    almost_product = report.checks[1]  # four zero residuals
+    almost_product.numeric[0][1].points = 3
+    assert "4 zero-residual(s), numeric max |value| = 0.000e+00 over 3 to 10 seeded points each" \
+        in render_text(report, scenario.params)
+
+
+def test_load_error_quotes_a_long_expression_in_part(tmp_path, capsys):
+    path = tmp_path / "long.scn"
+    path.write_text(OVERFLOWING.replace("row 1 , 0", f"row {'1' * 4000} + q , 0"))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert max(len(line) for line in err.splitlines()) <= 300
+    assert "(4004 characters): unknown identifier 'q' (at position 4003)" in err
 
 
 def test_unexpected_exception_in_a_check_is_contained(tmp_path, capsys, monkeypatch):

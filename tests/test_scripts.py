@@ -1,6 +1,7 @@
 """The bundled scripts run end to end against the package source."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +25,18 @@ def test_run_all_scenarios():
     proc = run_script("run_all_scenarios.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "14/14 scenarios pass" in proc.stdout
+
+
+def test_report_digests_for_one_seed():
+    # The full run covers three workloads at 11 seeds; catalog at seed 1
+    # is its 28 scenarios, each at two sampler seeds.
+    code = ("import report_digests\n"
+            "for line in report_digests.digest_lines('catalog', 1): print(line)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "scripts")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 56
+    assert all(re.fullmatch(r"catalog/1/\w+/\d+ [0-9a-f]{64}", line) for line in lines)
+    assert "catalog/1/example_4_1/7" in {line.split()[0] for line in lines}

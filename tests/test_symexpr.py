@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,6 +58,12 @@ def radical_free_den(f: RatFunc) -> bool:
     return all(m[-1] == 0 for m in f.den)
 
 
+def is_primitive(p) -> bool:
+    """p has integer coefficients with gcd 1 and a positive leading
+    coefficient."""
+    return gcd(*p.values()) == 1 and p.LC > 0
+
+
 # -- chart ------------------------------------------------------------------
 
 def test_chart_basics():
@@ -96,8 +103,8 @@ def test_division_inverts_multiplication(a, b):
 
 
 def test_reciprocal_divides_by_a_monic_gcd():
-    # 1/(A + s*B) divides A and B by their gcd; over QQ sympy's gcd keeps
-    # the content of one-term operands: gcd(2, 4) = 2, gcd(2*x, 4*x) = 2*x.
+    # 1/(A + s*B) divides A and B by their gcd, which must be primitive:
+    # a base with content, such as 2*x, is not one the kernel can divide by.
     c = parse_expr("2 + 2*sqrtD", CH, P8)  # A = 2, B = 4
     assert c * c.reciprocal() == 1
     # A base 2*x would make every later trial division by it loop forever.
@@ -116,12 +123,45 @@ def test_equality_and_reduction(a):
         assert r == f
         assert r.reduced() == r
         assert radical_free_den(r)
-        # Fully reduced: numerator and denominator coprime, denominator monic.
+        # Fully reduced: numerator and denominator coprime, denominator
+        # primitive with a positive leading coefficient.
         assert r.num.gcd(r.den).is_ground
-        assert r.den.LC == r.den.ring.domain.one
+        assert is_primitive(r.den)
     # Scaling numerator and denominator by the same polynomial must not
     # change the value.
     assert (a * m) / m == a
+
+
+@settings(max_examples=30, deadline=None)
+@given(any_ratfuncs(), any_ratfuncs())
+def test_stored_parts_are_primitive(a, b):
+    values = [a, b, a + b, a - b, a * b, a ** 2, -a, a.diff("x"), a.reduced(),
+              a.substitute({"x": X + Y, "y": X * Y - 1})]
+    if not b.is_zero:
+        values.append(a / b)
+    for f in values:
+        assert isinstance(f.c, (int, Fraction))
+        assert (f.c == 0) == f.is_zero
+        assert f.is_zero or is_primitive(f.num)
+        for base, _ in f.factors:
+            assert is_primitive(base)
+            assert not any(m[-1] for m in base)
+
+
+@pytest.mark.parametrize("text, rendered, value", [
+    ("1/(2*x+1)", "(1/2)/(x + 1/2)", "0x1.4000000000000p-1"),
+    ("(3*x+6)/(4*y-2)", "(3/4*x + 3/2)/(y - 1/2)", "-0x1.91745d1745d17p-1"),
+    ("1/(2*x + 2*sqrtD*y)", "(1/2*x - 1/2*sqrtD*y)/(x^2 - 8*y^2)", "-0x1.c64545ed2851ap-4"),
+    ("(x+sqrtD)/(3*x^2-sqrtD*y/2)",
+     "(1/3*x^3 + 1/3*sqrtD*x^2 + 1/18*sqrtD*x*y + 4/9*y)/(x^4 - 2/9*y^2)",
+     "0x1.2b7cb2b78470cp+0"),
+])
+def test_rendering_and_sampling_read_a_monic_denominator(text, rendered, value):
+    # Reports print and sample the numerator over QQ divided by monic
+    # bases, however the kernel stores the value.
+    f = parse_expr(text, CH, P8)
+    assert f.to_text(P8) == rendered
+    assert f.eval_numeric({"x": 0.3, "y": -1.7}).hex() == value
 
 
 @settings(max_examples=30, deadline=None)
