@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .cross_section import (CrossSection, induced_structure, invariance_check,
                             lift_decomposition_check, section_nijenhuis_check)
-from .geometry import (Connection, Tensor11Field, Tensor12Field, VectorField,
-                       apply_t11, compose_t11)
+from .geometry import (Connection, Tensor11Field, Tensor12Field, VectorField, _Field,
+                       _index_label, apply_t11, compose_t11)
 from .integrability import (Distribution, affine_invariance, frobenius_criterion,
                             nijenhuis_t11, np_relation, projector_criterion)
 from .lifts import (complete_lift_t11, frame_swap_product, horizontal_lift_t11,
@@ -30,7 +30,7 @@ from .metallic import (MetallicStructure, composite_relation, metallic_from_prod
                        metallic_recipe, metallic_residual, minimal_polynomial_check,
                        product_from_metallic, projectors_from_metallic, square_residual)
 from .numfield import QuadScalar
-from .scenario import Scenario
+from .scenario import Scenario, _excerpt
 from .symexpr import Chart, ExprError, RatFunc, parse_expr
 
 
@@ -123,25 +123,23 @@ class Context:
         try:
             return parse_expr(text, self.chart, self.params)
         except ExprError as exc:
-            raise CheckError(f"in expression {text!r}: {exc}") from exc
+            raise CheckError(f"in expression {_excerpt(text)}: {exc}") from exc
 
 
-def _tensor_residuals(out: CheckOutcome, label: str, T: Tensor11Field,
-                      expect: str = "zero"):
-    for h, row in enumerate(T.components):
-        for i, c in enumerate(row):
-            out.residuals.append(Residual(f"{label}[{h + 1}][{i + 1}]", c, expect))
+def _tensor_residuals(out: CheckOutcome, label: str, T: _Field, expect: str = "zero"):
+    for index, c in T._entries():
+        out.residuals.append(Residual(label + _index_label(index), c, expect))
 
 
-def _nonzero_witness(out: CheckOutcome, label: str, T: Tensor11Field):
+def _nonzero_witness(out: CheckOutcome, label: str, T: _Field):
     """Record that a tensor is not identically zero via its first nonzero
     component; verdicts on 'nonzero' expectations are existential."""
     bad = T.first_nonzero()
     if bad is None:
         out.facts.append((f"{label} has a nonzero component", False))
     else:
-        h, i, c = bad
-        out.residuals.append(Residual(f"{label}[{h + 1}][{i + 1}]", c, "nonzero"))
+        *index, c = bad
+        out.residuals.append(Residual(label + _index_label(index), c, "nonzero"))
 
 
 def _vector_residuals(out: CheckOutcome, label: str, comps, expect: str = "zero"):
@@ -486,7 +484,7 @@ def check_section_not_invariant(ctx: Context, name, section) -> CheckOutcome:
         out.facts.append(("L_V Psi has a nonzero component", False))
     else:
         out.residuals.append(Residual("L_V Psi (first nonzero component)",
-                                      bad[2], "nonzero"))
+                                      bad[-1], "nonzero"))
     return out
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import (Tensor11Field, Tensor12Field, VectorField, _same_chart, apply_t11,
-                       lie_derivative)
+from .geometry import (Tensor11Field, Tensor12Field, VectorField, _index_label, _same_chart,
+                       apply_t11, lie_derivative)
 from .integrability import nijenhuis_t11
 from .lifts import complete_lift_t11, complete_lift_vf, tangent_bundle, vertical_lift_vf
 from .metallic import MetallicStructure, StructureError
@@ -139,7 +139,7 @@ def induced_structure(M: MetallicStructure, cs: CrossSection) -> MetallicStructu
     bad = inv.lie_derivative.first_nonzero()
     if bad is not None:
         raise StructureError(
-            f"section is not invariant: (L_V Psi)[{bad[0] + 1}][{bad[1] + 1}] != 0")
+            f"section is not invariant: (L_V Psi){_index_label(bad[:-1])} != 0")
 
     chart = cs.chart
     n = chart.dimension

@@ -1,5 +1,10 @@
 """Vector fields, (1,1)- and (1,2)-tensor fields, connections, the Lie derivative.
 
+Every field class derives from one private base, ``_Field``: a chart and the
+nested tuples ``components[h][i]...`` of depth ``rank`` (1 for VectorField, 2
+for Tensor11Field, 3 for Tensor12Field and Connection), with the shape check
+and the algebra written once for every rank.
+
 Index convention, used everywhere: a (1,1)-tensor is stored as the matrix
 T[h][i] with h the output (row) index, so (T X)^h = sum_i T[h][i] X^i.
 A (1,2)-tensor is N[h][i][j] with N(X, Y)^h = N[h][i][j] X^i Y^j.
@@ -10,7 +15,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import wraps
+from functools import partial, reduce, wraps
+from itertools import chain, product, starmap
+from operator import add, mul, neg, sub
+from typing import ClassVar
 
 from .symexpr import Chart, RatFunc
 
@@ -66,116 +74,132 @@ def _as_ratfunc(chart: Chart, value) -> RatFunc:
     return RatFunc.constant(chart, value)
 
 
+def _build(n: int, rank: int, f):
+    """The component tree [h][i]... of depth ``rank`` with ``f(h, i, ...)``
+    at each leaf, called in index order."""
+    tree = tuple(starmap(f, product(range(n), repeat=rank)))
+    for _ in range(rank - 1):  # group each level n at a time
+        tree = tuple(zip(*[iter(tree)] * n))
+    return tree
+
+
+def _walk(rank: int, f, *trees):
+    """``f`` applied leafwise to component trees of one shape."""
+    if rank == 1:
+        return tuple(map(f, *trees))
+    return tuple(map(partial(_walk, rank - 1, f), *trees))
+
+
+def _index_label(index) -> str:
+    """The 1-based component label ``[h][i]...`` of a 0-based index tuple."""
+    return "".join([f"[{i + 1}]" for i in index])
+
+
+def _contract(zero: RatFunc, *factors) -> RatFunc:
+    """sum_k factors[0][k] * factors[1][k] * ..., added in k order from
+    ``zero``; a product with a zero factor is skipped."""
+    acc = zero
+    for term in zip(*factors):
+        for f in term:
+            if f.is_zero:
+                break
+        else:
+            acc = acc + reduce(mul, term)
+    return acc
+
+
 @dataclass(frozen=True)
-class VectorField:
+class _Field:
+    """A field with one upper index and ``rank - 1`` lower ones, stored as
+    nested tuples ``components[h][i]...`` of depth ``rank``, each level of
+    the chart's dimension."""
+
     chart: Chart
-    components: tuple[RatFunc, ...]
+    components: tuple
+    rank: ClassVar[int]
 
     def __post_init__(self):
-        if len(self.components) != self.chart.dimension:
-            raise ValueError("component count must equal chart dimension")
+        n, level = self.chart.dimension, (self.components,)
+        try:
+            for depth in range(self.rank):  # each level has length n
+                if depth:
+                    level = tuple(chain.from_iterable(level))
+                if {*map(len, level)} != {n}:
+                    break
+            else:
+                if isinstance(level[0][0], RatFunc):  # the first leaf, at depth rank
+                    return
+        except TypeError:  # len() of a RatFunc: the tree is shallower than rank
+            pass
+        raise ValueError(f"{type(self).__name__} needs components of shape "
+                         f"{'x'.join([str(n)] * self.rank)}")
 
     @classmethod
-    def make(cls, chart: Chart, comps) -> VectorField:
-        return cls(chart, tuple(_as_ratfunc(chart, c) for c in comps))
+    def make(cls, chart: Chart, components):
+        return cls(chart, _walk(cls.rank, partial(_as_ratfunc, chart), components))
 
     @classmethod
-    def zero(cls, chart: Chart) -> VectorField:
-        return cls.make(chart, [0] * chart.dimension)
+    def zero(cls, chart: Chart):
+        return cls.make(chart, _build(chart.dimension, cls.rank, lambda *index: 0))
+
+    def __add__(self, other):
+        _same_chart(self, other)
+        return type(self)(self.chart, _walk(self.rank, add, self.components, other.components))
+
+    def __sub__(self, other):
+        _same_chart(self, other)
+        return type(self)(self.chart, _walk(self.rank, sub, self.components, other.components))
+
+    def __neg__(self):
+        return type(self)(self.chart, _walk(self.rank, neg, self.components))
+
+    def scale(self, c):
+        c = _as_ratfunc(self.chart, c)
+        return type(self)(self.chart, _walk(self.rank, c.__mul__, self.components))
+
+    def _leaves(self):
+        """The components in index order."""
+        leaves = self.components
+        for _ in range(self.rank - 1):
+            leaves = chain.from_iterable(leaves)
+        return leaves
+
+    def _entries(self):
+        """(index, component) pairs in index order."""
+        return zip(product(range(self.chart.dimension), repeat=self.rank), self._leaves())
+
+    @property
+    def is_zero(self) -> bool:
+        return all(c.is_zero for c in self._leaves())
+
+    def first_nonzero(self):
+        """(*index, component) of the first nonzero component, or None."""
+        return next(((*index, c) for index, c in self._entries() if not c.is_zero), None)
+
+
+class VectorField(_Field):
+    rank = 1
 
     @classmethod
     def basis(cls, chart: Chart, i: int) -> VectorField:
-        return cls.make(chart, [1 if j == i else 0 for j in range(chart.dimension)])
-
-    def __add__(self, other: VectorField) -> VectorField:
-        _same_chart(self, other)
-        return VectorField(self.chart, tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: VectorField) -> VectorField:
-        _same_chart(self, other)
-        return VectorField(self.chart, tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self) -> VectorField:
-        return VectorField(self.chart, tuple(-a for a in self.components))
-
-    def scale(self, c) -> VectorField:
-        c = _as_ratfunc(self.chart, c)
-        return VectorField(self.chart, tuple(c * a for a in self.components))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
+        return cls.make(chart, _build(chart.dimension, 1, lambda j: int(j == i)))
 
 
-@dataclass(frozen=True)
-class Tensor11Field:
-    chart: Chart
-    components: tuple[tuple[RatFunc, ...], ...]  # [h][i]
-
-    def __post_init__(self):
-        n = self.chart.dimension
-        if len(self.components) != n or any(len(row) != n for row in self.components):
-            raise ValueError("(1,1)-tensor must be a square matrix of chart dimension")
-
-    @classmethod
-    def make(cls, chart: Chart, rows) -> Tensor11Field:
-        return cls(chart, tuple(tuple(_as_ratfunc(chart, c) for c in row) for row in rows))
+class Tensor11Field(_Field):
+    rank = 2
 
     @classmethod
     def identity(cls, chart: Chart) -> Tensor11Field:
-        n = chart.dimension
-        return cls.make(chart, [[1 if h == i else 0 for i in range(n)] for h in range(n)])
-
-    @classmethod
-    def zero(cls, chart: Chart) -> Tensor11Field:
-        n = chart.dimension
-        return cls.make(chart, [[0] * n for _ in range(n)])
+        return cls.make(chart, _build(chart.dimension, 2, lambda h, i: int(h == i)))
 
     @classmethod
     def diagonal(cls, chart: Chart, entries) -> Tensor11Field:
-        n = chart.dimension
-        return cls.make(chart, [[entries[h] if h == i else 0 for i in range(n)] for h in range(n)])
-
-    def __add__(self, other: Tensor11Field) -> Tensor11Field:
-        _same_chart(self, other)
-        return Tensor11Field(self.chart, tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.components, other.components)))
-
-    def __sub__(self, other: Tensor11Field) -> Tensor11Field:
-        _same_chart(self, other)
-        return Tensor11Field(self.chart, tuple(
-            tuple(a - b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.components, other.components)))
-
-    def __neg__(self) -> Tensor11Field:
-        return Tensor11Field(self.chart, tuple(tuple(-a for a in row) for row in self.components))
-
-    def scale(self, c) -> Tensor11Field:
-        c = _as_ratfunc(self.chart, c)
-        return Tensor11Field(self.chart, tuple(tuple(c * a for a in row) for row in self.components))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for row in self.components for c in row)
-
-    def first_nonzero(self):
-        """(h, i, component) of the first nonzero component, or None."""
-        return next(((h, i, c) for h, row in enumerate(self.components)
-                     for i, c in enumerate(row) if not c.is_zero), None)
+        return cls.make(chart, _build(chart.dimension, 2,
+                                      lambda h, i: entries[h] if h == i else 0))
 
 
-@dataclass(frozen=True)
-class Tensor12Field:
-    chart: Chart
-    components: tuple[tuple[tuple[RatFunc, ...], ...], ...]  # [h][i][j]
-
-    def __post_init__(self):
-        n = self.chart.dimension
-        ok = len(self.components) == n and all(
-            len(pl) == n and all(len(row) == n for row in pl) for pl in self.components)
-        if not ok:
-            raise ValueError("(1,2)-tensor must be cubical of chart dimension")
+class Tensor12Field(_Field):
+    rank = 3
 
     @classmethod
     def antisymmetric(cls, chart: Chart, value) -> Tensor12Field:
@@ -183,69 +207,28 @@ class Tensor12Field:
         i < j, N(e_j, e_i) = -N(e_i, e_j) and N(e_i, e_i) = 0."""
         n = chart.dimension
         zero = RatFunc.constant(chart, 0)
-        cube = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = value(i, j)
-                for h in range(n):
-                    cube[h][i][j] = v.components[h]
-                    cube[h][j][i] = -v.components[h]
-        return cls(chart, tuple(tuple(tuple(row) for row in plane) for plane in cube))
-
-    def __sub__(self, other: Tensor12Field) -> Tensor12Field:
-        _same_chart(self, other)
-        return Tensor12Field(self.chart, tuple(
-            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
-            for p1, p2 in zip(self.components, other.components)))
-
-    def scale(self, c) -> Tensor12Field:
-        c = _as_ratfunc(self.chart, c)
-        return Tensor12Field(self.chart, tuple(
-            tuple(tuple(c * a for a in row) for row in plane) for plane in self.components))
+        pairs = {(i, j): value(i, j).components for i in range(n) for j in range(i + 1, n)}
+        return cls(chart, _build(n, 3, lambda h, i, j: (
+            pairs[i, j][h] if i < j else -pairs[j, i][h] if i > j else zero)))
 
     def evaluate(self, X: VectorField, Y: VectorField) -> VectorField:
         _same_chart(self, X, Y)
         n = self.chart.dimension
-        comps = []
-        for h in range(n):
-            acc = X.components[0].zero()
-            for i in range(n):
-                for j in range(n):
-                    entry = self.components[h][i][j]
-                    if not entry.is_zero:
-                        acc = acc + entry * X.components[i] * Y.components[j]
-            comps.append(acc)
-        return VectorField(self.chart, tuple(comps))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for plane in self.components for row in plane for c in row)
+        xs = [x for x in X.components for _ in range(n)]  # X^i at index i*n + j
+        ys = Y.components * n  # Y^j at index i*n + j
+        zero = X.components[0].zero()
+        return VectorField(self.chart, tuple(
+            _contract(zero, chain.from_iterable(plane), xs, ys) for plane in self.components))
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(_Field):
     """Affine connection coefficients Gamma[h][l][i]; no symmetry assumed."""
 
-    chart: Chart
-    coefficients: tuple[tuple[tuple[RatFunc, ...], ...], ...]  # [h][l][i]
-
-    def __post_init__(self):
-        n = self.chart.dimension
-        ok = len(self.coefficients) == n and all(
-            len(pl) == n and all(len(row) == n for row in pl)
-            for pl in self.coefficients)
-        if not ok:
-            raise ValueError("connection coefficients must be cubical of chart dimension")
-
-    @classmethod
-    def make(cls, chart: Chart, cube) -> Connection:
-        return cls(chart, tuple(tuple(tuple(_as_ratfunc(chart, c) for c in row)
-                                      for row in plane) for plane in cube))
+    rank = 3
 
     @classmethod
     def flat(cls, chart: Chart) -> Connection:
-        n = chart.dimension
-        return cls.make(chart, [[[0] * n for _ in range(n)] for _ in range(n)])
+        return cls.zero(chart)
 
 
 # ---------------------------------------------------------------------------
@@ -254,31 +237,16 @@ class Connection:
 
 def apply_t11(T: Tensor11Field, X: VectorField) -> VectorField:
     chart = _same_chart(T, X)
-    n = chart.dimension
-    comps = []
-    for h in range(n):
-        acc = X.components[0].zero()
-        for i in range(n):
-            if not T.components[h][i].is_zero:
-                acc = acc + T.components[h][i] * X.components[i]
-        comps.append(acc)
-    return VectorField(chart, tuple(comps))
+    zero = X.components[0].zero()
+    return VectorField(chart, tuple(_contract(zero, row, X.components) for row in T.components))
 
 
 def compose_t11(S: Tensor11Field, T: Tensor11Field) -> Tensor11Field:
     chart = _same_chart(S, T)
-    n = chart.dimension
-    rows = []
-    for h in range(n):
-        row = []
-        for i in range(n):
-            acc = S.components[0][0].zero()
-            for a in range(n):
-                if not (S.components[h][a].is_zero or T.components[a][i].is_zero):
-                    acc = acc + S.components[h][a] * T.components[a][i]
-            row.append(acc)
-        rows.append(tuple(row))
-    return Tensor11Field(chart, tuple(rows))
+    zero = S.components[0][0].zero()
+    columns = tuple(zip(*T.components))
+    return Tensor11Field(chart, tuple(tuple(_contract(zero, row, col) for col in columns)
+                                      for row in S.components))
 
 
 def lie_derivative(V: VectorField, T: VectorField | Tensor11Field | Tensor12Field):
@@ -287,31 +255,19 @@ def lie_derivative(V: VectorField, T: VectorField | Tensor11Field | Tensor12Fiel
     T^h_I - T^a_I d_a V^h + sum_m T^h_{I, i_m -> a} d_{i_m} V^a, summed in
     this order.  On a vector field it is the bracket [V, T]."""
     chart = _same_chart(V, T)
-    n = chart.dimension
-    names = chart.variables
-    v = V.components
+    n, names, v = chart.dimension, chart.variables, V.components
+    t = dict(T._entries())  # T^h_I by the index tuple (h, *I)
 
-    def at(h, idx):
-        c = T.components[h]
-        for i in idx:
-            c = c[i]
-        return c
-
-    def entry(h, idx):
+    def entry(h, *index):
         acc = v[0].zero()
         for a in range(n):
-            acc = acc + v[a] * at(h, idx).diff(names[a])
-            acc = acc - at(a, idx) * v[h].diff(names[a])
-            for m, i in enumerate(idx):
-                acc = acc + at(h, idx[:m] + (a,) + idx[m + 1:]) * v[a].diff(names[i])
+            acc = acc + v[a] * t[(h, *index)].diff(names[a])
+            acc = acc - t[(a, *index)] * v[h].diff(names[a])
+            for m, i in enumerate(index):
+                acc = acc + t[(h, *index[:m], a, *index[m + 1:])] * v[a].diff(names[i])
         return acc
 
-    def build(h, idx, c):  # c = T^h_idx, a component or a tuple of them
-        if isinstance(c, RatFunc):
-            return entry(h, idx)
-        return tuple(build(h, idx + (i,), ci) for i, ci in enumerate(c))
-
-    return type(T)(chart, tuple(build(h, (), c) for h, c in enumerate(T.components)))
+    return type(T)(chart, _build(n, T.rank, entry))
 
 
 # ---------------------------------------------------------------------------

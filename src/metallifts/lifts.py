@@ -104,8 +104,8 @@ def nabla_gamma_t11(T: Tensor11Field, conn: Connection) -> Tensor11Field:
         """(nabla_l T)^h_i"""
         out = T.components[h][i].diff(names[l])
         for a in range(n):
-            out = out + conn.coefficients[h][l][a] * T.components[a][i]
-            out = out - conn.coefficients[a][l][i] * T.components[h][a]
+            out = out + conn.components[h][l][a] * T.components[a][i]
+            out = out - conn.components[a][l][i] * T.components[h][a]
         return out
 
     block = [[tb.fiber_sum([cov(h, i, l) for l in range(n)]) for i in range(n)]
@@ -118,7 +118,7 @@ def horizontal_lift_vf(X: VectorField, conn: Connection) -> VectorField:
     tb = tangent_bundle(X.chart)
     # Row h of the fiber part is -y^l Gamma^h_{la} X^a.
     lower = [-tb.fiber_sum(apply_t11(Tensor11Field(X.chart, gamma), X).components)
-             for gamma in conn.coefficients]
+             for gamma in conn.components]
     return VectorField(tb.chart, tuple([tb.up(c) for c in X.components] + lower))
 
 

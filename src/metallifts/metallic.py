@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Tensor11Field, _same_chart, compose_t11, per_run
+from .geometry import Tensor11Field, _index_label, _same_chart, compose_t11, per_run
 from .numfield import MetallicParams, QuadScalar
 from .symexpr import RatFunc
 
@@ -28,9 +28,9 @@ def check_square_is(T: Tensor11Field, scalar, what: str) -> None:
     """Require T o T == scalar * I; raise naming the violating component."""
     bad = square_residual(T, scalar).first_nonzero()
     if bad is not None:
-        h, i, c = bad
+        *index, c = bad
         raise StructureError(
-            f"{what}: component [{h + 1}][{i + 1}] of the defining relation "
+            f"{what}: component {_index_label(index)} of the defining relation "
             f"is nonzero: {c!r}")
 
 
@@ -43,10 +43,10 @@ class MetallicStructure:
         res = metallic_residual(self.tensor, self.params)
         bad = res.first_nonzero()
         if bad is not None:
-            h, i, c = bad
+            *index, c = bad
             raise StructureError(
                 f"Psi^2 - alpha*Psi - beta*I has nonzero component "
-                f"[{h + 1}][{i + 1}]: {c!r}")
+                f"{_index_label(index)}: {c!r}")
 
     @property
     def chart(self):

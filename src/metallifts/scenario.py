@@ -107,7 +107,7 @@ class _Loader:
         self.distributions: dict = {}
         self.checks: list[CheckSpec] = []
         # the open multi-line item, if any:
-        self.pending = None  # (kind, name, extra, rows)
+        self.pending = None  # (kind, name, extra, rows, lineno)
 
     def err(self, msg, lineno) -> ScenarioError:
         return ScenarioError(msg, self.path, lineno)

@@ -258,6 +258,14 @@ def test_load_error_quotes_a_long_expression_in_part(tmp_path, capsys):
     assert "(4004 characters): unknown identifier 'q' (at position 4003)" in err
 
 
+def test_check_error_quotes_a_long_expression_in_part():
+    scenario = parse_scenario(OVERFLOWING.replace("x^2000", f"{'1' * 4000} + q"))
+    report = json.loads(render_structured(run_scenario(scenario), scenario.params))
+    error = report["checks"][0]["error"]
+    assert len(error) < 300
+    assert "(4004 characters): unknown identifier 'q' (at position 4003)" in error
+
+
 def test_unexpected_exception_in_a_check_is_contained(tmp_path, capsys, monkeypatch):
     def boom(ctx, args):
         raise RuntimeError("boom")

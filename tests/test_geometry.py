@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -52,6 +53,26 @@ def test_apply_and_compose_consistency(rng):
     lhs = apply_t11(compose_t11(S, T), X)
     rhs = apply_t11(S, apply_t11(T, X))
     assert (lhs - rhs).is_zero
+
+    # Sparse inputs, where the contractions skip products with a zero
+    # factor, against plain dense sums.
+    ch3 = Chart(("x", "y", "z"))
+    zero, r = RatFunc.constant(ch3, 0), range(3)
+
+    def sparse(rank):
+        return tree(rank, lambda: zero if rng.random() < 0.5 else rand_poly(rng, ch3), 3)
+
+    for _ in range(4):
+        S, T = Tensor11Field(ch3, sparse(2)), Tensor11Field(ch3, sparse(2))
+        X, Y = VectorField(ch3, sparse(1)), VectorField(ch3, sparse(1))
+        N = Tensor12Field(ch3, sparse(3))
+        s, t, x, y, nn = S.components, T.components, X.components, Y.components, N.components
+        assert list(apply_t11(S, X).components) == [
+            sum((s[h][i] * x[i] for i in r), zero) for h in r]
+        assert [list(row) for row in compose_t11(S, T).components] == [
+            [sum((s[h][a] * t[a][i] for a in r), zero) for i in r] for h in r]
+        assert list(N.evaluate(X, Y).components) == [
+            sum((nn[h][i][j] * x[i] * y[j] for i in r for j in r), zero) for h in r]
 
 
 def test_compose_identity(rng):
@@ -129,6 +150,41 @@ def test_antisymmetric_tensor12_from_pairs(rng):
             assert (N.evaluate(ej, ei) + values[i, j]).is_zero
 
 
+def tree(rank, leaf, n=2):
+    """Nested tuples of depth ``rank`` and size ``n``, ``leaf()`` at each leaf."""
+    return leaf() if rank == 0 else tuple(tree(rank - 1, leaf, n) for _ in range(n))
+
+
+def leaves(rank, t):
+    return [t] if rank == 0 else [c for part in t for c in leaves(rank - 1, part)]
+
+
+@pytest.mark.parametrize("cls", [VectorField, Tensor11Field, Tensor12Field, Connection])
+def test_every_rank_shares_one_field_implementation(rng, cls):
+    rank, x = cls.rank, parse_expr("x", CH)
+    for bad in (tree(rank, lambda: x, n=3), tree(rank - 1, lambda: x),
+                tree(rank + 1, lambda: x)):
+        with pytest.raises(ValueError):
+            cls(CH, bad)
+
+    A, B = (cls(CH, tree(rank, lambda: rand_poly(rng, CH))) for _ in range(2))
+    c = rand_poly(rng, CH)
+    a, b = leaves(rank, A.components), leaves(rank, B.components)
+    assert leaves(rank, (A + B).components) == [p + q for p, q in zip(a, b)]
+    assert leaves(rank, (A - B).components) == [p - q for p, q in zip(a, b)]
+    assert leaves(rank, (-A).components) == [-p for p in a]
+    assert leaves(rank, A.scale(c).components) == [c * p for p in a]
+    assert not A.is_zero and (A - A).is_zero and cls.zero(CH).is_zero
+    assert cls.make(CH, tree(rank, lambda: 0)) == cls.zero(CH)
+
+    assert cls.zero(CH).first_nonzero() is None
+    values = iter([0] * (2 ** rank - 2) + [x, 1])
+    F = cls.make(CH, tree(rank, lambda: next(values)))
+    index = list(product(range(2), repeat=rank))[-2]
+    assert F.first_nonzero() == (*index, x)
+    assert len(F.first_nonzero()) == rank + 1
+
+
 def test_first_nonzero_component():
     assert Tensor11Field.zero(CH).first_nonzero() is None
     x = parse_expr("x", CH)
@@ -138,7 +194,7 @@ def test_first_nonzero_component():
 
 def test_connection_constructors():
     conn = Connection.flat(CH)
-    assert all(g.is_zero for block in conn.coefficients
+    assert all(g.is_zero for block in conn.components
                for row in block for g in row)
     with pytest.raises(ValueError):
         Connection.make(CH, [[[parse_expr("x", CH)]]])
