@@ -11,8 +11,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from sympy import factorint
+from math import isqrt
 
 
 class IncompatibleRadicands(ValueError):
@@ -21,17 +20,28 @@ class IncompatibleRadicands(ValueError):
 
 @lru_cache(maxsize=None)
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Return (k, d) with n = k**2 * d and d squarefree."""
+    """Return (k, d) with n = k**2 * d and d squarefree.
+
+    Trial division by 2 and the odd numbers p with p**3 <= m, m what is left
+    of n, leaves an m with no prime factor up to cbrt(m): 1, a prime, a
+    product of two distinct primes, or a prime squared, which isqrt tells
+    apart.  That is at most about cbrt(n)/2 divisions."""
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0, 0
-    k, d = 1, 1
-    for p, e in factorint(n).items():
+    k, d, m, p = 1, 1, n, 2
+    while p * p * p <= m:
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
         k *= p ** (e // 2)
-        if e % 2:
-            d *= p
-    return k, d
+        d *= p ** (e % 2)
+        p += 1 if p == 2 else 2
+    r = isqrt(m)
+    if r * r == m:
+        return k * r, d
+    return k, d * m
 
 
 def rational_text(q: Fraction) -> str:
@@ -198,9 +208,9 @@ class MetallicParams:
 
 
 # Largest discriminant D = alpha^2 + 4*beta accepted.  sqrt(D) is brought to
-# its squarefree part by factoring D, and past this size a product of two
-# large primes can keep that factorisation busy for minutes; up to it the
-# factorisation takes milliseconds.
+# its squarefree part by trial division up to cbrt(D), at most about 5000
+# divisions here (squarefree_split).  The limit bounds that cost and the size
+# of every coefficient built from sqrt(D).
 MAX_DISCRIMINANT = 10 ** 12
 
 

@@ -30,10 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-from sympy import ZZ, Symbol
-from sympy.polys.rings import ring as _sparse_ring
-
 from .numfield import IncompatibleRadicands, MetallicParams, QuadScalar, rational_text
+from .poly import poly_ring
 
 
 class ExprError(ValueError):
@@ -133,16 +131,6 @@ class Chart:
             raise ExprError(f"unknown chart variable {name!r}") from None
 
 
-@lru_cache(maxsize=None)
-def _poly_ring(names: tuple[str, ...]):
-    """ZZ[names..., s]; the radical's symbol is named apart from the chart's."""
-    radical = "_s"
-    while radical in names:
-        radical = "_" + radical
-    # Symbols, not strings: ring() would parse "a:c" or "x,y" as several.
-    return _sparse_ring([Symbol(n) for n in names + (radical,)], ZZ)[0]
-
-
 def _has_radical(p) -> bool:
     return any(m[-1] for m in p)
 
@@ -192,42 +180,12 @@ def _combine(c1, p1, c2, p2):
     return _rat(g * k, den), num
 
 
-def _exact_quo(num, base):
-    """num / base when base divides num exactly, else None.
-
-    base is primitive, so by Gauss's lemma every term of a quotient is an
-    integer.  The division gives up at the first leading term that base's
-    leading term does not divide, in monomial or coefficient: such a
-    remainder term can never cancel later, so a failed trial is cheap."""
-    ring = num.ring
-    lead, mul = ring.leading_expv, ring.monomial_mul
-    base_lm, base_lc = base.LM, base.LC
-    rem, quo = num.copy(), {}
-    while rem:
-        lm = lead(rem)
-        if any(e < f for e, f in zip(lm, base_lm)):
-            return None
-        c, r = divmod(rem[lm], base_lc)
-        if r:
-            return None
-        m = tuple(e - f for e, f in zip(lm, base_lm))
-        quo[m] = c
-        for bm, bc in base.items():
-            k = mul(bm, m)
-            v = rem.get(k, 0) - bc * c
-            if v:
-                rem[k] = v
-            else:
-                del rem[k]
-    return num.new(quo)
-
-
 def _divide_out(num, base, max_exp: int):
     """Divide num by base as often as it divides exactly, at most max_exp
     times."""
     k = 0
     while k < max_exp:
-        q = _exact_quo(num, base)
+        q = num.exact_quo(base)
         if q is None:
             break
         num, k = q, k + 1
@@ -247,7 +205,7 @@ def _fold(field: CoeffField, c, num):
 def _fkey(base):
     """Bases sort by total degree, then by the terms of the monic base."""
     lc = base.LC
-    return sum(base.degrees()), [(m, Fraction(c, lc)) for m, c in base.listterms()]
+    return sum(base.degrees()), [(m, Fraction(c, lc)) for m, c in base.terms()]
 
 
 class RatFunc:
@@ -410,7 +368,7 @@ class RatFunc:
             a, b = _split(self.num)
             g = _primitive(a.gcd(b) if a else b)[1]
             if not g.is_ground:
-                a, b = _exact_quo(a, g), _exact_quo(b, g)
+                a, b = a.exact_quo(g), b.exact_quo(g)
             k, norm = _primitive(a * a - b * b * self.field.d)
             sign, num = _primitive(num * (a - b * self.num.ring.gens[-1]))
             c = _rat(c, k * sign)
@@ -490,7 +448,7 @@ class RatFunc:
         num, den = self.num, self.den
         if num and not den.is_ground:
             g = _primitive(num.gcd(den))[1]
-            num, den = _exact_quo(num, g), _exact_quo(den, g)
+            num, den = num.exact_quo(g), den.exact_quo(g)
         return RatFunc(self.chart, self.field, self.c, num,
                        () if den.is_ground else ((den, 1),))
 
@@ -502,12 +460,12 @@ class RatFunc:
         cached = self._diffs.get(var)
         if cached is not None:
             return cached
-        gen = self.num.ring.gens[self.chart.index(var)]
+        i = self.chart.index(var)
         if not self.factors:
-            t, merged = self.num.diff(gen), {}
+            t, merged = self.num.diff(i), {}
         else:
             den = self.den
-            t = self.num.diff(gen) * den - self.num * den.diff(gen)
+            t = self.num.diff(i) * den - self.num * den.diff(i)
             merged = {base: 2 * e for base, e in self.factors}
         k, t = _primitive(t)
         num, factors = self._reduce(t, merged)
@@ -549,11 +507,11 @@ class RatFunc:
         n = self.chart.dimension
         if target.variables[:n] != self.chart.variables:
             raise ExprError(f"{target} does not begin with {self.chart}'s variables")
-        zero = _poly_ring(target.variables).zero
+        ring = poly_ring(target.dimension + 1)
         pad = (0,) * (target.dimension - n)
 
         def lift(p):
-            return zero.new({m[:-1] + pad + m[-1:]: c for m, c in p.items()})
+            return ring({m[:-1] + pad + m[-1:]: c for m, c in p.items()})
 
         return RatFunc(target, self.field, self.c, lift(self.num),
                        tuple((lift(base), e) for base, e in self.factors))
@@ -602,18 +560,17 @@ def _cached_constant(chart: Chart, d: int, value) -> RatFunc:
         value = QuadScalar(Fraction(value))
     if value.d not in (0, field.d):
         raise IncompatibleRadicands(f"sqrt({value.d}) in field sqrt({field.d})")
-    R = _poly_ring(chart.variables)
     den = lcm(value.a.denominator, value.b.denominator)
     n = chart.dimension
     parts = {(0,) * n + (0,): value.a * den, (0,) * n + (1,): value.b * den}
-    k, num = _primitive(R.from_dict({m: int(c) for m, c in parts.items() if c}))
+    k, num = _primitive(poly_ring(n + 1)({m: int(c) for m, c in parts.items() if c}))
     return RatFunc(chart, field, _rat(k, den), num, ())
 
 
 @lru_cache(maxsize=None)
 def _cached_variable(chart: Chart, d: int, name: str) -> RatFunc:
-    R = _poly_ring(chart.variables)
-    return RatFunc(chart, coeff_field(d), 1, R.gens[chart.index(name)], ())
+    gen = poly_ring(chart.dimension + 1).gens[chart.index(name)]
+    return RatFunc(chart, coeff_field(d), 1, gen, ())
 
 
 def _coeff_pairs(p):
@@ -748,7 +705,7 @@ def _integer(text: str, at: int) -> int:
 
 def _degree(p) -> int:
     """Total degree of p in the chart coordinates."""
-    return max((sum(m[:-1]) for m in p.itermonoms()), default=0)
+    return max((sum(m[:-1]) for m in p), default=0)
 
 
 def _tokenize(text: str):

@@ -1,6 +1,10 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and none imports
+sympy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +39,18 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("args", [["-c", "import metallifts.cli"],
+                                  ["-m", "metallifts.cli", "run", "--builtin", "means_gold"]],
+                         ids=["import", "run"])
+def test_the_command_line_never_imports_sympy(args):
+    """sympy is a test-only oracle: its import would be most of a cold run."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "metallifts.symexpr" in imported
+    assert [name for name in imported if name.split(".")[0] == "sympy"] == []

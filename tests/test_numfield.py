@@ -1,7 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from sympy import factorint
 
 from metallifts.numfield import (MAX_DISCRIMINANT, IncompatibleRadicands, QuadScalar,
                                  make_params, squarefree_split)
@@ -13,12 +15,45 @@ def quads(d=5):
     return st.builds(lambda a, b: QuadScalar(a, b, d), fractions, fractions)
 
 
+def factored_split(n: int) -> tuple[int, int]:
+    """(k, d) with n = k**2 * d from sympy's factorisation of n."""
+    k, d = 1, 1
+    for p, e in factorint(n).items():
+        k, d = k * p ** (e // 2), d * p ** (e % 2)
+    return k, d
+
+
 def test_squarefree_split():
+    assert squarefree_split(0) == (0, 0)
     assert squarefree_split(1) == (1, 1)
     assert squarefree_split(8) == (2, 2)
     assert squarefree_split(9) == (3, 1)
     assert squarefree_split(12) == (2, 3)
     assert squarefree_split(45) == (3, 5)
+    with pytest.raises(ValueError):
+        squarefree_split(-4)
+
+
+@pytest.mark.parametrize("n", [
+    4, 36, 2 ** 40, 10 ** 12, 999983 ** 2, 3 * 999983 ** 2, 999983 * 999979,
+    999999999989, 2 * 999999999989, 999983 ** 2 * 999979, 7 * 10 ** 13 + 1,
+    999999999989 * 999983])
+def test_squarefree_split_matches_factorisation(n):
+    assert squarefree_split(n) == factored_split(n)
+
+
+@given(st.integers(min_value=1, max_value=MAX_DISCRIMINANT))
+def test_squarefree_split_matches_factorisation_below_the_cap(n):
+    assert squarefree_split(n) == factored_split(n)
+
+
+@pytest.mark.parametrize("n", [999999999989, 999983 * 999979, 999983 ** 2])
+def test_squarefree_split_is_fast_at_the_cap(n):
+    """Trial division stops at cbrt(n): milliseconds, where factoring a
+    product of two large primes could once take minutes."""
+    t0 = time.perf_counter()
+    squarefree_split.__wrapped__(n)
+    assert time.perf_counter() - t0 < 0.05
 
 
 def test_square_root_normalization():
