@@ -31,7 +31,7 @@ from .metallic import (MetallicStructure, composite_relation, metallic_from_prod
                        product_from_metallic, projectors_from_metallic, square_residual)
 from .numfield import QuadScalar
 from .scenario import Scenario, _excerpt
-from .symexpr import Chart, ExprError, RatFunc, parse_expr
+from .symexpr import Chart, ExprError, RatFunc, parse_expr, parse_integer
 
 
 class CheckError(ValueError):
@@ -357,7 +357,7 @@ def check_np_relation(ctx: Context, name) -> CheckOutcome:
 def check_affine_invariance(ctx: Context, name, a, b) -> CheckOutcome:
     _, T = ctx.structure(name)
     try:
-        a, b = int(a), int(b)
+        a, b = parse_integer(a), parse_integer(b)
     except ValueError:
         raise CheckError("affine_invariance needs integer coefficients a b") from None
     out = CheckOutcome(f"N of {a}*I + {b}*{name} equals {b}^2 * N of {name}")
@@ -520,7 +520,7 @@ def check_component(ctx: Context, *args) -> CheckOutcome:
         raise CheckError("component needs NAME ROW COL EXPR")
     _, T = ctx.structure(args[0])
     try:
-        h, i = int(args[1]), int(args[2])
+        h, i = parse_integer(args[1]), parse_integer(args[2])
     except ValueError:
         raise CheckError("component indices must be integers") from None
     n = T.chart.dimension

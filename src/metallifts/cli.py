@@ -16,6 +16,7 @@ from importlib import resources
 
 from .report import DEFAULT_SEED, render_structured, render_text, run_scenario
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
+from .symexpr import parse_integer
 
 
 def builtin_names() -> list[str]:
@@ -38,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="execute a scenario and report verdicts")
     run.add_argument("scenario_file", nargs="?", help="path to a scenario file")
-    run.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    run.add_argument("--seed", type=parse_integer, default=DEFAULT_SEED,
                      help="seed for the numeric-corroboration sampler")
     run.add_argument("--format", choices=("text", "structured"), default="text",
                      help="report rendering (structured is deterministic JSON)")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import (Tensor11Field, Tensor12Field, VectorField, _index_label, _same_chart,
-                       apply_t11, lie_derivative)
+from .geometry import (Tensor11Field, Tensor12Field, VectorField, _contract, _index_label,
+                       _same_chart, apply_t11, lie_derivative)
 from .integrability import nijenhuis_t11
 from .lifts import complete_lift_t11, complete_lift_vf, tangent_bundle, vertical_lift_vf
 from .metallic import MetallicStructure, StructureError
@@ -37,13 +37,9 @@ def b_lift(X: VectorField, cs: CrossSection) -> VectorField:
     _same_chart(X, cs)
     tb = tangent_bundle(cs.chart)
     names = cs.chart.variables
-    lower = []
-    for v in cs.V.components:
-        acc = RatFunc.constant(cs.chart, 0)
-        for x, name in zip(X.components, names):
-            acc = acc + x * v.diff(name)
-        lower.append(acc)
-    return VectorField(tb.chart, tuple(tb.up(c) for c in X.components + tuple(lower)))
+    lower = tuple(_contract(X.components, [v.diff(name) for name in names])
+                  for v in cs.V.components)
+    return VectorField(tb.chart, tuple(tb.up(c) for c in X.components + lower))
 
 
 def c_lift(X: VectorField) -> VectorField:
@@ -148,8 +144,7 @@ def induced_structure(M: MetallicStructure, cs: CrossSection) -> MetallicStructu
         # Tangency: the image must be B of its base part.
         if restrict_to_section(b_lift(VectorField(chart, col), cs), cs) != image:
             raise StructureError("image of BX is not tangent to the section")
-    rows = tuple(tuple(columns[i][h] for i in range(n)) for h in range(n))
-    return MetallicStructure(M.params, Tensor11Field(chart, rows))
+    return MetallicStructure(M.params, Tensor11Field(chart, tuple(zip(*columns))))
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import partial, reduce, wraps
+from functools import partial, wraps
 from itertools import chain, product, starmap
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 from typing import ClassVar
 
 from .symexpr import Chart, RatFunc
@@ -95,17 +95,18 @@ def _index_label(index) -> str:
     return "".join([f"[{i + 1}]" for i in index])
 
 
-def _contract(zero: RatFunc, *factors) -> RatFunc:
-    """sum_k factors[0][k] * factors[1][k] * ..., added in k order from
-    ``zero``; a product with a zero factor is skipped."""
-    acc = zero
-    for term in zip(*factors):
-        for f in term:
-            if f.is_zero:
-                break
-        else:
-            acc = acc + reduce(mul, term)
-    return acc
+def _contract(xs, ys) -> RatFunc:
+    """sum_k xs[k] * ys[k] over two sequences of one length.  The products
+    are added in k order, a term with a zero factor is skipped unmultiplied,
+    and with none left the sum is xs[0].zero().  Every sum of products in
+    the tensor layers is this function, so this is the one place that rule
+    and that order live; a difference is passed as a sum with its
+    subtracted factor negated."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if x.num and y.num:  # neither is zero; .num skips the is_zero property
+            acc = acc + x * y if acc is not None else x * y
+    return xs[0].zero() if acc is None else acc
 
 
 @dataclass(frozen=True)
@@ -213,22 +214,16 @@ class Tensor12Field(_Field):
 
     def evaluate(self, X: VectorField, Y: VectorField) -> VectorField:
         _same_chart(self, X, Y)
-        n = self.chart.dimension
-        xs = [x for x in X.components for _ in range(n)]  # X^i at index i*n + j
-        ys = Y.components * n  # Y^j at index i*n + j
-        zero = X.components[0].zero()
+        # N(X, Y)^h = sum_i X^i (sum_j N[h][i][j] Y^j)
         return VectorField(self.chart, tuple(
-            _contract(zero, chain.from_iterable(plane), xs, ys) for plane in self.components))
+            _contract(X.components, [_contract(row, Y.components) for row in plane])
+            for plane in self.components))
 
 
 class Connection(_Field):
     """Affine connection coefficients Gamma[h][l][i]; no symmetry assumed."""
 
     rank = 3
-
-    @classmethod
-    def flat(cls, chart: Chart) -> Connection:
-        return cls.zero(chart)
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +232,13 @@ class Connection(_Field):
 
 def apply_t11(T: Tensor11Field, X: VectorField) -> VectorField:
     chart = _same_chart(T, X)
-    zero = X.components[0].zero()
-    return VectorField(chart, tuple(_contract(zero, row, X.components) for row in T.components))
+    return VectorField(chart, tuple(_contract(row, X.components) for row in T.components))
 
 
 def compose_t11(S: Tensor11Field, T: Tensor11Field) -> Tensor11Field:
     chart = _same_chart(S, T)
-    zero = S.components[0][0].zero()
     columns = tuple(zip(*T.components))
-    return Tensor11Field(chart, tuple(tuple(_contract(zero, row, col) for col in columns)
+    return Tensor11Field(chart, tuple(tuple(_contract(row, col) for col in columns)
                                       for row in S.components))
 
 
@@ -257,15 +250,18 @@ def lie_derivative(V: VectorField, T: VectorField | Tensor11Field | Tensor12Fiel
     chart = _same_chart(V, T)
     n, names, v = chart.dimension, chart.variables, V.components
     t = dict(T._entries())  # T^h_I by the index tuple (h, *I)
+    minus_t = {index: -c for index, c in t.items()}
+    dv = [[c.diff(name) for name in names] for c in v]  # dv[h][a] = d_a V^h
 
     def entry(h, *index):
-        acc = v[0].zero()
+        left, right = [], []
         for a in range(n):
-            acc = acc + v[a] * t[(h, *index)].diff(names[a])
-            acc = acc - t[(a, *index)] * v[h].diff(names[a])
+            left += [v[a], minus_t[(a, *index)]]
+            right += [t[(h, *index)].diff(names[a]), dv[h][a]]
             for m, i in enumerate(index):
-                acc = acc + t[(h, *index[:m], a, *index[m + 1:])] * v[a].diff(names[i])
-        return acc
+                left.append(t[(h, *index[:m], a, *index[m + 1:])])
+                right.append(dv[a][i])
+        return _contract(left, right)
 
     return type(T)(chart, _build(n, T.rank, entry))
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import (Tensor11Field, Tensor12Field, VectorField, apply_t11,
+from .geometry import (Tensor11Field, Tensor12Field, VectorField, _contract, apply_t11,
                        compose_t11, invert_t11, lie_derivative, per_run)
 from .metallic import (MetallicStructure, StructureError, check_square_is,
                        metallic_from_product, metallic_recipe,
@@ -49,29 +49,21 @@ def nijenhuis_t11(T: Tensor11Field) -> Tensor12Field:
 
         N^h_ij = T^k_i d_k T^h_j - T^k_j d_k T^h_i + T^h_k (d_j T^k_i - d_i T^k_j),
 
-    read off one table of first derivatives d_k T^h_i; products with a zero
-    factor are skipped."""
+    read off one table of first derivatives d_k T^h_i and summed by
+    ``geometry._contract`` in k order, three terms per k."""
     chart = T.chart
     n = chart.dimension
     t = T.components
     # d[k][h][i] = d_k T^h_i; RatFunc.diff keeps each derivative on its component.
     d = [[[c.diff(v) for c in row] for row in t] for v in chart.variables]
-    zero = t[0][0].zero()
+    minus_t = [[-c for c in row] for row in t]
 
     def pair(i: int, j: int) -> VectorField:
         curl = [d[j][k][i] - d[i][k][j] for k in range(n)]
-        comps = []
-        for h in range(n):
-            acc = zero
-            for k in range(n):
-                if not (t[k][i].is_zero or d[k][h][j].is_zero):
-                    acc = acc + t[k][i] * d[k][h][j]
-                if not (t[k][j].is_zero or d[k][h][i].is_zero):
-                    acc = acc - t[k][j] * d[k][h][i]
-                if not (t[h][k].is_zero or curl[k].is_zero):
-                    acc = acc + t[h][k] * curl[k]
-            comps.append(acc)
-        return VectorField(chart, tuple(comps))
+        return VectorField(chart, tuple(_contract(
+            [f for k in range(n) for f in (t[k][i], minus_t[k][j], t[h][k])],
+            [f for k in range(n) for f in (d[k][h][j], d[k][h][i], curl[k])])
+            for h in range(n)))
 
     return Tensor12Field.antisymmetric(chart, pair)
 
@@ -149,9 +141,7 @@ def example_41_structure(params: MetallicParams) -> MetallicStructure:
     spans above, built by exact change of basis."""
     chart = example_41_chart()
     gen_r, gen_s = example_41_distribution_generators(chart)
-    basis = Tensor11Field(chart, (
-        (gen_r.components[0], gen_s.components[0]),
-        (gen_r.components[1], gen_s.components[1])))
+    basis = Tensor11Field(chart, tuple(zip(gen_r.components, gen_s.components)))
     signs = Tensor11Field.diagonal(chart, [1, -1])
     P = compose_t11(compose_t11(basis, signs), invert_t11(basis))
     return metallic_from_product(P, params)

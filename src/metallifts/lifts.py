@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import (Connection, Tensor11Field, VectorField, _same_chart, apply_t11,
-                       compose_t11, invert_t11, per_run)
+from .geometry import (Connection, Tensor11Field, VectorField, _contract, _same_chart,
+                       apply_t11, compose_t11, invert_t11, per_run)
 from .metallic import metallic_recipe
 from .numfield import MetallicParams
 from .symexpr import Chart, RatFunc
@@ -41,13 +41,9 @@ class TangentBundleChart:
         return f.on_chart(self.chart)
 
     def fiber_sum(self, fs) -> RatFunc:
-        """sum_a y^a f_a on TM for base-chart functions f_a; zero f_a are
-        skipped."""
-        acc = RatFunc.constant(self.chart, 0)
-        for y, f in zip(self.fiber_variables, fs):
-            if not f.is_zero:
-                acc = acc + RatFunc.variable(self.chart, y) * self.up(f)
-        return acc
+        """sum_a y^a f_a on TM for base-chart functions f_a."""
+        return _contract([RatFunc.variable(self.chart, y) for y in self.fiber_variables],
+                         [self.up(f) for f in fs])
 
 
 @lru_cache(maxsize=None)
@@ -99,14 +95,14 @@ def nabla_gamma_t11(T: Tensor11Field, conn: Connection) -> Tensor11Field:
     tb = tangent_bundle(T.chart)
     n = tb.n
     names = T.chart.variables
+    t, gamma = T.components, conn.components
+    minus_gamma = [[[-c for c in row] for row in plane] for plane in gamma]
 
     def cov(h: int, i: int, l: int) -> RatFunc:
         """(nabla_l T)^h_i"""
-        out = T.components[h][i].diff(names[l])
-        for a in range(n):
-            out = out + conn.components[h][l][a] * T.components[a][i]
-            out = out - conn.components[a][l][i] * T.components[h][a]
-        return out
+        return t[h][i].diff(names[l]) + _contract(
+            [f for a in range(n) for f in (gamma[h][l][a], minus_gamma[a][l][i])],
+            [f for a in range(n) for f in (t[a][i], t[h][a])])
 
     block = [[tb.fiber_sum([cov(h, i, l) for l in range(n)]) for i in range(n)]
              for h in range(n)]
@@ -134,8 +130,7 @@ def frame_matrix(conn: Connection) -> Tensor11Field:
     basis = [VectorField.basis(conn.chart, a) for a in range(n)]
     cols = ([horizontal_lift_vf(e, conn) for e in basis]
             + [vertical_lift_vf(e) for e in basis])
-    rows = tuple(tuple(cols[i].components[h] for i in range(2 * n)) for h in range(2 * n))
-    return Tensor11Field(tb.chart, rows)
+    return Tensor11Field(tb.chart, tuple(zip(*(c.components for c in cols))))
 
 
 def frame_swap_product(conn: Connection) -> Tensor11Field:

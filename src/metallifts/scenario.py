@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from .geometry import Connection, Tensor11Field, VectorField
 from .numfield import MetallicParams, make_params
-from .symexpr import PARAM_NAMES, Chart, ExprError, RatFunc, parse_expr
+from .symexpr import PARAM_NAMES, Chart, ExprError, RatFunc, parse_expr, parse_integer
 
 STRUCTURE_KINDS = ("product", "metallic", "tangent", "complex")
 
@@ -225,8 +225,8 @@ class _Loader:
             if len(parts) != 2:
                 raise self.err("params needs alpha=A beta=B", lineno)
             try:
-                alpha = int(_split_kv(parts[0], "alpha", self.path, lineno))
-                beta = int(_split_kv(parts[1], "beta", self.path, lineno))
+                alpha = parse_integer(_split_kv(parts[0], "alpha", self.path, lineno))
+                beta = parse_integer(_split_kv(parts[1], "beta", self.path, lineno))
                 self.params = make_params(alpha, beta)
             except (TypeError, ValueError) as exc:
                 raise self.err(f"invalid params: {exc}", lineno) from exc

@@ -21,24 +21,27 @@ def rng():
     return random.Random(987123)
 
 
-def rand_poly(rng: random.Random, chart: Chart, span: int = 3) -> RatFunc:
+def rand_poly(rng: random.Random, chart: Chart, span: int = 3,
+              sparse: bool = False) -> RatFunc:
     """A random polynomial, affine in each variable, with small integer
-    coefficients."""
+    coefficients; with ``sparse``, zero with probability 1/2."""
+    if sparse and rng.random() < 0.5:
+        return RatFunc.constant(chart, 0)
     out = RatFunc.constant(chart, rng.randint(-span, span))
     for name in chart.variables:
         out = out + RatFunc.variable(chart, name) * rng.randint(-span, span)
     return out
 
 
-def rand_vector(rng: random.Random, chart: Chart) -> VectorField:
-    return VectorField(chart, tuple(rand_poly(rng, chart)
+def rand_vector(rng: random.Random, chart: Chart, sparse: bool = False) -> VectorField:
+    return VectorField(chart, tuple(rand_poly(rng, chart, sparse=sparse)
                                     for _ in chart.variables))
 
 
-def rand_t11(rng: random.Random, chart: Chart) -> Tensor11Field:
+def rand_t11(rng: random.Random, chart: Chart, sparse: bool = False) -> Tensor11Field:
     n = chart.dimension
     return Tensor11Field(chart, tuple(
-        tuple(rand_poly(rng, chart) for _ in range(n)) for _ in range(n)))
+        tuple(rand_poly(rng, chart, sparse=sparse) for _ in range(n)) for _ in range(n)))
 
 
 def unimodular_2x2(rng: random.Random, chart: Chart) -> Tensor11Field:

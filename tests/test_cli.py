@@ -216,6 +216,29 @@ def test_unconvertible_literal_in_a_check_is_an_error_at_its_position(tmp_path, 
     assert "[PASS] check almost_product P" in out
 
 
+def test_params_take_only_ascii_digits(tmp_path, capsys):
+    # int() reads "\u0661" (Arabic-Indic one) as 1 and "1_0" as 10.
+    path = tmp_path / "params.scn"
+    path.write_text(OVERFLOWING.replace("alpha=1 beta=1", "alpha=\u0661 beta=1_0"),
+                    encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert "invalid params" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check, message", [
+    ("affine_invariance P 1_0 \u0662", "affine_invariance needs integer coefficients a b"),
+    ("component P \u0661 1 0", "component indices must be integers"),
+])
+def test_integer_check_arguments_take_only_ascii_digits(tmp_path, capsys, check, message):
+    path = tmp_path / "arguments.scn"
+    path.write_text(OVERFLOWING.replace("component P 1 1 x^2000", check), encoding="utf-8")
+    assert main(["run", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"[ERROR] check {check}" in out
+    assert f"error: {message}" in out
+    assert "[PASS] check almost_product P" in out
+
+
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 @pytest.mark.parametrize("where", ["check", "row"])
 def test_coefficient_past_the_int_string_limit_is_rendered(tmp_path, capsys, where, fmt):
@@ -404,6 +427,15 @@ def test_structured_output_deterministic(capsys):
 def test_seed_recorded_in_report(capsys):
     assert main(["run", "--builtin", "means_gold", "--seed", "42"]) == 0
     assert "seed: 42" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", ["\u0664\u0662", "4_2", " 42"])
+def test_seed_takes_only_ascii_digits(capsys, seed):
+    # int() reads each of these as 42.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--builtin", "means_gold", "--seed", seed])
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_BUILTINS - {"example_4_1"}))

@@ -73,15 +73,16 @@ def test_lift_decomposition_random_fields(rng):
 def test_b_lift_is_tangent_to_section(rng):
     """The fiber components of BX are the directional derivatives of V,
     exactly the condition for the image to stay on the section."""
-    V = rand_vector(rng, CH)
-    cs = CrossSection(V)
-    X = rand_vector(rng, CH)
-    BX = b_lift(X, cs)
     names = CH.variables
-    for h in range(2):
-        expect = sum((X.components[i] * V.components[h].diff(names[i])
-                      for i in range(2)), parse_expr("0", CH))
-        assert restrict_to_section(BX, cs)[2 + h] == expect
+    for sparse in (False, True):  # sparse: each entry zero with probability 1/2
+        V = rand_vector(rng, CH, sparse)
+        cs = CrossSection(V)
+        X = rand_vector(rng, CH, sparse)
+        BX = b_lift(X, cs)
+        for h in range(2):
+            expect = sum((X.components[i] * V.components[h].diff(names[i])
+                          for i in range(2)), parse_expr("0", CH))
+            assert restrict_to_section(BX, cs)[2 + h] == expect
 
 
 def test_invariance_for_invariant_section():

@@ -101,28 +101,30 @@ def test_invert_singular_raises():
 
 
 def test_lie_derivative_t11_leibniz(rng):
-    V, X = rand_vector(rng, CH), rand_vector(rng, CH)
-    T = rand_t11(rng, CH)
-    # L_V(T X) = (L_V T) X + T (L_V X)
-    lhs = lie_derivative(V, apply_t11(T, X))
-    rhs = (apply_t11(lie_derivative(V, T), X)
-           + apply_t11(T, lie_derivative(V, X)))
-    assert (lhs - rhs).is_zero
+    for sparse in (False, True):  # sparse: each entry zero with probability 1/2
+        V, X = rand_vector(rng, CH, sparse), rand_vector(rng, CH, sparse)
+        T = rand_t11(rng, CH, sparse)
+        # L_V(T X) = (L_V T) X + T (L_V X)
+        lhs = lie_derivative(V, apply_t11(T, X))
+        rhs = (apply_t11(lie_derivative(V, T), X)
+               + apply_t11(T, lie_derivative(V, X)))
+        assert (lhs - rhs).is_zero
 
 
 def test_lie_derivative_t12_leibniz(rng):
     chart = CH
-    V, X, Y = (rand_vector(rng, chart) for _ in range(3))
     n = chart.dimension
-    cube = tuple(tuple(tuple(rand_poly(rng, chart) for _ in range(n))
-                       for _ in range(n)) for _ in range(n))
-    N = Tensor12Field(chart, cube)
-    # L_V(N(X,Y)) = (L_V N)(X,Y) + N([V,X],Y) + N(X,[V,Y])
-    lhs = lie_derivative(V, N.evaluate(X, Y))
-    rhs = (lie_derivative(V, N).evaluate(X, Y)
-           + N.evaluate(lie_derivative(V, X), Y)
-           + N.evaluate(X, lie_derivative(V, Y)))
-    assert (lhs - rhs).is_zero
+    for sparse in (False, True):  # sparse: each entry zero with probability 1/2
+        V, X, Y = (rand_vector(rng, chart, sparse) for _ in range(3))
+        cube = tuple(tuple(tuple(rand_poly(rng, chart, sparse=sparse) for _ in range(n))
+                           for _ in range(n)) for _ in range(n))
+        N = Tensor12Field(chart, cube)
+        # L_V(N(X,Y)) = (L_V N)(X,Y) + N([V,X],Y) + N(X,[V,Y])
+        lhs = lie_derivative(V, N.evaluate(X, Y))
+        rhs = (lie_derivative(V, N).evaluate(X, Y)
+               + N.evaluate(lie_derivative(V, X), Y)
+               + N.evaluate(X, lie_derivative(V, Y)))
+        assert (lhs - rhs).is_zero
 
 
 def test_tensor12_evaluate_function_linearity(rng):
@@ -193,7 +195,7 @@ def test_first_nonzero_component():
 
 
 def test_connection_constructors():
-    conn = Connection.flat(CH)
+    conn = Connection.zero(CH)
     assert all(g.is_zero for block in conn.components
                for row in block for g in row)
     with pytest.raises(ValueError):

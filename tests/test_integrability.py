@@ -44,10 +44,11 @@ def test_nijenhuis_antisymmetry(rng):
 def test_nijenhuis_t11_matches_direct_evaluation(rng):
     """The assembled (1,2)-tensor must reproduce N_T(X, Y) for arbitrary
     fields, which exercises its function-linearity."""
-    T = rand_t11(rng, CH)
-    X, Y = rand_vector(rng, CH), rand_vector(rng, CH)
-    N = nijenhuis_t11(T)
-    assert (N.evaluate(X, Y) - nijenhuis_apply(T, X, Y)).is_zero
+    for sparse in (False, True):  # sparse: each entry zero with probability 1/2
+        T = rand_t11(rng, CH, sparse)
+        X, Y = rand_vector(rng, CH, sparse), rand_vector(rng, CH, sparse)
+        N = nijenhuis_t11(T)
+        assert (N.evaluate(X, Y) - nijenhuis_apply(T, X, Y)).is_zero
 
 
 def _quad_t11(rng, params) -> Tensor11Field:

@@ -20,10 +20,10 @@ CH = Chart(("x", "y"))
 TB = tangent_bundle(CH)
 
 
-def rand_connection(rng, chart=CH):
+def rand_connection(rng, chart=CH, sparse=False):
     n = chart.dimension
     return Connection(chart, tuple(
-        tuple(tuple(rand_poly(rng, chart) for _ in range(n)) for _ in range(n))
+        tuple(tuple(rand_poly(rng, chart, sparse=sparse) for _ in range(n)) for _ in range(n))
         for _ in range(n)))
 
 
@@ -105,16 +105,17 @@ def test_complete_lift_preserves_metallic(params, rng):
 # -- horizontal lift --------------------------------------------------------
 
 def test_horizontal_lift_action(rng):
-    conn = rand_connection(rng)
-    T = rand_t11(rng, CH)
-    X = rand_vector(rng, CH)
-    TH = horizontal_lift_t11(T, conn)
-    lhs_h = apply_t11(TH, horizontal_lift_vf(X, conn))
-    rhs_h = horizontal_lift_vf(apply_t11(T, X), conn)
-    assert (lhs_h - rhs_h).is_zero
-    lhs_v = apply_t11(TH, vertical_lift_vf(X))
-    rhs_v = vertical_lift_vf(apply_t11(T, X))
-    assert (lhs_v - rhs_v).is_zero
+    for sparse in (False, True):  # sparse: entries of T and Gamma zero with probability 1/2
+        conn = rand_connection(rng, sparse=sparse)
+        T = rand_t11(rng, CH, sparse)
+        X = rand_vector(rng, CH)
+        TH = horizontal_lift_t11(T, conn)
+        lhs_h = apply_t11(TH, horizontal_lift_vf(X, conn))
+        rhs_h = horizontal_lift_vf(apply_t11(T, X), conn)
+        assert (lhs_h - rhs_h).is_zero
+        lhs_v = apply_t11(TH, vertical_lift_vf(X))
+        rhs_v = vertical_lift_vf(apply_t11(T, X))
+        assert (lhs_v - rhs_v).is_zero
 
 
 def test_horizontal_lift_square_law(rng):
@@ -135,7 +136,7 @@ def test_horizontal_lift_preserves_metallic(params, rng):
 
 
 def test_nabla_gamma_vanishes_for_flat_connection_and_constant_tensor():
-    conn = Connection.flat(CH)
+    conn = Connection.zero(CH)
     T = Tensor11Field.make(CH, [[1, 2], [3, 4]])
     assert nabla_gamma_t11(T, conn).is_zero
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from metallifts.numfield import IncompatibleRadicands, QuadScalar, make_params
 from metallifts.symexpr import (MAX_DEGREE, MAX_TERMS, Chart, DivisionByZeroExpr,
                                 ExprError, ParseError, RatFunc, ResampleNeeded,
-                                parse_expr)
+                                parse_expr, parse_integer)
 
 CH = Chart(("x", "y"))
 X = RatFunc.variable(CH, "x")
@@ -323,6 +323,18 @@ def test_parse_errors_carry_positions(text, pos):
     with pytest.raises(ParseError) as err:
         parse_expr(text, CH)
     assert err.value.position == pos
+
+
+@pytest.mark.parametrize("text,value", [("0", 0), ("+7", 7), ("-12", -12), ("007", 7)])
+def test_parse_integer_reads_signed_ascii_digits(text, value):
+    assert parse_integer(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "", "+", "-", "--1", "+-1", " 1", "1 ", "1_0", "1.0", "\u0661", "\u00b2", "0x1"])
+def test_parse_integer_refuses_any_other_text(text):
+    with pytest.raises(ValueError):
+        parse_integer(text)
 
 
 def test_parse_unknown_param_without_params():
