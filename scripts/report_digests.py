@@ -5,7 +5,10 @@ For each workload of ``perfbench/generate.py``, each seed 1-11 and each
 scenario generated for it, the scenario runs twice: at the sampler seed the
 generator gave it and at a fixed sampler seed, 7.  Each run prints one line,
 ``workload/seed/scenario/sampler_seed sha256``, the digest taken over the
-structured report followed by the text report.  The package is loaded from
+structured report followed by the text report.  Last come two lines for the
+worked example ``example_4_1`` with ``x+y`` replaced by ``x+sqrtD*y``, whose
+denominators contain ``sqrt(D)`` as no workload's do, at the default sampler
+seed and at 7.  The package is loaded from
 the ``src/`` next to this script, so two checkouts print the same lines
 exactly when every one of these reports is byte-identical between them:
 
@@ -24,11 +27,19 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from generate import WORKLOADS, generate  # noqa: E402
 
-from metallifts.report import render_structured, render_text, run_scenario  # noqa: E402
+from metallifts.report import (DEFAULT_SEED, render_structured, render_text,  # noqa: E402
+                               run_scenario)
 from metallifts.scenario import parse_scenario  # noqa: E402
 
 SEEDS = range(1, 12)
 FIXED_SAMPLER_SEED = 7
+
+
+def digest(scenario, sampler_seed: int) -> str:
+    report = run_scenario(scenario, seed=sampler_seed)
+    data = (render_structured(report, scenario.params)
+            + render_text(report, scenario.params)).encode()
+    return hashlib.sha256(data).hexdigest()
 
 
 def digest_lines(workload: str, seed: int):
@@ -36,10 +47,16 @@ def digest_lines(workload: str, seed: int):
     for gen in generate(workload, seed, ROOT / "src"):
         scenario = parse_scenario(gen.text)
         for sampler_seed in (gen.sampler_seed, FIXED_SAMPLER_SEED):
-            report = run_scenario(scenario, seed=sampler_seed)
-            data = (render_structured(report, scenario.params)
-                    + render_text(report, scenario.params)).encode()
-            yield f"{workload}/{seed}/{gen.name}/{sampler_seed} {hashlib.sha256(data).hexdigest()}"
+            yield f"{workload}/{seed}/{gen.name}/{sampler_seed} {digest(scenario, sampler_seed)}"
+
+
+def sqrtd_variant_lines():
+    """The two reports of example_4_1 over x+sqrtD*y."""
+    path = ROOT / "src" / "metallifts" / "scenarios" / "example_4_1.scn"
+    text = path.read_text(encoding="utf-8").replace("x+y", "x+sqrtD*y")
+    scenario = parse_scenario(text, "example_4_1_sqrtD")
+    for sampler_seed in (DEFAULT_SEED, FIXED_SAMPLER_SEED):
+        yield f"variant/example_4_1_sqrtD/{sampler_seed} {digest(scenario, sampler_seed)}"
 
 
 def main() -> int:
@@ -47,6 +64,8 @@ def main() -> int:
         for seed in SEEDS:
             for line in digest_lines(workload, seed):
                 print(line, flush=True)
+    for line in sqrtd_variant_lines():
+        print(line, flush=True)
     return 0
 
 

@@ -8,21 +8,30 @@ unrolled over the ``n`` exponents.  Values are treated as immutable once
 built: every operation returns a new polynomial, so a hash, once taken, is
 kept.  Terms order lexicographically on their exponent tuples, and
 ``terms()`` lists them from the leading one down.
+
+Each ring also fixes a point, one prime per generator, where every
+polynomial caches its value: ``exact_quo`` refuses a trial division whose
+values there do not divide, without dividing (Gauss's lemma; see there).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd as igcd
+from math import gcd as igcd, isqrt, prod
 
 # Evaluation points the heuristic gcd tries before the remainder sequence.
 HEU_GCD_TRIES = 6
+# The powers of each coordinate of a ring's point kept in its tables; a
+# polynomial with a larger exponent is evaluated only modulo a base's value.
+POWER_TABLE = 32
+# exact_quo tests divisibility at the ring's point only below this |base(p)|.
+VALUE_BOUND = 2 ** 64
 
 
 class Poly(dict):
     """A polynomial of ``ring``: ``{exponent tuple: nonzero int}``."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_value")
     ring: PolyRing
 
     def new(self, terms) -> Poly:
@@ -37,6 +46,24 @@ class Poly(dict):
         except AttributeError:
             self._hash = hash(frozenset(self.items()))
             return self._hash
+
+    @property
+    def value(self) -> int | None:
+        """self at the ring's point, or None when an exponent runs past the
+        ring's power tables."""
+        try:
+            return self._value
+        except AttributeError:
+            try:
+                self._value = self.ring.evaluate(self)
+            except IndexError:
+                self._value = None
+            return self._value
+
+    def value_mod(self, m: int) -> int:
+        """self at the ring's point, modulo m."""
+        return sum(c * prod(pow(x, e, m) for x, e in zip(self.ring.point, mono))
+                   for mono, c in self.items()) % m
 
     # -- arithmetic ---------------------------------------------------
 
@@ -97,10 +124,26 @@ class Poly(dict):
     def exact_quo(self, base: Poly) -> Poly | None:
         """self / base when base divides self exactly over ZZ, else None.
 
-        For a primitive base every term of a quotient is an integer (Gauss's
-        lemma).  The division gives up at the first leading term that base's
-        leading term does not divide, in monomial or coefficient: such a
-        remainder term can never cancel later, so a failed trial is cheap."""
+        A quotient is returned only when it has integer coefficients; for a
+        primitive base every quotient in QQ[x] does (Gauss's lemma).  So if
+        base divides self, base(p) divides self(p) at every integer point p,
+        the ring's point included, and a base whose value there does not
+        divide self's is refused without dividing.  The filter stands aside
+        when base(p) is 0, when |base(p)| >= VALUE_BOUND, and when base has
+        an exponent past the power tables; self's value past the tables is
+        taken modulo base(p).  Otherwise, and when the values divide, the
+        long division decides."""
+        b = base.value
+        if b and -VALUE_BOUND < b < VALUE_BOUND:
+            v = self.value
+            if (self.value_mod(b) if v is None else v) % b:
+                return None
+        return self._divide(base)
+
+    def _divide(self, base: Poly) -> Poly | None:
+        """exact_quo by long division.  It gives up at the first leading term
+        that base's leading term does not divide, in monomial or
+        coefficient: such a remainder term can never cancel later."""
         mul, ldiv = self.ring.monomial_mul, self.ring.monomial_ldiv
         base_lm = max(base)
         base_lc = base[base_lm]
@@ -148,25 +191,31 @@ class Poly(dict):
 
 
 class PolyRing:
-    """``ZZ[x_0, ..., x_{n-1}]``: its element type, and the products of
-    polynomials and of monomials, built once per arity."""
+    """``ZZ[x_0, ..., x_{n-1}]``: its element type, the products of
+    polynomials and of monomials, and the evaluation at its point, built
+    once per arity."""
 
     def __init__(self, nvars: int):
         a = "".join(f"a{i}, " for i in range(nvars))
         b = "".join(f"b{i}, " for i in range(nvars))
         s = "".join(f"a{i} + b{i}, " for i in range(nvars))
         d = "".join(f"a{i} - b{i}, " for i in range(nvars))
+        t = "".join(f"P{i}[a{i}] * " for i in range(nvars))
         source = (f"def monomial_mul(A, B):\n    ({a}) = A\n    ({b}) = B\n    return ({s})\n"
                   f"def monomial_ldiv(A, B):\n    ({a}) = A\n    ({b}) = B\n    return ({d})\n"
                   f"def product(p, q, out):\n    get = out.get\n    q = list(q.items())\n"
                   f"    for ({a}), c in p.items():\n        for ({b}), d in q:\n"
-                  f"            m = ({s})\n            out[m] = get(m, 0) + c * d\n")
-        code: dict = {}
+                  f"            m = ({s})\n            out[m] = get(m, 0) + c * d\n"
+                  f"def evaluate(p):\n    return sum([{t}c for ({a}), c in p.items()])\n")
+        self.point = _primes(nvars)
+        code: dict = {f"P{i}": [x ** e for e in range(POWER_TABLE)]
+                      for i, x in enumerate(self.point)}
         exec(source, code)
         self.nvars = nvars
         self.monomial_mul = code["monomial_mul"]
         self.monomial_ldiv = code["monomial_ldiv"]  # exponents may come out negative
         self.product = code["product"]  # accumulates p*q into out, zeros kept
+        self.evaluate = code["evaluate"]  # IndexError past the power tables
         self.dtype = type(f"Poly{nvars}", (Poly,), {"__slots__": (), "ring": self})
         self.one = self.dtype({(0,) * nvars: 1})
         self.gens = tuple(self.dtype({tuple(int(i == j) for j in range(nvars)): 1})
@@ -179,6 +228,18 @@ class PolyRing:
 @lru_cache(maxsize=None)
 def poly_ring(nvars: int) -> PolyRing:
     return PolyRing(nvars)
+
+
+def _primes(n: int) -> tuple[int, ...]:
+    """The first n primes from 11 on: a ring's point.  Bases such as x - 2
+    vanish or take small values at smaller integers, and a small value
+    divides a failing numerator's by chance more often."""
+    out, k = [], 11
+    while len(out) < n:
+        if all(k % d for d in range(3, isqrt(k) + 1, 2)):
+            out.append(k)
+        k += 2
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,24 @@
 """The integer polynomial ring against sympy's sparse ring as the oracle."""
 
+from collections import Counter
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import ZZ
 from sympy.polys.rings import ring as sympy_ring
 
 from metallifts import poly
-from metallifts.poly import poly_ring
+from metallifts.cli import load_builtin
+from metallifts.poly import POWER_TABLE, VALUE_BOUND, poly_ring
+from metallifts.report import run_scenario
 
 
 @st.composite
-def poly_dicts(draw, n, max_exp, max_terms):
+def poly_dicts(draw, n, max_exp, max_terms, min_terms=0):
     """A sparse {exponents: nonzero int} in n generators."""
-    monos = draw(st.lists(st.tuples(*[st.integers(0, max_exp)] * n), max_size=max_terms,
-                          unique=True))
+    monos = draw(st.lists(st.tuples(*[st.integers(0, max_exp)] * n), min_size=min_terms,
+                          max_size=max_terms, unique=True))
     coeffs = st.integers(-20, 20).filter(bool)
     return {m: draw(coeffs) for m in monos}
 
@@ -59,8 +64,13 @@ def test_ring_operations_match_sympy(pairs):
 @settings(max_examples=200, deadline=None)
 @given(poly_pairs(3))
 def test_exact_quotient_matches_sympy(pairs):
+    """Also on numerators that g does not divide although g's value at the
+    ring's point divides theirs: z vanishes there."""
     (f, sf), (g, sg), (h, sh) = pairs
-    for num, sn in ((f, sf), (f * g, sf * sg), (f * g * h, sf * sg * sh)):
+    ring, p0 = f.ring, f.ring.point[0]
+    z, sz = ring.gens[0] - ring.one.mul_ground(p0), sf.ring.gens[0] - p0
+    for num, sn in ((f, sf), (f * g, sf * sg), (f * g * h, sf * sg * sh),
+                    (f * g + h, sf * sg + sh), (f * g + z * h, sf * sg + sz * sh)):
         if not g:
             continue
         q, r = sn.div(sg)
@@ -69,6 +79,91 @@ def test_exact_quotient_matches_sympy(pairs):
             assert out is None
         else:
             assert same(out, q)
+
+
+def primitive(p):
+    return p.quo_ground(gcd(*p.values()))
+
+
+@st.composite
+def factor_pairs(draw):
+    """(F, Q), primitive, in a ring of 1 to 5 generators whose last stands
+    for s: Q has terms in s, and some draws give F a factor that vanishes
+    at the ring's point or F or Q a term past the power tables."""
+    n = draw(st.integers(1, 5))
+    ring = poly_ring(n)
+    f = ring(draw(poly_dicts(n, 3, 4, min_terms=1)))
+    q = ring(draw(poly_dicts(n, 3, 4))) + ring.gens[-1] * ring(draw(poly_dicts(n, 2, 3, 1)))
+    if draw(st.booleans()):
+        f = f * (ring.gens[0] - ring.one.mul_ground(ring.point[0]))
+    high = st.tuples(*[st.integers(0, POWER_TABLE + 8)] * n).filter(
+        lambda m: max(m) >= POWER_TABLE)
+    for which in ("f", "q"):
+        if draw(st.booleans()):
+            term = ring({draw(high): draw(st.integers(-5, 5).filter(bool))})
+            if which == "f":
+                f = f + term
+            else:
+                q = q + term
+    return primitive(f), primitive(q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_pairs())
+def test_divisibility_filter_never_refuses_a_product(pair):
+    f, q = pair
+    assert (f * q).exact_quo(f) == q
+
+
+def test_values_at_the_ring_point():
+    ring = poly_ring(3)
+    x, y, s = ring.gens
+    a, b, c = ring.point
+    assert len({a, b, c}) == 3
+    assert (x * y - s.mul_ground(2)).value == a * b - 2 * c
+    vanishing = x - ring.one.mul_ground(a)
+    assert vanishing.value == 0
+    assert ((x + y) * vanishing).exact_quo(vanishing) == x + y
+    # Past the power tables a polynomial has no cached value; a numerator
+    # is taken modulo the base's value, and a base is not filtered.
+    high = x ** POWER_TABLE + y
+    assert high.value is None
+    assert high.value_mod(1000) == (a ** POWER_TABLE + b) % 1000
+    assert ((x + s) * high).exact_quo(x + s) == high
+    assert (high + ring.one).exact_quo(x + s) is None
+    assert ((x + s) * high).exact_quo(high) == x + s
+    # A base whose value reaches VALUE_BOUND is not filtered either.
+    big = x ** 19
+    assert abs(big.value) >= VALUE_BOUND
+    assert (big * y).exact_quo(big) == y and (big + y).exact_quo(big) is None
+
+
+def test_divisibility_filter_refuses_failing_trials_without_dividing(monkeypatch):
+    """On the worked example, no trial the filter refuses would have divided,
+    and at least 90% of the failing trials never reach the long division."""
+    counts = Counter()
+    exact_quo, divide = poly.Poly.exact_quo, poly.Poly._divide
+
+    def counting_exact_quo(num, base):
+        out = exact_quo(num, base)
+        counts["tried"] += 1
+        if out is None:
+            assert divide(num, base) is None
+        else:
+            counts["ok"] += 1
+        return out
+
+    def counting_divide(num, base):
+        counts["divided"] += 1
+        return divide(num, base)
+
+    monkeypatch.setattr(poly.Poly, "exact_quo", counting_exact_quo)
+    monkeypatch.setattr(poly.Poly, "_divide", counting_divide)
+    report = run_scenario(load_builtin("example_4_1"))
+    assert {c.verdict for c in report.checks} == {"pass"}
+    failed, refused = counts["tried"] - counts["ok"], counts["tried"] - counts["divided"]
+    assert counts["ok"] > 0 and failed > 0
+    assert refused >= 0.9 * failed
 
 
 def check_gcd(pairs):

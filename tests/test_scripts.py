@@ -40,3 +40,16 @@ def test_report_digests_for_one_seed():
     assert len(lines) == 56
     assert all(re.fullmatch(r"catalog/1/\w+/\d+ [0-9a-f]{64}", line) for line in lines)
     assert "catalog/1/example_4_1/7" in {line.split()[0] for line in lines}
+
+
+def test_report_digests_for_the_sqrtd_variant():
+    code = ("import report_digests\n"
+            "for line in report_digests.sqrtd_variant_lines(): print(line)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "scripts")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "variant/example_4_1_sqrtD/20230831", "variant/example_4_1_sqrtD/7"]
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
