@@ -17,15 +17,13 @@ values there do not divide, without dividing (Gauss's lemma; see there).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd as igcd, isqrt, prod
+from math import gcd as igcd, isqrt
 
 # Evaluation points the heuristic gcd tries before the remainder sequence.
 HEU_GCD_TRIES = 6
 # The powers of each coordinate of a ring's point kept in its tables; a
-# polynomial with a larger exponent is evaluated only modulo a base's value.
+# polynomial with a larger exponent has no value there.
 POWER_TABLE = 32
-# exact_quo tests divisibility at the ring's point only below this |base(p)|.
-VALUE_BOUND = 2 ** 64
 
 
 class Poly(dict):
@@ -59,11 +57,6 @@ class Poly(dict):
             except IndexError:
                 self._value = None
             return self._value
-
-    def value_mod(self, m: int) -> int:
-        """self at the ring's point, modulo m."""
-        return sum(c * prod(pow(x, e, m) for x, e in zip(self.ring.point, mono))
-                   for mono, c in self.items()) % m
 
     # -- arithmetic ---------------------------------------------------
 
@@ -129,14 +122,13 @@ class Poly(dict):
         base divides self, base(p) divides self(p) at every integer point p,
         the ring's point included, and a base whose value there does not
         divide self's is refused without dividing.  The filter stands aside
-        when base(p) is 0, when |base(p)| >= VALUE_BOUND, and when base has
-        an exponent past the power tables; self's value past the tables is
-        taken modulo base(p).  Otherwise, and when the values divide, the
-        long division decides."""
+        when base(p) is 0 and when base or self has an exponent past the
+        power tables, so no big power is ever computed.  Otherwise, and when
+        the values divide, the long division decides."""
         b = base.value
-        if b and -VALUE_BOUND < b < VALUE_BOUND:
+        if b:
             v = self.value
-            if (self.value_mod(b) if v is None else v) % b:
+            if v is not None and v % b:
                 return None
         return self._divide(base)
 
