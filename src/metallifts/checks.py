@@ -22,7 +22,7 @@ from .cross_section import (CrossSection, induced_structure, invariance_check,
                             lift_decomposition_check, section_nijenhuis_check)
 from .geometry import (Connection, Tensor11Field, Tensor12Field, VectorField, _Field,
                        _index_label, apply_t11, compose_t11)
-from .integrability import (Distribution, affine_invariance, frobenius_criterion,
+from .integrability import (affine_invariance, frobenius_criterion,
                             nijenhuis_t11, np_relation, projector_criterion)
 from .lifts import (complete_lift_t11, frame_swap_product, horizontal_lift_t11,
                     jtilde_structure)
@@ -383,12 +383,10 @@ def check_distributions_integrable(ctx: Context, name, dist_r, dist_s) -> CheckO
     pair = projectors_from_metallic(M)
     out = CheckOutcome("both eigendistributions are integrable and contain "
                        "their declared generators")
-    r = Distribution(M.chart, gens_r, pair.r)
-    s = Distribution(M.chart, gens_s, pair.s)
-    out.facts.append((f"{dist_r} integrable", frobenius_criterion(r, pair.s).is_zero))
-    out.facts.append((f"{dist_s} integrable", frobenius_criterion(s, pair.r).is_zero))
-    for label, dist, proj in ((dist_r, r, pair.r), (dist_s, s, pair.s)):
-        for k, g in enumerate(dist.generators):
+    for label, gens, proj, comp in ((dist_r, gens_r, pair.r, pair.s),
+                                    (dist_s, gens_s, pair.s, pair.r)):
+        out.facts.append((f"{label} integrable", frobenius_criterion(proj, comp).is_zero))
+        for k, g in enumerate(gens):
             _vector_residuals(out, f"{label} generator {k + 1} fixed",
                               (apply_t11(proj, g) - g).components)
     return out

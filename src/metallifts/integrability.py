@@ -21,7 +21,6 @@ Within a scenario run it is built once for all exactly equal T
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (Tensor11Field, Tensor12Field, VectorField, _contract, apply_t11,
@@ -97,30 +96,17 @@ def projector_criterion(M: MetallicStructure, which: str) -> Tensor12Field:
         chart, lambda i, j: apply_t11(outer, N.evaluate(cols[i], cols[j])))
 
 
-@dataclass(frozen=True)
-class Distribution:
-    chart: Chart
-    generators: tuple[VectorField, ...]
-    projector: Tensor11Field
-
-    def __post_init__(self):
-        if not (compose_t11(self.projector, self.projector) - self.projector).is_zero:
-            raise StructureError("distribution projector is not idempotent")
-        for k, g in enumerate(self.generators, start=1):
-            if not (apply_t11(self.projector, g) - g).is_zero:
-                raise StructureError(f"generator {k} is not fixed by the projector")
-
-
-def frobenius_criterion(D: Distribution, complement_projector: Tensor11Field) -> Tensor12Field:
-    """(X, Y) -> s[rX, rY] for the distribution's projector r and its
+def frobenius_criterion(projector: Tensor11Field, complement: Tensor11Field) -> Tensor12Field:
+    """(X, Y) -> s[rX, rY] for the projector r onto a distribution and its
     complement s; zero exactly when the distribution is integrable."""
-    chart = D.chart
-    total = D.projector + complement_projector
-    if not (total - Tensor11Field.identity(chart)).is_zero:
+    chart = projector.chart
+    if not (compose_t11(projector, projector) - projector).is_zero:
+        raise StructureError("distribution projector is not idempotent")
+    if not (projector + complement - Tensor11Field.identity(chart)).is_zero:
         raise StructureError("projectors are not complementary")
-    cols = [apply_t11(D.projector, VectorField.basis(chart, i)) for i in range(chart.dimension)]
+    cols = [apply_t11(projector, VectorField.basis(chart, i)) for i in range(chart.dimension)]
     return Tensor12Field.antisymmetric(chart, lambda i, j: apply_t11(
-        complement_projector, lie_derivative(cols[i], cols[j])))
+        complement, lie_derivative(cols[i], cols[j])))
 
 
 def example_41_chart() -> Chart:
@@ -145,11 +131,3 @@ def example_41_structure(params: MetallicParams) -> MetallicStructure:
     signs = Tensor11Field.diagonal(chart, [1, -1])
     P = compose_t11(compose_t11(basis, signs), invert_t11(basis))
     return metallic_from_product(P, params)
-
-
-def example_41_distributions(params: MetallicParams) -> tuple[Distribution, Distribution]:
-    M = example_41_structure(params)
-    pair = projectors_from_metallic(M)
-    gen_r, gen_s = example_41_distribution_generators(M.chart)
-    return (Distribution(M.chart, (gen_r,), pair.r),
-            Distribution(M.chart, (gen_s,), pair.s))

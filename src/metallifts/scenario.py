@@ -44,14 +44,9 @@ STRUCTURE_KINDS = ("product", "metallic", "tangent", "complex")
 
 class ScenarioError(ValueError):
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
-        where = ""
-        if path is not None:
-            where = f"{path}: " if line is None else f"{path}:{line}: "
-        elif line is not None:
-            where = f"line {line}: "
-        super().__init__(f"{where}{message}")
-        self.path = path
-        self.line = line
+        if line is not None:
+            path = f"line {line}" if path is None else f"{path}:{line}"
+        super().__init__(message if path is None else f"{path}: {message}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,6 @@ class CheckSpec:
     raw: str
     kind: str
     args: tuple[str, ...]
-    line: int
 
 
 @dataclass
@@ -74,16 +68,9 @@ class Scenario:
     checks: list[CheckSpec] = field(default_factory=list)
 
 
-def _strip(line: str) -> str:
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return line.strip()
-
-
-def _split_kv(token: str, key: str, path, lineno) -> str:
+def _split_kv(token: str, key: str) -> str:
     if not token.startswith(key + "="):
-        raise ScenarioError(f"expected {key}=..., found {token!r}", path, lineno)
+        raise ValueError(f"expected {key}=..., found {token!r}")
     return token[len(key) + 1:]
 
 
@@ -93,197 +80,159 @@ def _excerpt(text: str) -> str:
     return repr(text) if len(text) <= 60 else f"{text[:60]!r}... ({len(text)} characters)"
 
 
-class _Loader:
-    def __init__(self, text: str, path: str | None):
-        self.path = path
-        self.lines = text.splitlines()
-        self.name: str | None = None
-        self.chart: Chart | None = None
-        self.params: MetallicParams | None = None
-        self.headers: set[str] = set()  # the scenario/chart/params lines seen
-        self.structures: dict = {}
-        self.fields: dict = {}
-        self.connections: dict = {}
-        self.distributions: dict = {}
-        self.checks: list[CheckSpec] = []
-        # the open multi-line item, if any:
-        self.pending = None  # (kind, name, extra, rows, lineno)
+def _header(head: str, rest: str):
+    """The value of a scenario, chart or params line."""
+    if head == "scenario":
+        if not rest:
+            raise ValueError("scenario needs a name")
+        return rest
+    if head == "chart":
+        names = rest.split()
+        if not names:
+            raise ValueError("chart needs at least one variable name")
+        reserved = [n for n in names if n in PARAM_NAMES]
+        if reserved:
+            raise ValueError(f"chart variable {reserved[0]!r} would shadow the "
+                             f"parameter of that name")
+        return Chart(names)
+    parts = rest.split()
+    if len(parts) != 2:
+        raise ValueError("params needs alpha=A beta=B")
+    alpha, beta = _split_kv(parts[0], "alpha"), _split_kv(parts[1], "beta")
+    try:
+        return make_params(parse_integer(alpha), parse_integer(beta))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid params: {exc}") from exc
 
-    def err(self, msg, lineno) -> ScenarioError:
-        return ScenarioError(msg, self.path, lineno)
 
-    def need_header(self, lineno):
-        if self.chart is None or self.params is None:
-            raise self.err("chart and params must precede other declarations", lineno)
+def _entry(piece: str, chart: Chart, params: MetallicParams) -> RatFunc:
+    piece = piece.strip()
+    if not piece:
+        raise ValueError("empty entry in comma-separated list")
+    try:
+        return parse_expr(piece, chart, params)
+    except ExprError as exc:
+        raise ValueError(f"in expression {_excerpt(piece)}: {exc}") from exc
 
-    def parse_entry_line(self, rest: str, lineno) -> list[RatFunc]:
-        out = []
-        for piece in rest.split(","):
-            piece = piece.strip()
-            if not piece:
-                raise self.err("empty entry in comma-separated list", lineno)
-            try:
-                out.append(parse_expr(piece, self.chart, self.params))
-            except ExprError as exc:
-                raise self.err(f"in expression {_excerpt(piece)}: {exc}", lineno) from exc
-        return out
 
-    def close_pending(self):
-        if self.pending is None:
-            return
-        kind, name, extra, rows, lineno = self.pending
-        self.pending = None
-        declared = {"structure": self.structures, "field": self.fields,
-                    "connection": self.connections, "distribution": self.distributions}
-        if name in declared[kind]:
-            raise self.err(f"{kind} {name!r} is declared twice", lineno)
-        n = self.chart.dimension
-        if kind == "structure":
-            if len(rows) != n or any(len(r) != n for r in rows):
-                raise self.err(f"structure {name!r} needs a {n}x{n} matrix", lineno)
-            self.structures[name] = (extra, Tensor11Field(self.chart, tuple(map(tuple, rows))))
-        elif kind == "field":
-            if len(rows) != 1 or len(rows[0]) != n:
-                raise self.err(f"field {name!r} needs one row of {n} components", lineno)
-            self.fields[name] = VectorField(self.chart, tuple(rows[0]))
-        elif kind == "connection":
-            blocks, current = [], None
-            for tag, row in rows:
-                if tag == "block":
-                    current = []
-                    blocks.append(current)
-                else:
-                    if current is None:
-                        raise self.err("row before the first block", lineno)
-                    current.append(tuple(row))
-            if len(blocks) != n or any(len(b) != n or any(len(r) != n for r in b)
-                                       for b in blocks):
-                raise self.err(f"connection {name!r} needs {n} blocks of {n}x{n} rows", lineno)
-            self.connections[name] = Connection(self.chart, tuple(map(tuple, blocks)))
-        elif kind == "distribution":
-            if not rows:
-                raise self.err(f"distribution {name!r} needs at least one generator", lineno)
-            if any(len(r) != n for r in rows):
-                raise self.err(f"distribution {name!r} needs generators of {n} components",
-                               lineno)
-            gens = tuple(VectorField(self.chart, tuple(r)) for r in rows)
-            self.distributions[name] = gens
+def _structure(chart, name, skind, rows):
+    n = chart.dimension
+    if len(rows) != n or any(len(r) != n for r in rows):
+        return f"structure {name!r} needs a {n}x{n} matrix"
+    return skind, Tensor11Field(chart, tuple(map(tuple, rows)))
 
-    def feed(self, lineno: int, line: str):
-        tokens = line.split(None, 1)
-        head = tokens[0]
-        rest = tokens[1] if len(tokens) > 1 else ""
 
-        if head in ("row", "generator", "block"):
-            if self.pending is None:
-                raise self.err(f"{head!r} outside of a declaration", lineno)
-            kind = self.pending[0]
-            if head == "block":
-                if kind != "connection":
-                    raise self.err("'block' only belongs to a connection", lineno)
-                self.pending[3].append(("block", None))
-                return
-            entries = self.parse_entry_line(rest, lineno)
-            if kind == "connection":
-                if head != "row":
-                    raise self.err("connections use 'row' lines inside blocks", lineno)
-                self.pending[3].append(("row", entries))
-            elif kind == "distribution":
-                if head != "generator":
-                    raise self.err("distributions use 'generator' lines", lineno)
-                self.pending[3].append(entries)
-            else:
-                if head != "row":
-                    raise self.err(f"{kind}s use 'row' lines", lineno)
-                self.pending[3].append(entries)
-            return
+def _field(chart, name, _, rows):
+    n = chart.dimension
+    if len(rows) != 1 or len(rows[0]) != n:
+        return f"field {name!r} needs one row of {n} components"
+    return VectorField(chart, tuple(rows[0]))
 
-        self.close_pending()
 
-        if head in ("scenario", "chart", "params"):
-            if head in self.headers:
-                raise self.err(f"{head!r} is given twice", lineno)
-            self.headers.add(head)
-        if head == "scenario":
-            if not rest:
-                raise self.err("scenario needs a name", lineno)
-            self.name = rest.strip()
-        elif head == "chart":
-            names = rest.split()
-            if not names:
-                raise self.err("chart needs at least one variable name", lineno)
-            reserved = [n for n in names if n in PARAM_NAMES]
-            if reserved:
-                raise self.err(f"chart variable {reserved[0]!r} would shadow the "
-                               f"parameter of that name", lineno)
-            try:
-                self.chart = Chart(names)
-            except ValueError as exc:
-                raise self.err(str(exc), lineno) from exc
-        elif head == "params":
-            parts = rest.split()
-            if len(parts) != 2:
-                raise self.err("params needs alpha=A beta=B", lineno)
-            try:
-                alpha = parse_integer(_split_kv(parts[0], "alpha", self.path, lineno))
-                beta = parse_integer(_split_kv(parts[1], "beta", self.path, lineno))
-                self.params = make_params(alpha, beta)
-            except (TypeError, ValueError) as exc:
-                raise self.err(f"invalid params: {exc}", lineno) from exc
-        elif head == "structure":
-            self.need_header(lineno)
-            parts = rest.split()
-            if len(parts) != 2:
-                raise self.err("structure needs NAME kind=KIND", lineno)
-            name = parts[0]
-            skind = _split_kv(parts[1], "kind", self.path, lineno)
-            if skind not in STRUCTURE_KINDS:
-                raise self.err(f"unknown structure kind {skind!r}", lineno)
-            self.pending = ("structure", name, skind, [], lineno)
-        elif head == "field":
-            self.need_header(lineno)
-            if not rest:
-                raise self.err("field needs a name", lineno)
-            self.pending = ("field", rest.strip(), None, [], lineno)
-        elif head == "connection":
-            self.need_header(lineno)
-            if not rest:
-                raise self.err("connection needs a name", lineno)
-            self.pending = ("connection", rest.strip(), None, [], lineno)
-        elif head == "distribution":
-            self.need_header(lineno)
-            if not rest:
-                raise self.err("distribution needs a name", lineno)
-            self.pending = ("distribution", rest.strip(), None, [], lineno)
-        elif head == "check":
-            self.need_header(lineno)
-            parts = rest.split()
-            if not parts:
-                raise self.err("check needs a type", lineno)
-            self.checks.append(CheckSpec(line, parts[0], tuple(parts[1:]), lineno))
-        else:
-            raise self.err(f"unknown directive {head!r}", lineno)
+def _connection(chart, name, _, blocks):
+    n = chart.dimension
+    if len(blocks) != n or any(len(b) != n or any(len(r) != n for r in b) for b in blocks):
+        return f"connection {name!r} needs {n} blocks of {n}x{n} rows"
+    return Connection(chart, tuple(tuple(map(tuple, b)) for b in blocks))
 
-    def finish(self) -> Scenario:
-        self.close_pending()
-        if self.name is None:
-            raise ScenarioError("missing 'scenario NAME' line", self.path)
-        if self.chart is None or self.params is None:
-            raise ScenarioError("missing chart or params", self.path)
-        if not self.checks:
-            raise ScenarioError("scenario declares no checks", self.path)
-        return Scenario(self.name, self.chart, self.params, self.structures,
-                        self.fields, self.connections, self.distributions,
-                        self.checks)
+
+def _distribution(chart, name, _, rows):
+    n = chart.dimension
+    if not rows:
+        return f"distribution {name!r} needs at least one generator"
+    if any(len(r) != n for r in rows):
+        return f"distribution {name!r} needs generators of {n} components"
+    return tuple(VectorField(chart, tuple(r)) for r in rows)
+
+
+# The declaration kinds, each Scenario's field of its plural: the keyword of
+# their body lines, and the builder that returns the value, or the message
+# that refuses the shape of the parsed body lines.
+_DECLARATIONS = {"structure": ("row", _structure), "field": ("row", _field),
+                 "connection": ("row", _connection),
+                 "distribution": ("generator", _distribution)}
 
 
 def parse_scenario(text: str, path: str | None = None) -> Scenario:
-    loader = _Loader(text, path)
-    for lineno, raw in enumerate(loader.lines, start=1):
-        line = _strip(raw)
-        if line:
-            loader.feed(lineno, line)
-    return loader.finish()
+    given: dict = {}  # the values of the scenario, chart and params lines
+    declared: dict = {kind: {} for kind in _DECLARATIONS}
+    checks: list[CheckSpec] = []
+    kind = name = extra = at = None  # the open declaration, if any,
+    body: list = []  # and its parsed lines
+
+    def close():
+        if kind is None:
+            return
+        if name in declared[kind]:
+            raise ScenarioError(f"{kind} {name!r} is declared twice", path, at)
+        value = _DECLARATIONS[kind][1](given["chart"], name, extra, body)
+        if isinstance(value, str):
+            raise ScenarioError(value, path, at)
+        declared[kind][name] = value
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, rest = (line.split(None, 1) + [""])[:2]
+        body_line = head in ("row", "generator", "block")
+        if not body_line:
+            close()
+            kind = None
+        try:
+            if body_line:
+                if kind is None:
+                    raise ValueError(f"{head!r} outside of a declaration")
+                if head == "block":
+                    if kind != "connection":
+                        raise ValueError("'block' only belongs to a connection")
+                    body.append([])
+                    continue
+                if head != (keyword := _DECLARATIONS[kind][0]):
+                    raise ValueError(f"{kind}s use {keyword!r} lines"
+                                     + " inside blocks" * (kind == "connection"))
+                if kind == "connection" and not body:
+                    raise ValueError("row before the first block")
+                # a connection's rows go into the sub-list of its last block
+                (body[-1] if kind == "connection" else body).append(
+                    [_entry(piece, given["chart"], given["params"]) for piece in rest.split(",")])
+            elif head in ("scenario", "chart", "params"):
+                if head in given:
+                    raise ValueError(f"{head!r} is given twice")
+                given[head] = _header(head, rest)
+            elif head != "check" and head not in _DECLARATIONS:
+                raise ValueError(f"unknown directive {head!r}")
+            elif "chart" not in given or "params" not in given:
+                raise ValueError("chart and params must precede other declarations")
+            elif head == "check":
+                if not rest:
+                    raise ValueError("check needs a type")
+                ctype, *args = rest.split()
+                checks.append(CheckSpec(line, ctype, tuple(args)))
+            else:
+                name, extra = rest, None
+                if head == "structure":
+                    parts = rest.split()
+                    if len(parts) != 2:
+                        raise ValueError("structure needs NAME kind=KIND")
+                    name, extra = parts[0], _split_kv(parts[1], "kind")
+                    if extra not in STRUCTURE_KINDS:
+                        raise ValueError(f"unknown structure kind {extra!r}")
+                elif not rest:
+                    raise ValueError(f"{head} needs a name")
+                kind, at, body = head, lineno, []
+        except ValueError as exc:
+            raise ScenarioError(str(exc), path, lineno) from exc
+    close()
+    if "scenario" not in given:
+        raise ScenarioError("missing 'scenario NAME' line", path)
+    if "chart" not in given or "params" not in given:
+        raise ScenarioError("missing chart or params", path)
+    if not checks:
+        raise ScenarioError("scenario declares no checks", path)
+    return Scenario(given["scenario"], given["chart"], given["params"],
+                    **{kind + "s": values for kind, values in declared.items()},
+                    checks=checks)
 
 
 def load_scenario(path) -> Scenario:

@@ -21,8 +21,7 @@ from metallifts.cross_section import (CrossSection, b_lift, c_lift,
 from metallifts.geometry import (Connection, Tensor11Field, VectorField,
                                  apply_t11, compose_t11, invert_t11,
                                  lie_derivative)
-from metallifts.integrability import (example_41_distributions,
-                                      example_41_structure, frobenius_criterion,
+from metallifts.integrability import (example_41_structure, frobenius_criterion,
                                       nijenhuis_apply, nijenhuis_t11,
                                       np_relation, projector_criterion)
 from metallifts.lifts import (complete_lift_t11, complete_lift_vf,
@@ -292,11 +291,11 @@ def test_criterion_4_worked_example():
                     _t12_components(projector_criterion(M, which)))
         expect_zero(f"example: lifted {which} criterion",
                     _t12_components(projector_criterion(lifted_m, which)))
-    dist_r, dist_s = example_41_distributions(GOLDEN)
+    pair = projectors_from_metallic(M)
     expect_zero("example: R integrable", _t12_components(
-        frobenius_criterion(dist_r, dist_s.projector)))
+        frobenius_criterion(pair.r, pair.s)))
     expect_zero("example: S integrable", _t12_components(
-        frobenius_criterion(dist_s, dist_r.projector)))
+        frobenius_criterion(pair.s, pair.r)))
     # The diagonal entries match the printed closed forms verbatim.
     top = parse_expr("((alpha - sigma)*(x + y)^2 + sigma) / ((x + y)^2 + 1)",
                      chart, GOLDEN)

@@ -6,9 +6,8 @@ import pytest
 
 from metallifts.cli import load_builtin
 from metallifts.geometry import Tensor11Field, VectorField, apply_t11, run_memo
-from metallifts.integrability import (Distribution, affine_invariance,
+from metallifts.integrability import (affine_invariance,
                                       example_41_distribution_generators,
-                                      example_41_distributions,
                                       example_41_structure, frobenius_criterion,
                                       nijenhuis_apply, nijenhuis_t11,
                                       np_relation, projector_criterion)
@@ -160,9 +159,9 @@ def test_example_nijenhuis_vanishes_base_and_lifted():
 
 
 def test_example_distributions_integrable():
-    dist_r, dist_s = example_41_distributions(GOLDEN)
-    assert frobenius_criterion(dist_r, dist_s.projector).is_zero
-    assert frobenius_criterion(dist_s, dist_r.projector).is_zero
+    pair = projectors_from_metallic(example_41_structure(GOLDEN))
+    assert frobenius_criterion(pair.r, pair.s).is_zero
+    assert frobenius_criterion(pair.s, pair.r).is_zero
 
 
 def test_example_projector_criteria():
@@ -190,22 +189,31 @@ def test_example_with_other_params():
 
 # -- distribution plumbing --------------------------------------------------
 
-def test_distribution_rejects_bad_projector(rng):
-    gen_r, _ = example_41_distribution_generators(CH)
-    with pytest.raises(StructureError):
-        Distribution(CH, (gen_r,), Tensor11Field.identity(CH).scale(2))
+def test_distribution_rejects_bad_projector():
+    # 2I and -I sum to I, so only the idempotency of 2I is at fault.
+    with pytest.raises(StructureError, match="not idempotent"):
+        frobenius_criterion(Tensor11Field.identity(CH).scale(2),
+                            Tensor11Field.identity(CH).scale(-1))
 
 
-def test_distribution_rejects_unfixed_generator():
-    dist_r, dist_s = example_41_distributions(GOLDEN)
-    with pytest.raises(StructureError, match="generator 1 is not fixed"):
-        Distribution(dist_r.chart, dist_s.generators, dist_r.projector)
+def test_false_generator_claim_fails_with_its_residual():
+    """R declared with S's generator: the check names the distribution in a
+    nonzero residual and fails, instead of ending in an error."""
+    text = (resources.files("metallifts") / "scenarios" / "example_4_1.scn").read_text()
+    head = text[:text.index("check ")].replace("generator 1 , -(x+y)", "generator x+y , 1")
+    scenario = parse_scenario(head + "check distributions_integrable PSI R S\n")
+    (check,) = run_scenario(scenario).checks
+    assert check.verdict == "fail"
+    assert all(fact for _, fact in check.outcome.facts)
+    residuals = {r.label: r.expr for r in check.outcome.residuals}
+    assert not all(residuals[f"R generator 1 fixed[{h}]"].is_zero for h in (1, 2))
+    assert all(residuals[f"S generator 1 fixed[{h}]"].is_zero for h in (1, 2))
 
 
 def test_integrability_requires_complementary_projectors():
-    dist_r, _ = example_41_distributions(GOLDEN)
-    with pytest.raises(StructureError):
-        frobenius_criterion(dist_r, dist_r.projector)
+    pair = projectors_from_metallic(example_41_structure(GOLDEN))
+    with pytest.raises(StructureError, match="not complementary"):
+        frobenius_criterion(pair.r, pair.r)
 
 
 def test_non_integrable_distribution_detected():
@@ -217,8 +225,8 @@ def test_non_integrable_distribution_detected():
     g2 = VectorField.make(ch3, [0, 1, x])
     proj = Tensor11Field.make(ch3, [[1, 0, 0], [0, 1, 0], [0, x, 0]])
     comp = Tensor11Field.identity(ch3) - proj
-    dist = Distribution(ch3, (g1, g2), proj)
-    assert not frobenius_criterion(dist, comp).is_zero
+    assert (apply_t11(proj, g1) - g1).is_zero and (apply_t11(proj, g2) - g2).is_zero
+    assert not frobenius_criterion(proj, comp).is_zero
 
 
 # -- denominators containing sqrt(D) ----------------------------------------

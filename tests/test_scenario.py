@@ -126,3 +126,64 @@ def test_comments_and_blank_lines_ignored():
                         "  # trailing note\n\ncheck nijenhuis_zero P  # ok")
     sc = parse_scenario(text)
     assert len(sc.checks) == 2
+
+
+HEAD = "scenario s\nchart x y\nparams alpha=1 beta=1\n"  # lines 1-3
+
+
+LOAD_ERRORS = [  # (text, a fragment of its message, the line at fault)
+    ("scenario\n", "scenario needs a name", 1),
+    ("scenario s\nscenario t\n", "'scenario' is given twice", 2),
+    ("scenario s\nchart\n", "chart needs at least one variable name", 2),
+    ("scenario s\nchart x sigma\n", "chart variable 'sigma' would shadow the parameter", 2),
+    ("scenario s\nchart x x\n", "chart variable names must be distinct", 2),
+    ("scenario s\nchart x y\nparams alpha=1\n", "params needs alpha=A beta=B", 3),
+    ("scenario s\nchart x y\nparams alpha=1 beta=x\n", "invalid params: 'x' is not an integer", 3),
+    ("scenario s\nchart x y\nparams gamma=1 beta=1\n", "expected alpha=..., found 'gamma=1'", 3),
+    ("scenario s\nstructure P kind=product\n",
+     "chart and params must precede other declarations", 2),
+    (HEAD + "frobnicate\n", "unknown directive 'frobnicate'", 4),
+    (HEAD + "check\n", "check needs a type", 4),
+    (HEAD + "structure P\n", "structure needs NAME kind=KIND", 4),
+    (HEAD + "structure P type=product\n", "expected kind=..., found 'type=product'", 4),
+    (HEAD + "structure P kind=weird\n", "unknown structure kind 'weird'", 4),
+    (HEAD + "field\n", "field needs a name", 4),
+    (HEAD + "connection\n", "connection needs a name", 4),
+    (HEAD + "distribution\n", "distribution needs a name", 4),
+    (HEAD + "generator 1 , 0\n", "'generator' outside of a declaration", 4),
+    (HEAD + "distribution R\n  block\n", "'block' only belongs to a connection", 5),
+    (HEAD + "field X\n  generator 1 , 0\n", "fields use 'row' lines", 5),
+    # a body line with the wrong keyword is refused before its entries are parsed
+    (HEAD + "structure P kind=product\n  generator x + , y\n", "structures use 'row' lines", 5),
+    (HEAD + "distribution R\n  row 1 , 0\n", "distributions use 'generator' lines", 5),
+    (HEAD + "connection G\n  block\n    generator 0 , 0\n",
+     "connections use 'row' lines inside blocks", 6),
+    (HEAD + "connection G\n  row 0 , 0\n  block\n    row 0 , 0\n",
+     "row before the first block", 5),
+    (HEAD + "field X\n  row x , \n", "empty entry in comma-separated list", 5),
+    (HEAD + "field X\n  row x + , y\n", "in expression 'x +': expected a value", 5),
+    (HEAD + "structure P kind=product\n  row 0 , 1\ncheck metallic P\n",
+     "structure 'P' needs a 2x2 matrix", 4),
+    (HEAD + "field X\n  row 1\ncheck metallic P\n",
+     "field 'X' needs one row of 2 components", 4),
+    (HEAD + "connection G\n  block\n    row 0 , 0\n    row 0 , 0\ncheck metallic P\n",
+     "connection 'G' needs 2 blocks of 2x2 rows", 4),
+    (HEAD + "distribution R\ncheck metallic P\n",
+     "distribution 'R' needs at least one generator", 4),
+    (HEAD + "distribution R\n  generator 1\n",
+     "distribution 'R' needs generators of 2 components", 4),
+    (HEAD + "field X\n  row 1 , 2\nfield X\n  row 1 , 2\n", "field 'X' is declared twice", 6),
+    ("chart x y\nparams alpha=1 beta=1\ncheck metallic P\n", "missing 'scenario NAME' line",
+     None),
+    ("scenario s\nchart x y\n", "missing chart or params", None),
+    (HEAD, "scenario declares no checks", None),
+]
+
+
+@pytest.mark.parametrize("text, fragment, line", LOAD_ERRORS,
+                         ids=[fragment for _, fragment, _ in LOAD_ERRORS])
+def test_every_load_error_gives_its_line_once(text, fragment, line):
+    msg = scenario_error(text)
+    assert msg.startswith("bad.scn: " if line is None else f"bad.scn:{line}: ")
+    assert fragment in msg and msg.count("bad.scn") == 1
+

@@ -9,9 +9,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name):
+def run_script(name, *args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name)], env=env,
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
                           capture_output=True, text=True, timeout=300)
 
 
@@ -25,6 +25,14 @@ def test_run_all_scenarios():
     proc = run_script("run_all_scenarios.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "14/14 scenarios pass" in proc.stdout
+
+
+def test_run_all_scenarios_reads_the_seed_as_metallifts_run_does():
+    # int() would take "1_0" as 10; the integer rule [+-]?[0-9]+ refuses it.
+    proc = run_script("run_all_scenarios.py", "--seed", "1_0")
+    assert proc.returncode == 2
+    assert "invalid parse_integer value: '1_0'" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_report_digests_for_one_seed():
