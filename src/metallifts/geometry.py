@@ -96,17 +96,14 @@ def _index_label(index) -> str:
 
 
 def _contract(xs, ys) -> RatFunc:
-    """sum_k xs[k] * ys[k] over two sequences of one length.  The products
-    are added in k order, a term with a zero factor is skipped unmultiplied,
-    and with none left the sum is xs[0].zero().  Every sum of products in
-    the tensor layers is this function, so this is the one place that rule
-    and that order live; a difference is passed as a sum with its
-    subtracted factor negated."""
-    acc = None
-    for x, y in zip(xs, ys):
-        if x.num and y.num:  # neither is zero; .num skips the is_zero property
-            acc = acc + x * y if acc is not None else x * y
-    return xs[0].zero() if acc is None else acc
+    """sum_k xs[k] * ys[k] over two sequences of one length, by
+    ``RatFunc.sum_of_products``: the products whose factors are both
+    nonzero go over one common denominator, their numerators are added,
+    and the sum is reduced once.  A term with a zero factor is skipped
+    unmultiplied, and with none left the sum is xs[0].zero().  Every sum of
+    products in the tensor layers is this function; a difference is passed
+    as a sum with its subtracted factor negated."""
+    return RatFunc.sum_of_products(xs, ys)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,18 @@ class StructureError(ValueError):
     pass
 
 
+# A component quoted in a StructureError is cut after this many characters.
+MAX_COMPONENT_TEXT = 200
+
+
+def _component_text(c: RatFunc) -> str:
+    """repr(c), cut after MAX_COMPONENT_TEXT characters, then its length."""
+    text = repr(c)
+    if len(text) <= MAX_COMPONENT_TEXT:
+        return text
+    return f"{text[:MAX_COMPONENT_TEXT]}... ({len(text)} characters)"
+
+
 def square_residual(T: Tensor11Field, k) -> Tensor11Field:
     """T o T - k*I."""
     return compose_t11(T, T) - Tensor11Field.identity(T.chart).scale(k)
@@ -31,7 +43,7 @@ def check_square_is(T: Tensor11Field, scalar, what: str) -> None:
         *index, c = bad
         raise StructureError(
             f"{what}: component {_index_label(index)} of the defining relation "
-            f"is nonzero: {c!r}")
+            f"is nonzero: {_component_text(c)}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +58,7 @@ class MetallicStructure:
             *index, c = bad
             raise StructureError(
                 f"Psi^2 - alpha*Psi - beta*I has nonzero component "
-                f"{_index_label(index)}: {c!r}")
+                f"{_index_label(index)}: {_component_text(c)}")
 
     @property
     def chart(self):

@@ -186,6 +186,8 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
                 if head == "block":
                     if kind != "connection":
                         raise ValueError("'block' only belongs to a connection")
+                    if rest:
+                        raise ValueError(f"'block' takes nothing after it, found {_excerpt(rest)}")
                     body.append([])
                     continue
                 if head != (keyword := _DECLARATIONS[kind][0]):
@@ -210,9 +212,8 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
                 ctype, *args = rest.split()
                 checks.append(CheckSpec(line, ctype, tuple(args)))
             else:
-                name, extra = rest, None
+                name, extra, parts = rest, None, rest.split()
                 if head == "structure":
-                    parts = rest.split()
                     if len(parts) != 2:
                         raise ValueError("structure needs NAME kind=KIND")
                     name, extra = parts[0], _split_kv(parts[1], "kind")
@@ -220,6 +221,8 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
                         raise ValueError(f"unknown structure kind {extra!r}")
                 elif not rest:
                     raise ValueError(f"{head} needs a name")
+                elif len(parts) > 1:
+                    raise ValueError(f"{head} takes one NAME, found {_excerpt(rest)}")
                 kind, at, body = head, lineno, []
         except ValueError as exc:
             raise ScenarioError(str(exc), path, lineno) from exc

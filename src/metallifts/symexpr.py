@@ -15,8 +15,10 @@ so the content is taken again only after a sum, a derivative or a rewrite
 of ``s^2`` (``(1+s)(1-s) = 1-d``), and for the conjugate product and norm
 of a reciprocal.  Every operation cancels numerator against denominator
 bases by exact trial division over ``ZZ``, with no gcd of the two (only
-``reduced()`` takes one).  Zero is represented uniquely by ``N == 0`` and
-``c == 0`` (``A + s*B == 0`` iff ``A == B == 0``), which makes ``is_zero``
+``reduced()`` takes one); a sum, of two terms or of a whole contraction
+(``RatFunc.sum_of_products``), goes over one common denominator and is
+reduced once.  Zero is represented uniquely by ``N == 0`` and ``c == 0``
+(``A + s*B == 0`` iff ``A == B == 0``), which makes ``is_zero``
 the decidable verdict primitive behind every identity check.  Equality is
 decided by exact cross-multiplication, independent of how the denominators
 are factored.  Rendering and numeric evaluation read the value as a
@@ -163,23 +165,6 @@ def _rat(n, d):
     return q.numerator if q.denominator == 1 else q
 
 
-def _combine(c1, p1, c2, p2):
-    """(c, N) with c*N == c1*p1 + c2*p2 and N as _primitive leaves it.  The
-    contents are brought to a common denominator by integer multipliers,
-    whose gcd is divided out first."""
-    if c1 == c2:
-        k, num = _primitive(p1 + p2)
-        return (c1 if k == 1 else c1 * k), num
-    den = lcm(c1.denominator, c2.denominator)
-    m1 = c1.numerator * (den // c1.denominator)
-    m2 = c2.numerator * (den // c2.denominator)
-    g = gcd(m1, m2)
-    m1, m2 = m1 // g, m2 // g
-    num = (p1 if m1 == 1 else p1.mul_ground(m1)) + (p2 if m2 == 1 else p2.mul_ground(m2))
-    k, num = _primitive(num)
-    return _rat(g * k, den), num
-
-
 def _divide_out(num, base, max_exp: int):
     """Divide num by base as often as it divides exactly, at most max_exp
     times."""
@@ -304,26 +289,8 @@ class RatFunc:
             return b if b.field is field else b._with_field(field)
         if not b.num:
             return a if a.field is field else a._with_field(field)
-        if a.factors == b.factors:
-            c, num = _combine(a.c, a.num, b.c, b.num)
-            num, factors = self._reduce(num, dict(a.factors))
-            return RatFunc(a.chart, field, c, num, factors)
-        fa, fb = dict(a.factors), dict(b.factors)
-        merged = dict(fa)
-        for base, e in fb.items():
-            merged[base] = max(merged.get(base, 0), e)
-        cof_a = a.num.ring.one
-        cof_b = cof_a
-        for base, e in merged.items():
-            da = e - fa.get(base, 0)
-            db = e - fb.get(base, 0)
-            if da:
-                cof_a = cof_a * base ** da
-            if db:
-                cof_b = cof_b * base ** db
-        c, num = _combine(a.c, a.num * cof_a, b.c, b.num * cof_b)
-        num, factors = self._reduce(num, merged)
-        return RatFunc(a.chart, field, c, num, factors)
+        return _common_sum(a.chart, field, [(a.c, (a.num,), dict(a.factors)),
+                                            (b.c, (b.num,), dict(b.factors))])
 
     __radd__ = __add__
 
@@ -409,6 +376,30 @@ class RatFunc:
         c, num = _fold(self.field, self.c ** n, self.num ** n)
         factors = tuple((b, e * n) for b, e in self.factors)
         return RatFunc(self.chart, self.field, c, num, factors)
+
+    @staticmethod
+    def sum_of_products(xs, ys) -> RatFunc:
+        """sum_k xs[k] * ys[k] over two sequences of one length, over one
+        common denominator.  A product with a zero factor is skipped
+        unmultiplied.  Each other product is its two numerators, its
+        contents multiplied and its factor multisets merged, and
+        ``_common_sum`` adds them and reduces the sum once.  One such
+        product is ``x * y``; with none the sum is ``xs[0].zero()``."""
+        pairs = [(x, y) for x, y in zip(xs, ys) if x.num and y.num]  # .num skips is_zero
+        if len(pairs) < 2:
+            return pairs[0][0] * pairs[0][1] if pairs else xs[0].zero()
+        chart, field = pairs[0][0].chart, pairs[0][0].field
+        terms = []
+        for x, y in pairs:
+            if x.chart != chart:
+                raise ExprError(f"chart mismatch: {chart} vs {x.chart}")
+            field = field.join(x._join(y))
+            factors = dict(x.factors)
+            for base, e in y.factors:
+                factors[base] = factors.get(base, 0) + e
+            c = y.c if x.c == 1 else x.c if y.c == 1 else x.c * y.c
+            terms.append((c, (x.num, y.num), factors))
+        return _common_sum(chart, field, terms)
 
     # -- predicates & equality ----------------------------------------
 
@@ -555,6 +546,60 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.to_text()})"
+
+
+def _common_sum(chart: Chart, field: CoeffField, terms) -> RatFunc:
+    """The sum of terms ``(c, polys, factors)``, each the content c times
+    the product of the nonzero polys over prod(base**e for base, e in
+    factors.items()), in normal form.  The common denominator takes each
+    base to its largest exponent over the terms, and the contents are
+    brought to the lcm of their denominators by integer multipliers whose
+    gcd is divided out first.  Each term's polys, cofactor bases and
+    multiplier are multiplied smallest first and accumulated into one
+    numerator.  Then s^2 is folded, the content taken and the bases
+    trial-divided once, on the sum.  ``__add__`` is the case of two terms
+    of one poly each."""
+    merged: dict = {}
+    for _, _, factors in terms:
+        for base, e in factors.items():
+            if merged.get(base, 0) < e:
+                merged[base] = e
+    den = lcm(*[c.denominator for c, _, _ in terms])
+    mults = [c.numerator * (den // c.denominator) for c, _, _ in terms]
+    g = gcd(*mults)
+    out, dense = None, False
+    for (_, polys, factors), m in zip(terms, mults):
+        m //= g
+        if factors != merged:
+            polys = [*polys, *[base ** (e - factors.get(base, 0)) for base, e in merged.items()
+                               if factors.get(base, 0) < e]]
+        if len(polys) == 1:
+            p = polys[0]
+            if out is None:
+                out = p.copy() if m == 1 else p.mul_ground(m)
+                continue
+            get = out.get
+            for mono, c in p.items():
+                c = get(mono, 0) + c * m
+                if c:
+                    out[mono] = c
+                else:
+                    del out[mono]
+            continue
+        *rest, last = sorted(polys, key=len)
+        p = rest[0] if m == 1 else rest[0].mul_ground(m)
+        for q in rest[1:]:
+            p = p * q
+        if out is None:
+            out = p.new({})
+        out.ring.product(p, last, out)  # accumulates, zeros kept
+        dense = True
+    if dense:
+        for mono in [mono for mono, c in out.items() if not c]:
+            del out[mono]
+    k, num = _primitive(field.fold(out))
+    num, factors = RatFunc._reduce(num, merged)
+    return RatFunc(chart, field, g * k if den == 1 else _rat(g * k, den), num, factors)
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,16 @@
 import random
+from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metallifts.geometry import (ChartMismatch, Connection, Tensor11Field,
-                                 Tensor12Field, VectorField, apply_t11,
+                                 Tensor12Field, VectorField, _contract, apply_t11,
                                  compose_t11, invert_t11, lie_derivative)
-from metallifts.symexpr import Chart, RatFunc, parse_expr
+from metallifts.numfield import make_params
+from metallifts.symexpr import Chart, RatFunc, _fkey, parse_expr
 
 from conftest import rand_poly, rand_t11, rand_vector
 
@@ -210,3 +214,80 @@ def test_chart_mismatch():
         lie_derivative(X, U)
     with pytest.raises(ChartMismatch):
         apply_t11(Tensor11Field.identity(CH), U)
+
+
+# -- one sum of products ----------------------------------------------------
+
+P8 = make_params(2, 1)  # sqrtD = 2*sqrt(2)
+ZERO = RatFunc.constant(CH, 0)
+# Pairwise coprime divisors, one of them with sqrtD: dividing by x + sqrtD*y
+# rationalises it into the base x^2 - 8*y^2.
+DIVISORS = [parse_expr(t, CH, P8) for t in ("x + 1", "x*y + 2", "x^2 + y^2 + 3", "x + sqrtD*y")]
+
+
+@st.composite
+def contraction_factors(draw):
+    """c * p / (a product of up to three divisors, repeats allowed), with a
+    Fraction c, a polynomial p with or without sqrtD terms, or zero."""
+    if draw(st.integers(0, 3)) == 0:
+        return ZERO
+    monomials = ("1", "x", "y", "x*y", "sqrtD", "sqrtD*x")
+    p = parse_expr("+".join(f"({draw(st.integers(-3, 3))})*{m}" for m in monomials), CH, P8)
+    f = RatFunc.constant(CH, Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 6)))) * p
+    for d in draw(st.lists(st.sampled_from(DIVISORS), max_size=3)):
+        f = f / d
+    return f
+
+
+def assert_normal_form(f: RatFunc):
+    """c*N/prod(F^e) as every operation leaves it: N primitive with a
+    positive leading coefficient, no base dividing N, bases in _fkey order."""
+    if f.is_zero:
+        assert f.c == 0 and f.factors == ()
+        return
+    assert gcd(*f.num.values()) == 1 and f.num.LC > 0
+    for base, e in f.factors:
+        assert e > 0 and f.num.exact_quo(base) is None
+    bases = [base for base, _ in f.factors]
+    assert bases == sorted(bases, key=_fkey)
+
+
+@st.composite
+def contraction_pairs(draw):
+    """One to five factor pairs.  Half the time one more pair cancels the
+    first product up to x0 * d * f for a divisor d, so a base of x0 can
+    divide the summed numerator and the sum has to cancel it."""
+    pairs = draw(st.lists(st.tuples(contraction_factors(), contraction_factors()),
+                          min_size=1, max_size=5))
+    if draw(st.booleans()):
+        x0, y0 = pairs[0]
+        pairs.append((x0, draw(st.sampled_from(DIVISORS)) * draw(contraction_factors()) - y0))
+    return pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(contraction_pairs())
+def test_contract_equals_the_left_to_right_sum_of_products(pairs):
+    xs, ys = zip(*pairs)
+    products = [x * y for x, y in pairs if not x.is_zero and not y.is_zero]
+    expected = sum(products[1:], products[0]) if products else ZERO
+    got = _contract(xs, ys)
+    assert got == expected
+    assert_normal_form(got)
+    # The divisors are pairwise coprime, so the normal form is unique and
+    # the two sums agree term for term.
+    assert (got.c, got.num, got.factors) == (expected.c, expected.num, expected.factors)
+    if len(products) == 1:
+        assert got.factors == products[0].factors and got.num == products[0].num
+
+
+def test_contract_cancels_a_base_of_the_sum():
+    x, y = (parse_expr(n, CH) for n in CH.variables)
+    got = _contract([x / (x + 1), 1 / (x + 1), y], [1 / (y + 2), 1 / (y + 2), 1 / (y + 2)])
+    assert got == (y + 1) / (y + 2) and len(got.factors) == 1
+
+
+def test_contract_of_all_zero_products_is_the_first_factor_zero():
+    x = parse_expr("x", CH, P8)
+    got = _contract([ZERO, x], [x, ZERO])
+    assert got.is_zero and got.field is ZERO.field

@@ -368,3 +368,24 @@ def test_memo_hits_only_exactly_equal_tensors(builds):
         assert builds["nijenhuis"] == 0
     assert n_t.is_zero and not n_shifted.is_zero
     assert (n_shifted - nijenhuis_t11(shifted)).is_zero
+
+
+def _reflection_scenario(names, v) -> str:
+    """The almost product structure P = I - 2 v v^T/(v.v) on the chart
+    ``names``, for polynomial entries v: a reflection at every point."""
+    norm = "+".join(f"({e})^2" for e in v)
+    rows = "\n".join("  row " + " , ".join(
+        f"{int(i == j)}-2*({v[i]})*({v[j]})/({norm})" for j in range(len(v)))
+        for i in range(len(v)))
+    return (f"scenario reflection\nchart {' '.join(names)}\nparams alpha=1 beta=1\n"
+            f"structure P kind=product\n{rows}\n"
+            "check np_relation P\ncheck affine_invariance P 3 2\n"
+            "check nijenhuis_zero_lifted P\n")
+
+
+def test_curved_product_structure_in_dimension_3():
+    # A curved structure in dimension 3, larger than any workload's: every
+    # component has the quartic denominator v.v, and N_P does not vanish.
+    sc = parse_scenario(_reflection_scenario(("x", "y", "z"), ("1", "y+z^2", "z+x^2")))
+    report = run_scenario(sc)
+    assert [c.verdict for c in report.checks] == ["pass", "pass", "fail"]

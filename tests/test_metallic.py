@@ -9,7 +9,7 @@ from metallifts.metallic import (MetallicStructure, StructureError,
                                  metallic_residual, minimal_polynomial_check,
                                  product_from_metallic, projectors_from_metallic)
 from metallifts.numfield import QuadScalar, make_params
-from metallifts.symexpr import Chart, RatFunc
+from metallifts.symexpr import Chart, RatFunc, parse_expr
 
 from conftest import all_params, involutive_product, rand_t11
 
@@ -21,6 +21,26 @@ def test_structure_validation_rejects_non_metallic():
     params = make_params(1, 1)
     with pytest.raises(StructureError):
         MetallicStructure(params, Tensor11Field.identity(CH))
+
+
+def test_structure_error_quotes_a_large_component_cut_short():
+    # Degree-20 entries make the offending component of the defining
+    # relation tens of thousands of characters long; the message keeps 200
+    # of them and the full length.
+    params = make_params(1, 1)
+    big = parse_expr("(x+2*y+3)^20", CH, params)
+    T = Tensor11Field.make(CH, [[big, 0], [0, 1]])
+    for build in (lambda: MetallicStructure(params, T),
+                  lambda: metallic_from_product(T, params)):
+        with pytest.raises(StructureError) as err:
+            build()
+        msg = str(err.value)
+        assert len(msg) < 400, len(msg)
+        assert msg.endswith(" characters)") and "[1][1]" in msg
+    # A short component is quoted whole, as before.
+    with pytest.raises(StructureError) as err:
+        metallic_from_product(Tensor11Field.make(CH, [[0, 0], [0, 1]]), params)
+    assert str(err.value).endswith("[1][1] of the defining relation is nonzero: RatFunc(-1)")
 
 
 def test_metallic_from_product_rejects_non_involutive(rng):

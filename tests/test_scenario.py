@@ -150,6 +150,11 @@ LOAD_ERRORS = [  # (text, a fragment of its message, the line at fault)
     (HEAD + "field\n", "field needs a name", 4),
     (HEAD + "connection\n", "connection needs a name", 4),
     (HEAD + "distribution\n", "distribution needs a name", 4),
+    (HEAD + "field X Y\n", "field takes one NAME, found 'X Y'", 4),
+    (HEAD + "connection G H\n", "connection takes one NAME, found 'G H'", 4),
+    (HEAD + "distribution R kind=product\n",
+     "distribution takes one NAME, found 'R kind=product'", 4),
+    (HEAD + "connection G\n  block foo\n", "'block' takes nothing after it, found 'foo'", 5),
     (HEAD + "generator 1 , 0\n", "'generator' outside of a declaration", 4),
     (HEAD + "distribution R\n  block\n", "'block' only belongs to a connection", 5),
     (HEAD + "field X\n  generator 1 , 0\n", "fields use 'row' lines", 5),
