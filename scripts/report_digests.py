@@ -7,10 +7,13 @@ generator gave it and at a fixed sampler seed, 7.  Each run prints one line,
 ``workload/seed/scenario/sampler_seed sha256``, the digest taken over the
 structured report followed by the text report.  Last come two lines for the
 worked example ``example_4_1`` with ``x+y`` replaced by ``x+sqrtD*y``, whose
-denominators contain ``sqrt(D)`` as no workload's do, at the default sampler
-seed and at 7.  The package is loaded from
-the ``src/`` next to this script, so two checkouts print the same lines
-exactly when every one of these reports is byte-identical between them:
+denominators contain ``sqrt(D)`` as no workload's do, and two for the
+reflection ``P = I - 2vv^T/(v.v)`` with ``v = (1, y+z^2, z+x^2)`` in dimension
+3, whose derivatives and lifts carry several bases squared and cubed in
+three variables; each at the default sampler seed and at 7.  The package is
+loaded from the ``src/`` next to this script, so two checkouts print the
+same lines exactly when every one of these reports is byte-identical
+between them:
 
     python3 scripts/report_digests.py > digests.txt   # in each checkout
     diff parent/digests.txt change/digests.txt
@@ -59,12 +62,28 @@ def sqrtd_variant_lines():
         yield f"variant/example_4_1_sqrtD/{sampler_seed} {digest(scenario, sampler_seed)}"
 
 
+def reflection_lines():
+    """The two reports of the dimension-3 reflection, checked by
+    np_relation, affine_invariance and nijenhuis_zero_lifted."""
+    v = ("1", "y+z^2", "z+x^2")
+    norm = "+".join(f"({e})^2" for e in v)
+    rows = "\n".join("  row " + " , ".join(
+        f"{int(i == j)}-2*({v[i]})*({v[j]})/({norm})" for j in range(3)) for i in range(3))
+    text = (f"scenario reflection\nchart x y z\nparams alpha=1 beta=1\n"
+            f"structure P kind=product\n{rows}\n"
+            "check np_relation P\ncheck affine_invariance P 3 2\n"
+            "check nijenhuis_zero_lifted P\n")
+    scenario = parse_scenario(text, "reflection_3")
+    for sampler_seed in (DEFAULT_SEED, FIXED_SAMPLER_SEED):
+        yield f"variant/reflection_3/{sampler_seed} {digest(scenario, sampler_seed)}"
+
+
 def main() -> int:
     for workload in WORKLOADS:
         for seed in SEEDS:
             for line in digest_lines(workload, seed):
                 print(line, flush=True)
-    for line in sqrtd_variant_lines():
+    for line in (*sqrtd_variant_lines(), *reflection_lines()):
         print(line, flush=True)
     return 0
 

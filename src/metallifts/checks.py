@@ -21,7 +21,7 @@ from fractions import Fraction
 from .cross_section import (CrossSection, induced_structure, invariance_check,
                             lift_decomposition_check, section_nijenhuis_check)
 from .geometry import (Connection, Tensor11Field, Tensor12Field, VectorField, _Field,
-                       _index_label, apply_t11, compose_t11)
+                       _index_label, apply_t11, compose_t11, linear_combination)
 from .integrability import (affine_invariance, frobenius_criterion,
                             nijenhuis_t11, np_relation, projector_criterion)
 from .lifts import (complete_lift_t11, frame_swap_product, horizontal_lift_t11,
@@ -229,19 +229,17 @@ def check_projector_algebra(ctx: Context, name) -> CheckOutcome:
     psi = M.tensor
     out = CheckOutcome("r + s = I, rs = sr = 0, r^2 = r, s^2 = s, "
                        "Psi r = sigma r, Psi s = (alpha - sigma) s")
-    _tensor_residuals(out, "r + s - I", pair.r + pair.s - I)
-    _tensor_residuals(out, "r s", compose_t11(pair.r, pair.s))
-    _tensor_residuals(out, "s r", compose_t11(pair.s, pair.r))
-    _tensor_residuals(out, "r^2 - r", compose_t11(pair.r, pair.r) - pair.r)
-    _tensor_residuals(out, "s^2 - s", compose_t11(pair.s, pair.s) - pair.s)
-    _tensor_residuals(out, "Psi r - sigma r",
-                      compose_t11(psi, pair.r) - pair.r.scale(p.sigma))
-    _tensor_residuals(out, "r Psi - sigma r",
-                      compose_t11(pair.r, psi) - pair.r.scale(p.sigma))
-    _tensor_residuals(out, "Psi s - (alpha-sigma) s",
-                      compose_t11(psi, pair.s) - pair.s.scale(p.conjugate_root()))
-    _tensor_residuals(out, "s Psi - (alpha-sigma) s",
-                      compose_t11(pair.s, psi) - pair.s.scale(p.conjugate_root()))
+    r, s = pair.r, pair.s
+    sigma, conjugate = p.sigma, p.conjugate_root()
+    _tensor_residuals(out, "r + s - I", linear_combination([(1, r), (1, s), (-1, I)]))
+    _tensor_residuals(out, "r s", compose_t11(r, s))
+    _tensor_residuals(out, "s r", compose_t11(s, r))
+    for label, c, T, left, right in (
+            ("r^2 - r", 1, r, r, r), ("s^2 - s", 1, s, s, s),
+            ("Psi r - sigma r", sigma, r, psi, r), ("r Psi - sigma r", sigma, r, r, psi),
+            ("Psi s - (alpha-sigma) s", conjugate, s, psi, s),
+            ("s Psi - (alpha-sigma) s", conjugate, s, s, psi)):
+        _tensor_residuals(out, label, linear_combination([(-c, T)], compose=(left, right)))
     return out
 
 
@@ -256,13 +254,15 @@ def check_projector_expansions(ctx: Context, name) -> CheckOutcome:
     out = CheckOutcome(
         "sign-corrected expansions: sigma*r = (sigma/sqrtD)*Psi + (beta/sqrtD)*I "
         "and (alpha-sigma)*s = ((sigma-alpha)/sqrtD)*Psi - (beta/sqrtD)*I")
-    derived_r = psi.scale(p.sigma * inv) + I.scale(beta_over)
-    _tensor_residuals(out, "sigma*r - derived", pair.r.scale(p.sigma) - derived_r)
-    derived_s = psi.scale((p.sigma - QuadScalar.rational(p.alpha)) * inv) - I.scale(beta_over)
-    _tensor_residuals(out, "(alpha-sigma)*s - derived",
-                      pair.s.scale(p.conjugate_root()) - derived_s)
-    printed_r = psi.scale(p.sigma * inv) - I.scale(beta_over)
-    _nonzero_witness(out, "sigma*r - printed", pair.r.scale(p.sigma) - printed_r)
+    # sigma*r - derived, derived = (sigma/sqrtD)*Psi + (beta/sqrtD)*I
+    _tensor_residuals(out, "sigma*r - derived", linear_combination(
+        [(p.sigma, pair.r), (-p.sigma * inv, psi), (-beta_over, I)]))
+    # (alpha-sigma)*s - derived, derived = ((sigma-alpha)/sqrtD)*Psi - (beta/sqrtD)*I
+    _tensor_residuals(out, "(alpha-sigma)*s - derived", linear_combination(
+        [(p.conjugate_root(), pair.s), (p.conjugate_root() * inv, psi), (beta_over, I)]))
+    # sigma*r - printed, printed = (sigma/sqrtD)*Psi - (beta/sqrtD)*I
+    _nonzero_witness(out, "sigma*r - printed", linear_combination(
+        [(p.sigma, pair.r), (-p.sigma * inv, psi), (beta_over, I)]))
     out.notes.append("printed identity-term coefficient -beta/sqrtD; derived +beta/sqrtD")
     out.notes.append("printed Psi-term coefficient (sigma+alpha)/sqrtD; "
                      "derived (sigma-alpha)/sqrtD")
@@ -282,8 +282,8 @@ def check_composition_lift(ctx: Context, left, right) -> CheckOutcome:
     _, T = ctx.structure(right)
     out = CheckOutcome(f"({left} {right})^C = {left}^C {right}^C")
     lhs = complete_lift_t11(compose_t11(S, T))
-    rhs = compose_t11(complete_lift_t11(S), complete_lift_t11(T))
-    _tensor_residuals(out, "(S T)^C - S^C T^C", lhs - rhs)
+    _tensor_residuals(out, "(S T)^C - S^C T^C", linear_combination(
+        [(1, lhs)], compose=(-complete_lift_t11(S), complete_lift_t11(T))))
     return out
 
 
@@ -407,7 +407,8 @@ def check_horizontal_square(ctx: Context, name, connection) -> CheckOutcome:
     out = CheckOutcome("(Psi^2)^H = (Psi^H)^2")
     th = horizontal_lift_t11(M.tensor, conn)
     lhs = horizontal_lift_t11(compose_t11(M.tensor, M.tensor), conn)
-    _tensor_residuals(out, "(Psi^2)^H - (Psi^H)^2", lhs - compose_t11(th, th))
+    _tensor_residuals(out, "(Psi^2)^H - (Psi^H)^2",
+                      linear_combination([(1, lhs)], compose=(-th, th)))
     return out
 
 
@@ -425,19 +426,19 @@ def check_jtilde_printed(ctx: Context, connection) -> CheckOutcome:
     p = ctx.params
     p_swap = frame_swap_product(conn)
     half = QuadScalar.rational(Fraction(1, 2))
-    printed = (Tensor11Field.identity(p_swap.chart).scale(half)
-               + p_swap.scale(half * p.sqrtD))
-    derived = metallic_recipe(p_swap, p)
+    printed = linear_combination([(half, Tensor11Field.identity(p_swap.chart)),
+                                  (half * p.sqrtD, p_swap)])
+    difference = linear_combination([(1, printed), (-1, metallic_recipe(p_swap, p))])
     coincide = p.alpha == 1
     out = CheckOutcome(
         "the printed coefficients (X^H + sqrtD*X^V)/2 coincide with the derived "
         "(alpha*X^H + sqrtD*X^V)/2 exactly when alpha = 1")
     if coincide:
-        _tensor_residuals(out, "printed - derived", printed - derived)
+        _tensor_residuals(out, "printed - derived", difference)
         _tensor_residuals(out, "printed metallic residual",
                           metallic_residual(printed, p))
     else:
-        _nonzero_witness(out, "printed - derived", printed - derived)
+        _nonzero_witness(out, "printed - derived", difference)
         _nonzero_witness(out, "printed metallic residual",
                          metallic_residual(printed, p))
     out.notes.append(f"alpha = {p.alpha}: printed and derived forms "

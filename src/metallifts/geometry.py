@@ -239,6 +239,31 @@ def compose_t11(S: Tensor11Field, T: Tensor11Field) -> Tensor11Field:
                                       for row in S.components))
 
 
+def linear_combination(terms, compose=None):
+    """sum_k c_k T_k over the pairs (c_k, T_k) of ``terms``, fields of one
+    type and chart and scalars or constant ``RatFunc`` coefficients, plus
+    S o T when ``compose`` is a pair (S, T) of (1,1)-tensors.  Each entry is
+    one ``_contract`` of the coefficients and the row of S against the
+    entries of the T_k and the column of T, so it is reduced once; an
+    identity term costs only its diagonal, as ``_contract`` skips the zeros
+    off it."""
+    first = terms[0][1] if terms else compose[0]
+    chart = _same_chart(*[T for _, T in terms], *(compose or ()))
+    coeffs = [_as_ratfunc(chart, c) for c, _ in terms]
+    tables = [dict(T._entries()) for _, T in terms]
+    if compose is not None:
+        rows, columns = compose[0].components, tuple(zip(*compose[1].components))
+
+    def entry(*index):
+        xs, ys = coeffs, [t[index] for t in tables]
+        if compose is not None:
+            h, i = index
+            xs, ys = [*xs, *rows[h]], [*ys, *columns[i]]
+        return _contract(xs, ys)
+
+    return type(first)(chart, _build(chart.dimension, first.rank, entry))
+
+
 def lie_derivative(V: VectorField, T: VectorField | Tensor11Field | Tensor12Field):
     """L_V T for T with one upper index and 0, 1 or 2 lower ones (a
     VectorField, Tensor11Field or Tensor12Field): (L_V T)^h_I = sum_a V^a d_a

@@ -24,7 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .geometry import (Tensor11Field, Tensor12Field, VectorField, _contract, apply_t11,
-                       compose_t11, invert_t11, lie_derivative, per_run)
+                       compose_t11, invert_t11, lie_derivative, linear_combination,
+                       per_run)
 from .metallic import (MetallicStructure, StructureError, check_square_is,
                        metallic_from_product, metallic_recipe,
                        projectors_from_metallic)
@@ -35,11 +36,10 @@ from .symexpr import Chart, RatFunc, parse_expr
 def nijenhuis_apply(T: Tensor11Field, X: VectorField, Y: VectorField) -> VectorField:
     """N_T(X, Y) straight from the definition, through Lie brackets."""
     tx, ty = apply_t11(T, X), apply_t11(T, Y)
-    out = lie_derivative(tx, ty)
-    out = out - apply_t11(T, lie_derivative(tx, Y))
-    out = out - apply_t11(T, lie_derivative(X, ty))
-    out = out + apply_t11(compose_t11(T, T), lie_derivative(X, Y))
-    return out
+    return linear_combination([(1, lie_derivative(tx, ty)),
+                               (-1, apply_t11(T, lie_derivative(tx, Y))),
+                               (-1, apply_t11(T, lie_derivative(X, ty))),
+                               (1, apply_t11(compose_t11(T, T), lie_derivative(X, Y)))])
 
 
 @per_run
@@ -72,14 +72,16 @@ def np_relation(P: Tensor11Field, params: MetallicParams) -> Tensor12Field:
     (metallic since Psi^2 - alpha*Psi - beta*I = (D/4)(P^2 - I))."""
     check_square_is(P, 1, "not an almost product structure")
     psi = metallic_recipe(P, params)
-    return nijenhuis_t11(P).scale(params.discriminant) - nijenhuis_t11(psi).scale(4)
+    return linear_combination([(params.discriminant, nijenhuis_t11(P)),
+                               (-4, nijenhuis_t11(psi))])
 
 
 def affine_invariance(T: Tensor11Field, a, b) -> Tensor12Field:
     """N_{a*I + b*T} - b^2 N_T: the Nijenhuis tensor only sees the
     non-scalar part of T."""
-    shifted = Tensor11Field.identity(T.chart).scale(a) + T.scale(b)
-    return nijenhuis_t11(shifted) - nijenhuis_t11(T).scale(Fraction(b) ** 2)
+    shifted = linear_combination([(a, Tensor11Field.identity(T.chart)), (b, T)])
+    return linear_combination([(1, nijenhuis_t11(shifted)),
+                               (-(Fraction(b) ** 2), nijenhuis_t11(T))])
 
 
 def projector_criterion(M: MetallicStructure, which: str) -> Tensor12Field:
@@ -100,9 +102,10 @@ def frobenius_criterion(projector: Tensor11Field, complement: Tensor11Field) -> 
     """(X, Y) -> s[rX, rY] for the projector r onto a distribution and its
     complement s; zero exactly when the distribution is integrable."""
     chart = projector.chart
-    if not (compose_t11(projector, projector) - projector).is_zero:
+    if not linear_combination([(-1, projector)], compose=(projector, projector)).is_zero:
         raise StructureError("distribution projector is not idempotent")
-    if not (projector + complement - Tensor11Field.identity(chart)).is_zero:
+    if not linear_combination([(1, projector), (1, complement),
+                               (-1, Tensor11Field.identity(chart))]).is_zero:
         raise StructureError("projectors are not complementary")
     cols = [apply_t11(projector, VectorField.basis(chart, i)) for i in range(chart.dimension)]
     return Tensor12Field.antisymmetric(chart, lambda i, j: apply_t11(

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Tensor11Field, _index_label, _same_chart, compose_t11, per_run
+from .geometry import (Tensor11Field, _index_label, _same_chart, compose_t11,
+                       linear_combination, per_run)
 from .numfield import MetallicParams, QuadScalar
 from .symexpr import RatFunc
 
@@ -33,7 +34,7 @@ def _component_text(c: RatFunc) -> str:
 
 def square_residual(T: Tensor11Field, k) -> Tensor11Field:
     """T o T - k*I."""
-    return compose_t11(T, T) - Tensor11Field.identity(T.chart).scale(k)
+    return linear_combination([(-k, Tensor11Field.identity(T.chart))], compose=(T, T))
 
 
 def check_square_is(T: Tensor11Field, scalar, what: str) -> None:
@@ -67,9 +68,10 @@ class MetallicStructure:
 
 @per_run
 def metallic_residual(T: Tensor11Field, params: MetallicParams) -> Tensor11Field:
-    identity = Tensor11Field.identity(T.chart)
-    return (compose_t11(T, T) - T.scale(params.alpha)
-            - identity.scale(params.beta))
+    """T o T - alpha*T - beta*I."""
+    return linear_combination([(-params.alpha, T),
+                               (-params.beta, Tensor11Field.identity(T.chart))],
+                              compose=(T, T))
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,8 @@ class ProjectorPair:
 def metallic_recipe(T: Tensor11Field, params: MetallicParams) -> Tensor11Field:
     """(alpha*I + sqrtD*T)/2, metallic when T is an almost product structure."""
     half = QuadScalar.rational(Fraction(1, 2))
-    return (Tensor11Field.identity(T.chart).scale(half * params.alpha)
-            + T.scale(half * params.sqrtD))
+    return linear_combination([(half * params.alpha, Tensor11Field.identity(T.chart)),
+                               (half * params.sqrtD, T)])
 
 
 @per_run
@@ -92,18 +94,22 @@ def metallic_from_product(P: Tensor11Field, params: MetallicParams) -> MetallicS
 
 
 def product_from_metallic(M: MetallicStructure) -> Tensor11Field:
-    identity = Tensor11Field.identity(M.chart)
-    P = (M.tensor.scale(2) - identity.scale(M.params.alpha)).scale(M.params.sqrtD.inverse())
+    """(2*Psi - alpha*I)/sqrtD."""
+    inv = M.params.sqrtD.inverse()
+    P = linear_combination([(2 * inv, M.tensor),
+                            (-M.params.alpha * inv, Tensor11Field.identity(M.chart))])
     check_square_is(P, 1, "recovered tensor is not almost product")
     return P
 
 
+@per_run
 def projectors_from_metallic(M: MetallicStructure) -> ProjectorPair:
+    """r = (Psi - (alpha - sigma)*I)/sqrtD and s = (sigma*I - Psi)/sqrtD."""
     params = M.params
     identity = Tensor11Field.identity(M.chart)
     inv = params.sqrtD.inverse()
-    r = M.tensor.scale(inv) - identity.scale(params.conjugate_root() * inv)
-    s = M.tensor.scale(-inv) + identity.scale(params.sigma * inv)
+    r = linear_combination([(inv, M.tensor), (-params.conjugate_root() * inv, identity)])
+    s = linear_combination([(-inv, M.tensor), (params.sigma * inv, identity)])
     return ProjectorPair(r, s)
 
 
@@ -166,14 +172,15 @@ def minimal_polynomial_check(T: Tensor11Field, kind: str,
         # No two independent equations: psi must be a constant scalar
         # multiple of the identity, with linear minimal polynomial X - lambda.
         scalar = psi.components[0][0]
-        if not scalar.is_constant() or not (psi - identity.scale(scalar)).is_zero:
+        if (not scalar.is_constant()
+                or not linear_combination([(1, psi), (-scalar, identity)]).is_zero):
             raise StructureError("derived structure has no quadratic annihilator "
                                  "with constant coefficients")
         lam = scalar.constant_value()
         return PolynomialReport(kind, 1, QuadScalar.rational(0), -lam,
                                 claimed_c1, claimed_c0)
     c1, c0 = solution
-    residual = psi2 + psi.scale(c1) + identity.scale(c0)
+    residual = linear_combination([(1, psi2), (c1, psi), (c0, identity)])
     if not residual.is_zero:
         raise StructureError("derived structure has no quadratic annihilator "
                              "with constant coefficients")
@@ -204,8 +211,8 @@ def composite_relation(P: Tensor11Field, F: Tensor11Field,
     as the identity is purely algebraic and needs no involutivity."""
     _same_chart(P, F)
     psi_p, psi_f = metallic_recipe(P, params), metallic_recipe(F, params)
-    lhs = metallic_recipe(compose_t11(P, F), params).scale(params.sqrtD)
-    rhs = (compose_t11(psi_p, psi_f).scale(2) - psi_p.scale(params.alpha)
-           - psi_f.scale(params.alpha) + Tensor11Field.identity(P.chart).scale(
-               QuadScalar.rational(params.alpha) * params.sigma))
-    return lhs - rhs
+    psi_j = metallic_recipe(compose_t11(P, F), params)
+    alpha = QuadScalar.rational(params.alpha)
+    return linear_combination([(params.sqrtD, psi_j), (alpha, psi_p), (alpha, psi_f),
+                               (-alpha * params.sigma, Tensor11Field.identity(P.chart))],
+                              compose=(psi_p.scale(-2), psi_f))

@@ -90,6 +90,8 @@ class Poly(dict):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
+        if n == 1:
+            return self
         if len(self) == 1:
             (m, c), = self.items()
             return self.new({tuple(e * n for e in m): c ** n})
@@ -124,13 +126,18 @@ class Poly(dict):
         divide self's is refused without dividing.  The filter stands aside
         when base(p) is 0 and when base or self has an exponent past the
         power tables, so no big power is ever computed.  Otherwise, and when
-        the values divide, the long division decides."""
+        the values divide, the long division decides, and a quotient it
+        finds keeps self(p) // base(p) as its value."""
         b = base.value
-        if b:
-            v = self.value
-            if v is not None and v % b:
-                return None
-        return self._divide(base)
+        v = self.value if b else None
+        if v is None:
+            return self._divide(base)
+        if v % b:
+            return None
+        q = self._divide(base)
+        if q is not None:
+            q._value = v // b
+        return q
 
     def _divide(self, base: Poly) -> Poly | None:
         """exact_quo by long division.  It gives up at the first leading term

@@ -15,22 +15,26 @@ so the content is taken again only after a sum, a derivative or a rewrite
 of ``s^2`` (``(1+s)(1-s) = 1-d``), and for the conjugate product and norm
 of a reciprocal.  Every operation cancels numerator against denominator
 bases by exact trial division over ``ZZ``, with no gcd of the two (only
-``reduced()`` takes one); a sum, of two terms or of a whole contraction
-(``RatFunc.sum_of_products``), goes over one common denominator and is
-reduced once.  Zero is represented uniquely by ``N == 0`` and ``c == 0``
-(``A + s*B == 0`` iff ``A == B == 0``), which makes ``is_zero``
-the decidable verdict primitive behind every identity check.  Equality is
-decided by exact cross-multiplication, independent of how the denominators
-are factored.  Rendering and numeric evaluation read the value as a
-numerator over ``QQ`` divided by monic bases.
+``reduced()`` takes one), so no base divides a numerator.  A sum, of two
+terms or of a whole contraction (``RatFunc.sum_of_products``), goes over one
+common denominator and is reduced once, and so does a derivative, by the
+quotient rule over the factored denominator.  A product with a constant
+``a + b*s`` keeps the other operand's bases untried: none of them can
+divide the product, as ``a^2 - d*b^2 != 0``.  Zero is represented uniquely
+by ``N == 0`` and ``c == 0`` (``A + s*B == 0`` iff ``A == B == 0``), which
+makes ``is_zero`` the decidable verdict primitive behind every identity
+check.  Equality is decided by exact cross-multiplication, independent of
+how the denominators are factored.  Rendering and numeric evaluation read
+the value as a numerator over ``QQ`` divided by monic bases.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd, lcm
+from operator import mul
 
 from .numfield import IncompatibleRadicands, MetallicParams, QuadScalar, rational_text
 from .poly import poly_ring
@@ -217,10 +221,8 @@ class RatFunc:
         """The expanded denominator polynomial (primitive with a positive
         leading coefficient, free of s)."""
         if self._den is None:
-            den = self.num.ring.one
-            for base, e in self.factors:
-                den = den * base ** e
-            self._den = den
+            powers = [base ** e for base, e in self.factors]
+            self._den = reduce(mul, powers) if powers else self.num.ring.one
         return self._den
 
     @staticmethod
@@ -316,10 +318,17 @@ class RatFunc:
         field = self._join(other)
         if not self.num or not other.num:
             return RatFunc.constant(self.chart, 0, field)
+        c = other.c if self.c == 1 else self.c if other.c == 1 else self.c * other.c
+        if self.is_constant() or other.is_constant():
+            # k*(A + s*B), k = a + b*s != 0, keeps the other operand's bases
+            # untried: an s-free primitive base dividing both parts of the
+            # product would divide (a^2 - d*b^2)*A and (a^2 - d*b^2)*B, so A
+            # and B, and no base divides a numerator.
+            c, num = _fold(field, c, self.num * other.num)
+            return RatFunc(self.chart, field, c, num, self.factors or other.factors)
         merged = dict(self.factors)
         for base, e in other.factors:
             merged[base] = merged.get(base, 0) + e
-        c = other.c if self.c == 1 else self.c if other.c == 1 else self.c * other.c
         c, num = _fold(field, c, self.num * other.num)
         num, factors = self._reduce(num, merged)
         return RatFunc(self.chart, field, c, num, factors)
@@ -352,8 +361,11 @@ class RatFunc:
                     factors[base] = factors.get(base, 0) + 1
             num, factors = self._reduce(num, factors)
             return RatFunc(self.chart, self.field, c, num, factors)
-        # Otherwise the numerator is free of s and is the base as it stands.
-        factors = () if self.num.is_ground else ((self.num, 1),)
+        # Otherwise the numerator is free of s and is the base as it stands;
+        # it may divide the old denominator, as x*y divides (x*z)*(y*w).
+        if self.num.is_ground:
+            return RatFunc(self.chart, self.field, c, num, ())
+        num, factors = self._reduce(num, {self.num: 1})
         return RatFunc(self.chart, self.field, c, num, factors)
 
     def __truediv__(self, other):
@@ -373,8 +385,12 @@ class RatFunc:
             return self.reciprocal() ** (-n)
         if n == 0:
             return self.one()
+        if n == 1:
+            return self
         c, num = _fold(self.field, self.c ** n, self.num ** n)
-        factors = tuple((b, e * n) for b, e in self.factors)
+        # A base need not be squarefree: x^2 + 2*x*y + y^2 does not divide
+        # x + y but divides its square.
+        num, factors = self._reduce(num, {b: e * n for b, e in self.factors})
         return RatFunc(self.chart, self.field, c, num, factors)
 
     @staticmethod
@@ -446,21 +462,31 @@ class RatFunc:
     # -- calculus -----------------------------------------------------
 
     def diff(self, var: str) -> RatFunc:
+        """The derivative by ``var``, over the factored denominator:
+
+            d(N / prod F^e) = (N' * Q - N * sum_F e*F' * Q/F) / (prod F^e * Q)
+
+        with Q the product of the bases F that depend on ``var``; the
+        others keep their exponent, and no denominator is expanded.  The
+        terms are summed by ``_common_sum`` and reduced once.  Each result
+        is cached on the value."""
         if self._diffs is None:
             self._diffs = {}
         cached = self._diffs.get(var)
         if cached is not None:
             return cached
         i = self.chart.index(var)
-        if not self.factors:
-            t, merged = self.num.diff(i), {}
-        else:
-            den = self.den
-            t = self.num.diff(i) * den - self.num * den.diff(i)
-            merged = {base: 2 * e for base, e in self.factors}
-        k, t = _primitive(t)
-        num, factors = self._reduce(t, merged)
-        out = RatFunc(self.chart, self.field, self.c if k == 1 else self.c * k, num, factors)
+        # c*N' over the bases as they are, and -e*c*F'*N over them with F
+        # raised once more: the common denominator is prod F^e * Q, and
+        # each term's cofactor is the part of Q it lacks.
+        own = dict(self.factors)
+        d_num = self.num.diff(i)
+        terms = [(self.c, (d_num,), own)] if d_num else []
+        for base, e in self.factors:
+            d_base = base.diff(i)
+            if d_base:
+                terms.append((-e * self.c, (d_base, self.num), {**own, base: e + 1}))
+        out = _common_sum(self.chart, self.field, terms) if terms else self.zero()
         self._diffs[var] = out
         return out
 

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from metallifts.geometry import (ChartMismatch, Connection, Tensor11Field,
                                  Tensor12Field, VectorField, _contract, apply_t11,
-                                 compose_t11, invert_t11, lie_derivative)
+                                 compose_t11, invert_t11, lie_derivative,
+                                 linear_combination)
+from metallifts.lifts import complete_lift_t11
 from metallifts.numfield import make_params
 from metallifts.symexpr import Chart, RatFunc, _fkey, parse_expr
 
@@ -291,3 +293,38 @@ def test_contract_of_all_zero_products_is_the_first_factor_zero():
     x = parse_expr("x", CH, P8)
     got = _contract([ZERO, x], [x, ZERO])
     assert got.is_zero and got.field is ZERO.field
+
+
+def rational_t11(rng: random.Random) -> Tensor11Field:
+    """A 2x2 tensor whose entries are random polynomials over one of the
+    pairwise coprime DIVISORS each."""
+    return Tensor11Field(CH, tuple(tuple(rand_poly(rng, CH) / rng.choice(DIVISORS)
+                                         for _ in range(2)) for _ in range(2)))
+
+
+@pytest.mark.parametrize("lifted", [False, True])
+def test_linear_combination_equals_the_chain_of_binary_operations(rng, lifted):
+    S, T, U = (rational_t11(rng) for _ in range(3))
+    if lifted:  # 4x4, with the squared bases of the complete lift's y^a d_a T block
+        S, T, U = map(complete_lift_t11, (S, T, U))
+    I = Tensor11Field.identity(S.chart)
+    a, b, c = Fraction(-3, 2), P8.sqrtD, 2 - P8.sqrtD
+    chains = [(linear_combination([(a, S), (b, T), (c, I)]),
+               S.scale(a) + T.scale(b) + I.scale(c)),
+              (linear_combination([(1, S), (-1, I)], compose=(T, U)),
+               compose_t11(T, U) + S - I),
+              (linear_combination([], compose=(T, U)), compose_t11(T, U))]
+    for got, expected in chains:
+        assert type(got) is Tensor11Field and got.chart == S.chart
+        for (_, g), (_, e) in zip(got._entries(), expected._entries()):
+            # The divisors are pairwise coprime, so the normal form is unique.
+            assert (g.c, g.num, g.factors) == (e.c, e.num, e.factors)
+
+
+def test_linear_combination_of_every_rank(rng):
+    X, Y = rand_vector(rng, CH), rand_vector(rng, CH)
+    assert (linear_combination([(2, X), (-1, Y)]) - (X.scale(2) - Y)).is_zero
+    N = Tensor12Field.antisymmetric(CH, lambda i, j: X)
+    assert linear_combination([(3, N), (-3, N)]).is_zero
+    with pytest.raises(ChartMismatch):
+        linear_combination([(1, X), (1, rand_vector(rng, Chart(("u", "v"))))])

@@ -346,6 +346,17 @@ def test_run_converts_each_product_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_example_run_builds_each_projector_pair_once(monkeypatch):
+    """example_4_1 asks for the projectors of Psi in three checks and of
+    Psi^C in the two lifted projector criteria; the run builds two pairs."""
+    built = []
+    build = projectors_from_metallic.__wrapped__
+    monkeypatch.setattr(projectors_from_metallic, "__wrapped__",
+                        lambda M: built.append(M.chart.dimension) or build(M))
+    assert run_scenario(load_builtin("example_4_1")).ok
+    assert sorted(built) == [2, 4]
+
+
 def test_calls_outside_a_run_build_every_time(builds):
     T = example_41_structure(GOLDEN).tensor
     assert nijenhuis_t11(T) is not nijenhuis_t11(T)

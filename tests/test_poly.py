@@ -115,6 +115,23 @@ def test_divisibility_filter_never_refuses_a_product(pair):
     assert (f * q).exact_quo(f) == q
 
 
+@settings(max_examples=200, deadline=None)
+@given(factor_pairs())
+def test_a_quotient_keeps_the_value_of_the_division(pair):
+    f, q = pair
+    num = f * q
+    out = num.exact_quo(f)
+    assert out == q
+    if f.value and num.value is not None:  # the filter took part
+        assert out._value == num.value // f.value == out.ring.evaluate(out)
+
+
+def test_the_first_power_is_the_polynomial_itself():
+    x, y = poly_ring(2).gens
+    p = x + y
+    assert p ** 1 is p and p ** 2 == p * p
+
+
 def test_values_at_the_ring_point():
     ring = poly_ring(3)
     x, y, s = ring.gens
@@ -159,6 +176,27 @@ def test_divisibility_filter_refuses_failing_trials_without_dividing(monkeypatch
     failed, refused = counts["tried"] - counts["ok"], counts["tried"] - counts["divided"]
     assert counts["ok"] > 0 and failed > 0
     assert refused >= 0.9 * failed
+
+
+def test_example_run_stays_within_its_trial_and_long_divisions(monkeypatch):
+    """One run of the worked example tries at most 154 divisions and divides
+    at most 8 times at length; with the derivative over the expanded
+    denominator and scalar products reduced it took 432 and 106."""
+    counts = Counter()
+    exact_quo, divide = poly.Poly.exact_quo, poly.Poly._divide
+
+    def counting_exact_quo(num, base):
+        counts["tried"] += 1
+        return exact_quo(num, base)
+
+    def counting_divide(num, base):
+        counts["divided"] += 1
+        return divide(num, base)
+
+    monkeypatch.setattr(poly.Poly, "exact_quo", counting_exact_quo)
+    monkeypatch.setattr(poly.Poly, "_divide", counting_divide)
+    assert run_scenario(load_builtin("example_4_1")).ok
+    assert counts["tried"] <= 154 and counts["divided"] <= 8
 
 
 def check_gcd(pairs):

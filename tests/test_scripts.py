@@ -61,3 +61,16 @@ def test_report_digests_for_the_sqrtd_variant():
     assert [line.split()[0] for line in lines] == [
         "variant/example_4_1_sqrtD/20230831", "variant/example_4_1_sqrtD/7"]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
+
+
+def test_report_digests_for_the_reflection():
+    code = ("import report_digests\n"
+            "for line in report_digests.reflection_lines(): print(line)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "scripts")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "variant/reflection_3/20230831", "variant/reflection_3/7"]
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from metallifts.numfield import IncompatibleRadicands, QuadScalar, make_params
 from metallifts.symexpr import (MAX_DEGREE, MAX_TERMS, Chart, DivisionByZeroExpr,
-                                ExprError, ParseError, RatFunc, ResampleNeeded,
-                                parse_expr, parse_integer)
+                                ExprError, ParseError, RatFunc, ResampleNeeded, _fold,
+                                _primitive, parse_expr, parse_integer)
 
 CH = Chart(("x", "y"))
 X = RatFunc.variable(CH, "x")
@@ -180,6 +180,93 @@ def test_diff_quotient_rule(a):
         f = a / den
         for v in CH.variables:
             assert (f.diff(v) - (a.diff(v) * den - a * den.diff(v)) / den ** 2).is_zero
+
+
+# Denominator bases for the quotient rule: pairwise coprime irreducibles
+# (x + 1 and y + 3 are free of a variable; dividing by x + sqrtD*y leaves
+# the base x^2 - 8*y^2 and s terms in the numerator), and products of them,
+# which share a factor with the others.
+COPRIME_DIVISORS = ("x + 1", "y + 3", "x*y + 2", "x^2 + y^2 + 1", "x + sqrtD*y")
+SHARED_DIVISORS = ("x*(x + 1)", "(x + 1)*(y + 3)")
+
+
+@st.composite
+def factored(draw, divisors):
+    """A polynomial, with or without sqrtD terms, over a product of up to
+    three of the divisors, each to a power from 1 to 3."""
+    f = draw(st.one_of(polys(), polys(quad=True)))
+    for text in draw(st.lists(st.sampled_from(divisors), max_size=3)):
+        f = f * (1 / parse_expr(text, CH, P8)) ** draw(st.integers(1, 3))
+    return f
+
+
+def expanded_quotient_rule(f: RatFunc, var: str) -> RatFunc:
+    """(N' * den - N * den') / den^2 with den = prod(F^e) expanded: every
+    exponent doubled, then the content taken and the bases trial-divided."""
+    i = f.chart.index(var)
+    den = f.den
+    k, t = _primitive(f.num.diff(i) * den - f.num * den.diff(i))
+    num, factors = RatFunc._reduce(t, {base: 2 * e for base, e in f.factors})
+    return RatFunc(f.chart, f.field, f.c * k, num, factors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_diff_equals_the_expanded_quotient_rule(data):
+    coprime = data.draw(st.booleans())
+    f = data.draw(factored(COPRIME_DIVISORS if coprime
+                           else COPRIME_DIVISORS + SHARED_DIVISORS))
+    for var in CH.variables:
+        got, expected = f.diff(var), expanded_quotient_rule(f, var)
+        assert got == expected
+        if coprime:  # the normal form is unique
+            assert (got.c, got.num, got.factors) == (expected.c, expected.num, expected.factors)
+
+
+def test_diff_keeps_a_variable_free_base_at_its_exponent():
+    f = parse_expr("x * (1/(y + 3))^2 * (1/(x^2 + 1))^3", CH)
+    assert sorted(e for _, e in f.diff("x").factors) == [2, 4]
+    assert sorted(e for _, e in f.diff("y").factors) == [3, 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(factored(COPRIME_DIVISORS + SHARED_DIVISORS),
+       st.sampled_from([Fraction(-3, 4), P8.sqrtD, 2 - 3 * P8.sqrtD]))
+def test_a_scalar_product_has_the_general_products_normal_form(f, k):
+    k = RatFunc.constant(CH, k)
+    # The general product: numerators multiplied, s^2 folded, the bases
+    # trial-divided.
+    c, num = _fold(f._join(k), k.c * f.c, k.num * f.num)
+    num, factors = RatFunc._reduce(num, dict(f.factors))
+    for p in (k * f, f * k):
+        assert (p.c, p.num, p.factors) == (c, num, factors)
+
+
+def test_reciprocal_cancels_the_old_numerator_against_the_denominator():
+    # x*y divides neither x*z nor y*w but divides their product, which the
+    # reciprocal makes its numerator.
+    ch = Chart(("x", "y", "z", "w"))
+    x, y, z, w = (RatFunc.variable(ch, n) for n in ch.variables)
+    assert (2 / (x * y / ((x * z) * (y * w)))).to_text() == "2*z*w"
+    assert parse_expr("2/(x*y/((x*z)*(y*w)))", ch).to_text() == "2*z*w"
+
+
+def test_a_power_cancels_a_base_that_divides_the_powered_numerator():
+    # (x^2 + 2*x*y + y^2) does not divide x + y but divides its square.
+    f = parse_expr("((x+y)/(x+y)^2)^2", CH)
+    assert f.to_text() == "(1)/(x^2 + 2*x*y + y^2)"
+    assert parse_expr("2*((x+y)/(x+y)^2)^2", CH).to_text() == "(2)/(x^2 + 2*x*y + y^2)"
+
+
+def test_sums_leave_their_operands_polynomials_unchanged():
+    # A cofactor base**1 is the base itself, which a sum must only read.
+    a, b = parse_expr("x/(x + 1)", CH), parse_expr("(y + sqrtD)/(y + 3)^2", CH, P8)
+    polys = [a.num, b.num, *(base for f in (a, b) for base, _ in f.factors)]
+    before = [dict(p) for p in polys]
+    assert (a + b) - b == a
+    assert RatFunc.sum_of_products([a, b, a], [b, a, b]) == 3 * a * b
+    assert a.diff("x") + b.diff("y") == (a + b).diff("x") + (a + b).diff("y")
+    assert [dict(p) for p in polys] == before
 
 
 def test_diff_basics():
