@@ -77,10 +77,10 @@ def _lookup(table: dict, what: str, name: str):
 
 
 class Context:
-    """Resolution of scenario names.  Lifts, Nijenhuis tensors, metallic
-    forms and residuals are memoised by the library itself
-    (``geometry.per_run``) inside the ``run_memo()`` scope of a scenario
-    run."""
+    """Resolution of scenario names.  Lifts, frame-swap products, Nijenhuis
+    tensors, section invariance, metallic forms and residuals are memoised
+    by the library itself (``geometry.per_run``) inside the ``run_memo()``
+    scope of a scenario run."""
 
     def __init__(self, scenario: Scenario):
         self.s = scenario

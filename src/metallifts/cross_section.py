@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import (Tensor11Field, Tensor12Field, VectorField, _contract, _index_label,
-                       _same_chart, apply_t11, lie_derivative)
+                       _same_chart, apply_t11, lie_derivative, per_run)
 from .integrability import nijenhuis_t11
 from .lifts import complete_lift_t11, complete_lift_vf, tangent_bundle, vertical_lift_vf
 from .metallic import MetallicStructure, StructureError
@@ -113,6 +113,7 @@ class Invariance:
         return self.lie_derivative.is_zero and all(map(_zero, self.decomposition))
 
 
+@per_run
 def invariance_check(M: MetallicStructure, cs: CrossSection) -> Invariance:
     _same_chart(M, cs)
     lie = lie_derivative(cs.V, M.tensor)

@@ -118,6 +118,7 @@ def horizontal_lift_vf(X: VectorField, conn: Connection) -> VectorField:
     return VectorField(tb.chart, tuple([tb.up(c) for c in X.components] + lower))
 
 
+@per_run
 def horizontal_lift_t11(T: Tensor11Field, conn: Connection) -> Tensor11Field:
     return complete_lift_t11(T) - nabla_gamma_t11(T, conn)
 
@@ -133,6 +134,7 @@ def frame_matrix(conn: Connection) -> Tensor11Field:
     return Tensor11Field(tb.chart, tuple(zip(*(c.components for c in cols))))
 
 
+@per_run
 def frame_swap_product(conn: Connection) -> Tensor11Field:
     """P~ = F S F^-1, the almost product structure on TM that swaps the
     horizontal and vertical frames (F = frame_matrix, S the block swap)."""

@@ -32,6 +32,7 @@ def _component_text(c: RatFunc) -> str:
     return f"{text[:MAX_COMPONENT_TEXT]}... ({len(text)} characters)"
 
 
+@per_run
 def square_residual(T: Tensor11Field, k) -> Tensor11Field:
     """T o T - k*I."""
     return linear_combination([(-k, Tensor11Field.identity(T.chart))], compose=(T, T))
@@ -80,6 +81,7 @@ class ProjectorPair:
     s: Tensor11Field
 
 
+@per_run
 def metallic_recipe(T: Tensor11Field, params: MetallicParams) -> Tensor11Field:
     """(alpha*I + sqrtD*T)/2, metallic when T is an almost product structure."""
     half = QuadScalar.rational(Fraction(1, 2))

@@ -61,13 +61,16 @@ class Report:
 
 
 def _sample(expr: RatFunc, rng: random.Random) -> NumericSummary:
-    names = expr.chart.variables
+    # Each coordinate is -2 + 4*random(), which is rng.uniform(-2.0, 2.0)
+    # bit for bit, drawn in chart order.
+    coords = range(expr.chart.dimension)
+    draw = rng.random
     max_abs = 0.0
     done = 0
     attempts = 0
     while done < NUM_POINTS and attempts < NUM_POINTS + MAX_RESAMPLES:
         attempts += 1
-        point = {n: rng.uniform(-2.0, 2.0) for n in names}
+        point = [-2.0 + 4.0 * draw() for _ in coords]
         try:
             val = expr.eval_numeric(point)
         except (ResampleNeeded, OverflowError):

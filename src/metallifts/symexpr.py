@@ -31,6 +31,7 @@ the value as a numerator over ``QQ`` divided by monic bases.
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd, lcm
@@ -182,13 +183,17 @@ def _divide_out(num, base, max_exp: int):
 
 
 def _fold(field: CoeffField, c, num):
-    """(c', N) with c'*N == c*num and s^2 rewritten in N.  A product of
+    """(c', N) with c'*N == c*num and s^2 rewritten in N, c' an int when it
+    is integral, as a product of two Fractions can be.  A product of
     primitive polynomials stays primitive unless rewritten: (1+s)(1-s) = 1-d."""
     folded = field.fold(num)
-    if folded is num:
-        return c, num
-    k, folded = _primitive(folded)
-    return (c if k == 1 else c * k), folded
+    if folded is not num:
+        k, num = _primitive(folded)
+        if k != 1:
+            c *= k
+    if type(c) is Fraction and c.denominator == 1:
+        c = c.numerator
+    return c, num
 
 
 def _fkey(base):
@@ -539,21 +544,23 @@ class RatFunc:
 
     # -- numeric ------------------------------------------------------
 
-    def eval_numeric(self, point: dict[str, float]) -> float:
-        """The value at a point, from the numerator over QQ and the monic
-        denominator bases; their float coefficients are worked out once per
-        value."""
+    def eval_numeric(self, point: Sequence[float]) -> float:
+        """The value at a point, given as one float per chart variable in
+        chart order, from the numerator over QQ and the monic denominator
+        bases; their float coefficients are worked out once per value."""
+        if len(point) != self.chart.dimension:
+            raise ValueError(f"a point on {self.chart} has {self.chart.dimension} "
+                             f"coordinates, not {len(point)}")
         if self._floats is None:
             r = self.field.d ** 0.5
             self._floats = (_float_table(self.num, Fraction(self.c, self.den.LC), r),
                             [(_float_table(base, Fraction(1, base.LC), r), e)
                              for base, e in self.factors])
-        vals = [point[name] for name in self.chart.variables]
         num_table, den_tables = self._floats
-        nv = _table_value(num_table, vals)
+        nv = _table_value(num_table, point)
         dv = 1.0
         for table, e in den_tables:
-            dv *= _table_value(table, vals) ** e
+            dv *= _table_value(table, point) ** e
         if abs(dv) < DEN_THRESHOLD:
             raise ResampleNeeded(f"denominator ~ {dv}")
         return nv / dv
@@ -683,7 +690,7 @@ def _float_table(p, scale: Fraction, radical_value: float):
             for mono, (a, b) in _coeff_pairs(p)]
 
 
-def _table_value(table, vals: list[float]) -> float:
+def _table_value(table, vals: Sequence[float]) -> float:
     total = 0.0
     for mono, t in table:
         for v, e in zip(vals, mono):

@@ -5,15 +5,17 @@ from importlib import resources
 import pytest
 
 from metallifts.cli import load_builtin
+from metallifts.cross_section import invariance_check
 from metallifts.geometry import Tensor11Field, VectorField, apply_t11, run_memo
 from metallifts.integrability import (affine_invariance,
                                       example_41_distribution_generators,
                                       example_41_structure, frobenius_criterion,
                                       nijenhuis_apply, nijenhuis_t11,
                                       np_relation, projector_criterion)
-from metallifts.lifts import complete_lift_t11
+from metallifts.lifts import complete_lift_t11, frame_swap_product, horizontal_lift_t11
 from metallifts.metallic import (MetallicStructure, StructureError,
-                                 metallic_from_product, projectors_from_metallic)
+                                 metallic_from_product, projectors_from_metallic,
+                                 square_residual)
 from metallifts.numfield import make_params
 from metallifts.report import run_scenario
 from metallifts.scenario import parse_scenario
@@ -355,6 +357,38 @@ def test_example_run_builds_each_projector_pair_once(monkeypatch):
                         lambda M: built.append(M.chart.dimension) or build(M))
     assert run_scenario(load_builtin("example_4_1")).ok
     assert sorted(built) == [2, 4]
+
+
+@pytest.mark.parametrize("name, expected", [
+    # (PSI, V), shared by section_invariant and induced_metallic; (PSI, W)
+    ("section_linear", {"invariance_check": 2}),
+    # P~, shared by jtilde and jtilde_printed; Psi^H, shared by
+    # horizontal_metallic and horizontal_square, and (Psi^2)^H
+    ("horizontal_curved", {"frame_swap_product": 1, "horizontal_lift_t11": 2}),
+    # P^2 - I, shared by four checks, and (P^C)^2 - I under np_relation
+    ("gold_diag", {"square_residual": 2}),
+])
+def test_run_builds_each_shared_derived_object_once(monkeypatch, name, expected):
+    """A second run of the same parsed scenario builds them all again."""
+    shared = (invariance_check, frame_swap_product, horizontal_lift_t11, square_residual)
+    calls = {fn.__name__: [] for fn in shared}
+
+    def record(memoised):
+        build = memoised.__wrapped__
+        monkeypatch.setattr(memoised, "__wrapped__",
+                            lambda *args: calls[memoised.__name__].append(args)
+                            or build(*args))
+
+    for fn in shared:
+        record(fn)
+    scenario = load_builtin(name)
+    assert run_scenario(scenario).ok
+    assert {k: len(calls[k]) for k in expected} == expected
+    assert run_scenario(scenario).ok
+    assert {k: len(calls[k]) for k in expected} == {k: 2 * n for k, n in expected.items()}
+    if name == "section_linear":
+        (psi, v), (psi_again, w) = calls["invariance_check"][:2]
+        assert psi == psi_again and v != w
 
 
 def test_calls_outside_a_run_build_every_time(builds):

@@ -161,7 +161,7 @@ def test_rendering_and_sampling_read_a_monic_denominator(text, rendered, value):
     # bases, however the kernel stores the value.
     f = parse_expr(text, CH, P8)
     assert f.to_text(P8) == rendered
-    assert f.eval_numeric({"x": 0.3, "y": -1.7}).hex() == value
+    assert f.eval_numeric([0.3, -1.7]).hex() == value
 
 
 @settings(max_examples=30, deadline=None)
@@ -256,6 +256,17 @@ def test_a_power_cancels_a_base_that_divides_the_powered_numerator():
     f = parse_expr("((x+y)/(x+y)^2)^2", CH)
     assert f.to_text() == "(1)/(x^2 + 2*x*y + y^2)"
     assert parse_expr("2*((x+y)/(x+y)^2)^2", CH).to_text() == "(2)/(x^2 + 2*x*y + y^2)"
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(lambda: parse_expr("3*x/4", CH) * parse_expr("4*y/3", CH), id="product"),
+    pytest.param(lambda: parse_expr("2*x/3", CH) ** 2 * Fraction(9, 4), id="power"),
+    pytest.param(lambda: parse_expr("(2*x/3)^2 * 9/4", CH), id="parsed"),
+    pytest.param(lambda: RatFunc.sum_of_products([parse_expr("3*x/4", CH)],
+                                                 [parse_expr("4*y/3", CH)]), id="contraction"),
+])
+def test_an_integral_content_is_an_int(value):
+    assert type(value().c) is int
 
 
 def test_sums_leave_their_operands_polynomials_unchanged():
@@ -394,7 +405,7 @@ def test_chart_variable_named_like_the_radical_generator():
     assert (f * f).diff("x") == 2 * f * f.diff("x")
     text = f.to_text(params)
     assert "_s" in text and parse_expr(text, chart, params) == f
-    val = f.eval_numeric({"x": 0.5, "_s": 2.0})
+    val = f.eval_numeric([0.5, 2.0])
     assert abs(val - (4 * 5 ** 0.5 + 1 / (0.5 - 5 ** 0.5))) < 1e-12
 
 
@@ -454,21 +465,27 @@ def test_parser_refuses_oversized_products(text):
 
 def test_eval_numeric():
     f = (X * X + Y) / (X + 1)
-    val = f.eval_numeric({"x": 2.0, "y": 3.0})
+    val = f.eval_numeric([2.0, 3.0])
     assert abs(val - (4 + 3) / 3) < 1e-12
 
 
 def test_eval_numeric_resample():
     f = 1 / X
     with pytest.raises(ResampleNeeded):
-        f.eval_numeric({"x": 1e-12, "y": 0.0})
+        f.eval_numeric([1e-12, 0.0])
 
 
 def test_eval_numeric_radical():
     params = make_params(1, 1)
     f = parse_expr("sigma", CH, params)
-    val = f.eval_numeric({"x": 0.0, "y": 0.0})
+    val = f.eval_numeric([0.0, 0.0])
     assert abs(val - (1 + 5 ** 0.5) / 2) < 1e-12
+
+
+@pytest.mark.parametrize("point", [[0.5], [0.5, 1.0, 2.0], []])
+def test_eval_numeric_rejects_a_point_of_another_dimension(point):
+    with pytest.raises(ValueError, match="2 coordinates"):
+        (X + Y).eval_numeric(point)
 
 
 @settings(max_examples=25, deadline=None)
@@ -477,7 +494,7 @@ def test_numeric_matches_symbolic(f, seed):
     rng = random.Random(seed)
     g = f * f - f
     for _ in range(3):
-        point = {n: rng.uniform(-2, 2) for n in CH.variables}
+        point = [rng.uniform(-2, 2) for _ in CH.variables]
         try:
             lhs = g.eval_numeric(point)
             rhs = f.eval_numeric(point) ** 2 - f.eval_numeric(point)
