@@ -30,8 +30,8 @@ from .metallic import (MetallicStructure, composite_relation, metallic_from_prod
                        metallic_recipe, metallic_residual, minimal_polynomial_check,
                        product_from_metallic, projectors_from_metallic, square_residual)
 from .numfield import QuadScalar
-from .scenario import Scenario, _excerpt
-from .symexpr import Chart, ExprError, RatFunc, parse_expr, parse_integer
+from .scenario import Scenario
+from .symexpr import Chart, ExprError, RatFunc, _excerpt, parse_expr, parse_integer
 
 
 class CheckError(ValueError):

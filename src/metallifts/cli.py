@@ -34,12 +34,20 @@ def load_builtin(name: str) -> Scenario:
     return parse_scenario(path.read_text(encoding="utf-8"), f"builtin:{name}")
 
 
+def _seed(text: str) -> int:
+    # argparse would quote the whole value of a ValueError.
+    try:
+        return parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="metallifts")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="execute a scenario and report verdicts")
     run.add_argument("scenario_file", nargs="?", help="path to a scenario file")
-    run.add_argument("--seed", type=parse_integer, default=DEFAULT_SEED,
+    run.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                      help="seed for the numeric-corroboration sampler")
     run.add_argument("--format", choices=("text", "structured"), default="text",
                      help="report rendering (structured is deterministic JSON)")

@@ -9,10 +9,10 @@ same seed.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .checks import CheckOutcome, Context, Residual, run_check
 from .geometry import run_memo
@@ -61,6 +61,12 @@ class Report:
 
 
 def _sample(expr: RatFunc, rng: random.Random) -> NumericSummary:
+    if expr.is_zero:
+        # An exact zero is 0.0 at every point and never resamples: draw its
+        # points' words (random() takes two 32-bit words, getrandbits(64k)
+        # takes 2k) so that later residuals see the same points.
+        rng.getrandbits(64 * NUM_POINTS * expr.chart.dimension)
+        return NumericSummary(NUM_POINTS, 0.0, True)
     # Each coordinate is -2 + 4*random(), which is rng.uniform(-2.0, 2.0)
     # bit for bit, drawn in chart order.
     coords = range(expr.chart.dimension)
@@ -151,7 +157,51 @@ def render_structured(report: Report, params) -> str:
             for c in report.checks
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out: list[str] = []
+    _write_json(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, out: list[str], newline: str) -> None:
+    """Append the chunks of ``json.dumps(obj, indent=2, sort_keys=True)``
+    to ``out``; ``newline`` is a line break followed by the indent of the
+    line ``obj`` starts on.  Only dicts with str keys, lists, str, int,
+    bool and None are written, anything else raises TypeError."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _write_json(obj[key], out, inner)
+            sep = ","
+        out.append(newline + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for item in obj:
+            out.append(sep + inner)
+            _write_json(item, out, inner)
+            sep = ","
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def render_text(report: Report, params) -> str:

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 
 from .geometry import Connection, Tensor11Field, VectorField
 from .numfield import MetallicParams, make_params
-from .symexpr import PARAM_NAMES, Chart, ExprError, RatFunc, parse_expr, parse_integer
+from .symexpr import (PARAM_NAMES, Chart, ExprError, RatFunc, _excerpt, parse_expr,
+                      parse_integer)
 
 STRUCTURE_KINDS = ("product", "metallic", "tangent", "complex")
 
@@ -72,12 +73,6 @@ def _split_kv(token: str, key: str) -> str:
     if not token.startswith(key + "="):
         raise ValueError(f"expected {key}=..., found {token!r}")
     return token[len(key) + 1:]
-
-
-def _excerpt(text: str) -> str:
-    """text quoted for an error message, cut after 60 characters: the parse
-    error that follows it names the position."""
-    return repr(text) if len(text) <= 60 else f"{text[:60]!r}... ({len(text)} characters)"
 
 
 def _header(head: str, rest: str):

@@ -777,13 +777,23 @@ _TOKEN_CHARS = set("+-*/^()")
 _DIGITS = set("0123456789")  # str.isdigit() also takes "²", which int() refuses
 
 
+def _excerpt(text: str) -> str:
+    """text quoted for an error message, cut after 60 characters and then
+    followed by its length."""
+    return repr(text) if len(text) <= 60 else f"{text[:60]!r}... ({len(text)} characters)"
+
+
 def parse_integer(text: str) -> int:
     """``text`` read by the rule [+-]?[0-9]+, else ValueError; int() alone
     also takes other scripts' digits, underscores and spaces."""
     digits = text[1:] if text[:1] in ("+", "-") else text
     if not digits or not _DIGITS.issuperset(digits):
-        raise ValueError(f"{text!r} is not an integer")
-    return int(text)
+        raise ValueError(f"{_excerpt(text)} is not an integer")
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise ValueError(f"{_excerpt(text)} has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _integer(text: str, at: int) -> int:

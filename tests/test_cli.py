@@ -333,7 +333,7 @@ def test_unexpected_exception_while_sampling_is_contained(capsys, monkeypatch):
         return evaluate(expr, point)
 
     monkeypatch.setattr(RatFunc, "eval_numeric", first_call_fails)
-    assert main(["run", "--builtin", "means_gold", "--format", "structured"]) == 1
+    assert main(["run", "--builtin", "errata", "--format", "structured"]) == 1
     captured = capsys.readouterr()
     outcomes = [(c["verdict"], c["error"]) for c in json.loads(captured.out)["checks"]]
     assert outcomes[0] == ("error", "ZeroDivisionError: float division by zero")
@@ -453,6 +453,15 @@ def test_seed_takes_only_ascii_digits(capsys, seed):
         main(["run", "--builtin", "means_gold", "--seed", seed])
     assert exc.value.code == 2
     assert "argument --seed" in capsys.readouterr().err
+
+
+def test_long_seed_is_quoted_in_part(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--builtin", "means_gold", "--seed", "7" * 4400])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert max(len(line) for line in err.splitlines()) <= 300
+    assert "argument --seed: '" + "7" * 60 + "'... (4400 characters) has more than" in err
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_BUILTINS - {"example_4_1"}))

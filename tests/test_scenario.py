@@ -192,3 +192,9 @@ def test_every_load_error_gives_its_line_once(text, fragment, line):
     assert msg.startswith("bad.scn: " if line is None else f"bad.scn:{line}: ")
     assert fragment in msg and msg.count("bad.scn") == 1
 
+
+def test_long_params_value_is_quoted_in_part():
+    msg = scenario_error(f"scenario s\nchart x y\nparams alpha={'x' * 5000} beta=1\n")
+    assert len(msg) < 200
+    assert f"invalid params: {'x' * 60!r}... (5000 characters) is not an integer" in msg
+
