@@ -9,14 +9,13 @@ import argparse
 import sys
 import time
 
-from metallifts.cli import builtin_names, load_builtin
+from metallifts.cli import _seed, builtin_names, load_builtin
 from metallifts.report import DEFAULT_SEED, render_text, run_scenario
-from metallifts.symexpr import parse_integer
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=parse_integer, default=DEFAULT_SEED)
+    parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     parser.add_argument("--verbose", action="store_true",
                         help="print the full text report for each scenario")
     args = parser.parse_args()

@@ -112,10 +112,6 @@ def frobenius_criterion(projector: Tensor11Field, complement: Tensor11Field) -> 
         complement, lie_derivative(cols[i], cols[j])))
 
 
-def example_41_chart() -> Chart:
-    return Chart(("x", "y"))
-
-
 def example_41_distribution_generators(chart: Chart) -> tuple[VectorField, VectorField]:
     """R = span{d/dx - (x+y) d/dy}, S = span{(x+y) d/dx + d/dy}."""
     w = parse_expr("x + y", chart)
@@ -128,7 +124,7 @@ def example_41_distribution_generators(chart: Chart) -> tuple[VectorField, Vecto
 def example_41_structure(params: MetallicParams) -> MetallicStructure:
     """The metallic structure whose +/- eigendistributions are the two
     spans above, built by exact change of basis."""
-    chart = example_41_chart()
+    chart = Chart(("x", "y"), params.radicand)
     gen_r, gen_s = example_41_distribution_generators(chart)
     basis = Tensor11Field(chart, tuple(zip(gen_r.components, gen_s.components)))
     signs = Tensor11Field.diagonal(chart, [1, -1])

@@ -54,7 +54,7 @@ def tangent_bundle(base: Chart) -> TangentBundleChart:
         while cand in base.variables or cand in fiber:
             cand += "_"
         fiber.append(cand)
-    return TangentBundleChart(base, Chart(base.variables + tuple(fiber)))
+    return TangentBundleChart(base, Chart(base.variables + tuple(fiber), base.field.d))
 
 
 def vertical_lift_vf(X: VectorField) -> VectorField:

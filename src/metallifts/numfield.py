@@ -1,8 +1,11 @@
 """Exact arithmetic in the quadratic field Q(sqrt(d)).
 
-Every coefficient in the library is a ``QuadScalar``: an element
-``a + b*sqrt(d)`` with exact rational parts and a shared squarefree
-radicand ``d``.  ``d == 0`` marks a pure rational.
+A ``QuadScalar`` is an element ``a + b*sqrt(d)`` with exact rational parts
+and its own squarefree radicand ``d``; ``d == 0`` marks a pure rational.  It
+is the chart-free scalar: the constants of ``MetallicParams`` and the
+scalar residuals of the checks.  A value on a chart keeps its coefficients
+as integers over the chart's field instead (``symexpr``), and a
+``QuadScalar`` enters a chart as a constant of that field.
 """
 
 from __future__ import annotations

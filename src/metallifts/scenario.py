@@ -197,6 +197,9 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
                 if head in given:
                     raise ValueError(f"{head!r} is given twice")
                 given[head] = _header(head, rest)
+                if head != "scenario" and "chart" in given and "params" in given:
+                    # the chart's coefficient field is the params' Q(sqrt D)
+                    given["chart"] = Chart(given["chart"].variables, given["params"].radicand)
             elif head != "check" and head not in _DECLARATIONS:
                 raise ValueError(f"unknown directive {head!r}")
             elif "chart" not in given or "params" not in given:

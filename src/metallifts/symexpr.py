@@ -1,5 +1,9 @@
 """Multivariate rational functions over Q(sqrt(d)) in named chart coordinates.
 
+A ``Chart`` is the coordinate names and one coefficient field Q(sqrt(d))
+(``Chart(variables, radicand)``; d = 0 is QQ), and every value on a chart
+has its coefficients in that field, so no operation joins two radicands.  A
+scalar meets the chart's radicand only where it becomes a constant on it.
 A ``RatFunc`` is ``c * N / prod(F_i^e_i)``: a rational content ``c`` (an
 int when integral, else a ``Fraction``), a numerator ``N`` in ``ZZ[x, s]/
 (s^2 - d)``, where ``x`` are the chart coordinates and ``s`` stands for
@@ -37,7 +41,8 @@ from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 from operator import mul
 
-from .numfield import IncompatibleRadicands, MetallicParams, QuadScalar, rational_text
+from .numfield import (IncompatibleRadicands, MetallicParams, QuadScalar, rational_text,
+                       squarefree_split)
 from .poly import poly_ring
 
 
@@ -57,29 +62,12 @@ class ResampleNeeded(RuntimeError):
 DEN_THRESHOLD = 1e-8
 
 
-@lru_cache(maxsize=None)
-def coeff_field(d: int) -> "CoeffField":
-    return CoeffField(d)
-
-
 class CoeffField:
-    """The coefficient field Q(sqrt(d)) of a ``RatFunc``: its squarefree
-    radicand ``d`` (0 for plain QQ) and the rewrite ``s^2 -> d``.
-
-    The polynomial ring is the same for every radicand (the chart
-    coordinates plus ``s``, the last generator), so values over QQ and over
-    Q(sqrt(d)) combine without conversion."""
+    """The coefficient field Q(sqrt(d)) of a chart: its squarefree radicand
+    ``d`` (0 for plain QQ) and the rewrite ``s^2 -> d``."""
 
     def __init__(self, d: int):
         self.d = 0 if d in (0, 1) else d
-
-    def join(self, other: CoeffField) -> CoeffField:
-        """The field holding both operands."""
-        if other.d in (0, self.d):
-            return self
-        if self.d == 0:
-            return other
-        raise IncompatibleRadicands(f"sqrt({self.d}) vs sqrt({other.d})")
 
     def fold(self, p):
         """p with every s^k rewritten to d^(k//2) * s^(k%2)."""
@@ -103,29 +91,35 @@ class CoeffField:
 
 
 class Chart:
-    """An ordered tuple of coordinate names; the only atlas we support."""
+    """An ordered tuple of coordinate names over one coefficient field,
+    Q(sqrt(radicand)); the only atlas we support.  Every value on a chart
+    has its coefficients in the chart's field."""
 
-    __slots__ = ("variables",)
+    __slots__ = ("variables", "field", "_hash")
 
-    def __init__(self, variables):
+    def __init__(self, variables, radicand: int = 0):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("chart variable names must be distinct")
         if not variables:
             raise ValueError("chart needs at least one variable")
+        field = CoeffField(squarefree_split(radicand)[1])
         object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_hash", hash((variables, field.d)))
 
     def __setattr__(self, *args):
         raise AttributeError("Chart is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, Chart) and self.variables == other.variables
+        return self is other or (isinstance(other, Chart) and self.variables == other.variables
+                                 and self.field.d == other.field.d)
 
     def __hash__(self):
-        return hash(self.variables)
+        return self._hash
 
     def __repr__(self):
-        return f"Chart{self.variables}"
+        return f"Chart({self.variables}, radicand={self.field.d})"
 
     @property
     def dimension(self) -> int:
@@ -205,14 +199,15 @@ def _fkey(base):
 class RatFunc:
     """Multivariate rational function on a chart, denominator kept factored."""
 
-    __slots__ = ("chart", "field", "c", "num", "factors", "_den", "_diffs", "_floats")
+    __slots__ = ("chart", "c", "num", "factors", "_den", "_diffs", "_floats")
 
-    def __init__(self, chart: Chart, field: CoeffField, c, num, factors):
+    def __init__(self, chart: Chart, c, num, factors):
         """c * num / prod(base**e for base, e in factors), taken as given:
         every operation passes its result in normal form, with num and each
         base primitive over ZZ with a positive leading coefficient, and c
-        an int or a Fraction, 0 exactly when num is."""
-        self.chart, self.field, self.num = chart, field, num
+        an int or a Fraction, 0 exactly when num is.  The coefficients are
+        in the chart's field."""
+        self.chart, self.num = chart, num
         self.c = c
         self.factors = factors if num else ()
         self._den = None
@@ -252,29 +247,25 @@ class RatFunc:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, chart: Chart, value, field: CoeffField | None = None) -> RatFunc:
-        if field is None:
-            field = coeff_field(getattr(value, "d", 0))
-        return _cached_constant(chart, field.d, value)
+    def constant(cls, chart: Chart, value) -> RatFunc:
+        return _cached_constant(chart, value)
 
     @classmethod
-    def variable(cls, chart: Chart, name: str, field: CoeffField | None = None) -> RatFunc:
+    def variable(cls, chart: Chart, name: str) -> RatFunc:
         chart.index(name)
-        field = field or coeff_field(0)
-        return _cached_variable(chart, field.d, name)
+        return _cached_variable(chart, name)
 
     def zero(self) -> RatFunc:
-        return RatFunc.constant(self.chart, 0, self.field)
+        return RatFunc.constant(self.chart, 0)
 
     def one(self) -> RatFunc:
-        return RatFunc.constant(self.chart, 1, self.field)
+        return RatFunc.constant(self.chart, 1)
 
     # -- compatibility ------------------------------------------------
 
-    def _join(self, other: RatFunc) -> CoeffField:
+    def _check_chart(self, other: RatFunc):
         if self.chart != other.chart:
             raise ExprError(f"chart mismatch: {self.chart} vs {other.chart}")
-        return self.field.join(other.field)
 
     @staticmethod
     def _coerce(chart, x):
@@ -290,22 +281,18 @@ class RatFunc:
         other = self._coerce(self.chart, other)
         if other is None:
             return NotImplemented
-        field = self._join(other)
-        a, b = self, other
-        if not a.num:
-            return b if b.field is field else b._with_field(field)
-        if not b.num:
-            return a if a.field is field else a._with_field(field)
-        return _common_sum(a.chart, field, [(a.c, (a.num,), dict(a.factors)),
-                                            (b.c, (b.num,), dict(b.factors))])
+        self._check_chart(other)
+        if not self.num:
+            return other
+        if not other.num:
+            return self
+        return _common_sum(self.chart, [(self.c, (self.num,), dict(self.factors)),
+                                        (other.c, (other.num,), dict(other.factors))])
 
     __radd__ = __add__
 
-    def _with_field(self, field: CoeffField) -> RatFunc:
-        return RatFunc(self.chart, field, self.c, self.num, self.factors)
-
     def __neg__(self):
-        return RatFunc(self.chart, self.field, -self.c, self.num, self.factors)
+        return RatFunc(self.chart, -self.c, self.num, self.factors)
 
     def __sub__(self, other):
         other = self._coerce(self.chart, other)
@@ -320,37 +307,37 @@ class RatFunc:
         other = self._coerce(self.chart, other)
         if other is None:
             return NotImplemented
-        field = self._join(other)
+        self._check_chart(other)
         if not self.num or not other.num:
-            return RatFunc.constant(self.chart, 0, field)
+            return RatFunc.constant(self.chart, 0)
         c = other.c if self.c == 1 else self.c if other.c == 1 else self.c * other.c
         if self.is_constant() or other.is_constant():
             # k*(A + s*B), k = a + b*s != 0, keeps the other operand's bases
             # untried: an s-free primitive base dividing both parts of the
             # product would divide (a^2 - d*b^2)*A and (a^2 - d*b^2)*B, so A
             # and B, and no base divides a numerator.
-            c, num = _fold(field, c, self.num * other.num)
-            return RatFunc(self.chart, field, c, num, self.factors or other.factors)
+            c, num = _fold(self.chart.field, c, self.num * other.num)
+            return RatFunc(self.chart, c, num, self.factors or other.factors)
         merged = dict(self.factors)
         for base, e in other.factors:
             merged[base] = merged.get(base, 0) + e
-        c, num = _fold(field, c, self.num * other.num)
+        c, num = _fold(self.chart.field, c, self.num * other.num)
         num, factors = self._reduce(num, merged)
-        return RatFunc(self.chart, field, c, num, factors)
+        return RatFunc(self.chart, c, num, factors)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> RatFunc:
         if not self.num:
             raise DivisionByZeroExpr("division by the zero expression")
-        num, c = self.den, _rat(1, self.c)
-        if self.field.d and _has_radical(self.num):
+        num, c, d = self.den, _rat(1, self.c), self.chart.field.d
+        if d and _has_radical(self.num):
             # 1/(g*(A + s*B)) = (A - s*B) / (g * (A^2 - d*B^2)), g = gcd(A, B).
             a, b = _split(self.num)
             g = _primitive(a.gcd(b) if a else b)[1]
             if not g.is_ground:
                 a, b = a.exact_quo(g), b.exact_quo(g)
-            k, norm = _primitive(a * a - b * b * self.field.d)
+            k, norm = _primitive(a * a - b * b * d)
             sign, num = _primitive(num * (a - b * self.num.ring.gens[-1]))
             c = _rat(c, k * sign)
             # A numerator made by rationalising an earlier denominator has
@@ -365,19 +352,19 @@ class RatFunc:
                 if not base.is_ground:
                     factors[base] = factors.get(base, 0) + 1
             num, factors = self._reduce(num, factors)
-            return RatFunc(self.chart, self.field, c, num, factors)
+            return RatFunc(self.chart, c, num, factors)
         # Otherwise the numerator is free of s and is the base as it stands;
         # it may divide the old denominator, as x*y divides (x*z)*(y*w).
         if self.num.is_ground:
-            return RatFunc(self.chart, self.field, c, num, ())
+            return RatFunc(self.chart, c, num, ())
         num, factors = self._reduce(num, {self.num: 1})
-        return RatFunc(self.chart, self.field, c, num, factors)
+        return RatFunc(self.chart, c, num, factors)
 
     def __truediv__(self, other):
         other = self._coerce(self.chart, other)
         if other is None:
             return NotImplemented
-        self._join(other)
+        self._check_chart(other)
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
@@ -392,11 +379,11 @@ class RatFunc:
             return self.one()
         if n == 1:
             return self
-        c, num = _fold(self.field, self.c ** n, self.num ** n)
+        c, num = _fold(self.chart.field, self.c ** n, self.num ** n)
         # A base need not be squarefree: x^2 + 2*x*y + y^2 does not divide
         # x + y but divides its square.
         num, factors = self._reduce(num, {b: e * n for b, e in self.factors})
-        return RatFunc(self.chart, self.field, c, num, factors)
+        return RatFunc(self.chart, c, num, factors)
 
     @staticmethod
     def sum_of_products(xs, ys) -> RatFunc:
@@ -409,18 +396,16 @@ class RatFunc:
         pairs = [(x, y) for x, y in zip(xs, ys) if x.num and y.num]  # .num skips is_zero
         if len(pairs) < 2:
             return pairs[0][0] * pairs[0][1] if pairs else xs[0].zero()
-        chart, field = pairs[0][0].chart, pairs[0][0].field
-        terms = []
+        first, terms = pairs[0][0], []
         for x, y in pairs:
-            if x.chart != chart:
-                raise ExprError(f"chart mismatch: {chart} vs {x.chart}")
-            field = field.join(x._join(y))
+            first._check_chart(x)
+            x._check_chart(y)
             factors = dict(x.factors)
             for base, e in y.factors:
                 factors[base] = factors.get(base, 0) + e
             c = y.c if x.c == 1 else x.c if y.c == 1 else x.c * y.c
             terms.append((c, (x.num, y.num), factors))
-        return _common_sum(chart, field, terms)
+        return _common_sum(first.chart, terms)
 
     # -- predicates & equality ----------------------------------------
 
@@ -435,7 +420,7 @@ class RatFunc:
     def constant_value(self) -> QuadScalar:
         if not self.is_constant():
             raise ExprError("not a constant expression")
-        terms = [c for _, c in _poly_terms(self.num, self.c, self.field)]
+        terms = [c for _, c in _poly_terms(self.num, self.c, self.chart.field.d)]
         return terms[0] if terms else QuadScalar(Fraction(0))
 
     def __eq__(self, other):
@@ -443,7 +428,7 @@ class RatFunc:
             other = self._coerce(self.chart, other)
             if other is None:
                 return NotImplemented
-        self._join(other)
+        self._check_chart(other)
         # The primitive form with a positive leading coefficient is unique,
         # so the contents must agree and the integer parts cross-multiply.
         if self.c != other.c:
@@ -461,8 +446,7 @@ class RatFunc:
         if num and not den.is_ground:
             g = _primitive(num.gcd(den))[1]
             num, den = num.exact_quo(g), den.exact_quo(g)
-        return RatFunc(self.chart, self.field, self.c, num,
-                       () if den.is_ground else ((den, 1),))
+        return RatFunc(self.chart, self.c, num, () if den.is_ground else ((den, 1),))
 
     # -- calculus -----------------------------------------------------
 
@@ -491,7 +475,7 @@ class RatFunc:
             d_base = base.diff(i)
             if d_base:
                 terms.append((-e * self.c, (d_base, self.num), {**own, base: e + 1}))
-        out = _common_sum(self.chart, self.field, terms) if terms else self.zero()
+        out = _common_sum(self.chart, terms) if terms else self.zero()
         self._diffs[var] = out
         return out
 
@@ -513,33 +497,35 @@ class RatFunc:
             return RatFunc.variable(target, name)
 
         imgs = [image(n) for n in self.chart.variables]
-        out = _poly_at(self.num, self.c, imgs, target, self.field)
+        d = self.chart.field.d
+        out = _poly_at(self.num, self.c, imgs, target, d)
         for base, e in self.factors:
-            img = _poly_at(base, 1, imgs, target, self.field)
+            img = _poly_at(base, 1, imgs, target, d)
             if img.is_zero:
                 raise DivisionByZeroExpr("denominator vanishes identically after substitution")
             out = out * img.reciprocal() ** e
         return out
 
     def on_chart(self, target: Chart) -> RatFunc:
-        """The same function on a chart whose variables begin with this
-        chart's: each exponent tuple gains zeros for the new variables,
-        before the exponent of s.  Factors, exponents and their order are
-        kept, so no arithmetic is done."""
+        """The same function on a chart over the same field whose variables
+        begin with this chart's: each exponent tuple gains zeros for the new
+        variables, before the exponent of s.  Factors, exponents and their
+        order are kept, so no arithmetic is done."""
         n = self.chart.dimension
-        if target.variables[:n] != self.chart.variables:
-            raise ExprError(f"{target} does not begin with {self.chart}'s variables")
+        if (target.variables[:n] != self.chart.variables
+                or target.field.d != self.chart.field.d):
+            raise ExprError(f"{target} does not extend {self.chart}")
         if not self.num:  # fiber sums lift every zero f_a: without this path a
             # complete_lift_metallic check took 4.6% longer than when fiber_sum
             # skipped zeros itself, with it 0.7% less
-            return RatFunc.constant(target, 0, self.field)
+            return RatFunc.constant(target, 0)
         ring = poly_ring(target.dimension + 1)
         pad = (0,) * (target.dimension - n)
 
         def lift(p):
             return ring({m[:-1] + pad + m[-1:]: c for m, c in p.items()})
 
-        return RatFunc(target, self.field, self.c, lift(self.num),
+        return RatFunc(target, self.c, lift(self.num),
                        tuple((lift(base), e) for base, e in self.factors))
 
     # -- numeric ------------------------------------------------------
@@ -552,7 +538,7 @@ class RatFunc:
             raise ValueError(f"a point on {self.chart} has {self.chart.dimension} "
                              f"coordinates, not {len(point)}")
         if self._floats is None:
-            r = self.field.d ** 0.5
+            r = self.chart.field.d ** 0.5
             self._floats = (_float_table(self.num, Fraction(self.c, self.den.LC), r),
                             [(_float_table(base, Fraction(1, base.LC), r), e)
                              for base, e in self.factors])
@@ -569,19 +555,19 @@ class RatFunc:
 
     def to_text(self, params: MetallicParams | None = None) -> str:
         """The numerator over QQ divided by the monic expanded denominator."""
-        names = self.chart.variables
+        names, d = self.chart.variables, self.chart.field.d
         lc = self.den.LC
-        num = _poly_text(self.num, Fraction(self.c, lc), self.field, params, names)
+        num = _poly_text(self.num, Fraction(self.c, lc), d, params, names)
         if not self.factors:
             return num
-        den = _poly_text(self.den, Fraction(1, lc), self.field, params, names)
+        den = _poly_text(self.den, Fraction(1, lc), d, params, names)
         return f"({num})/({den})"
 
     def __repr__(self):
         return f"RatFunc({self.to_text()})"
 
 
-def _common_sum(chart: Chart, field: CoeffField, terms) -> RatFunc:
+def _common_sum(chart: Chart, terms) -> RatFunc:
     """The sum of terms ``(c, polys, factors)``, each the content c times
     the product of the nonzero polys over prod(base**e for base, e in
     factors.items()), in normal form.  The common denominator takes each
@@ -630,29 +616,30 @@ def _common_sum(chart: Chart, field: CoeffField, terms) -> RatFunc:
     if dense:
         for mono in [mono for mono, c in out.items() if not c]:
             del out[mono]
-    k, num = _primitive(field.fold(out))
+    k, num = _primitive(chart.field.fold(out))
     num, factors = RatFunc._reduce(num, merged)
-    return RatFunc(chart, field, g * k if den == 1 else _rat(g * k, den), num, factors)
+    return RatFunc(chart, g * k if den == 1 else _rat(g * k, den), num, factors)
 
 
 @lru_cache(maxsize=None)
-def _cached_constant(chart: Chart, d: int, value) -> RatFunc:
-    field = coeff_field(d)
+def _cached_constant(chart: Chart, value) -> RatFunc:
+    """The constant ``value`` on ``chart``: where a scalar enters a chart,
+    and so where its radicand must be the chart's."""
     if isinstance(value, (int, Fraction)):
         value = QuadScalar(Fraction(value))
-    if value.d not in (0, field.d):
-        raise IncompatibleRadicands(f"sqrt({value.d}) in field sqrt({field.d})")
+    if value.d not in (0, chart.field.d):
+        raise IncompatibleRadicands(f"sqrt({value.d}) on {chart}")
     den = lcm(value.a.denominator, value.b.denominator)
     n = chart.dimension
     parts = {(0,) * n + (0,): value.a * den, (0,) * n + (1,): value.b * den}
     k, num = _primitive(poly_ring(n + 1)({m: int(c) for m, c in parts.items() if c}))
-    return RatFunc(chart, field, _rat(k, den), num, ())
+    return RatFunc(chart, _rat(k, den), num, ())
 
 
 @lru_cache(maxsize=None)
-def _cached_variable(chart: Chart, d: int, name: str) -> RatFunc:
+def _cached_variable(chart: Chart, name: str) -> RatFunc:
     gen = poly_ring(chart.dimension + 1).gens[chart.index(name)]
-    return RatFunc(chart, coeff_field(d), 1, gen, ())
+    return RatFunc(chart, 1, gen, ())
 
 
 def _coeff_pairs(p):
@@ -664,18 +651,18 @@ def _coeff_pairs(p):
     return pairs.items()
 
 
-def _poly_terms(p, scale, field: CoeffField):
-    """The terms of scale * p, each coefficient a QuadScalar."""
+def _poly_terms(p, scale, d: int):
+    """The terms of scale * p over Q(sqrt(d)), each coefficient a QuadScalar."""
     for mono, (a, b) in _coeff_pairs(p):
-        yield mono, QuadScalar(scale * a, scale * b, field.d)
+        yield mono, QuadScalar(scale * a, scale * b, d)
 
 
-def _poly_at(p, scale, images: list[RatFunc], target: Chart,
-             field: CoeffField) -> RatFunc:
-    """scale * p with images[i] put for the i-th chart variable."""
-    out = RatFunc.constant(target, 0, field)
-    for mono, coeff in _poly_terms(p, scale, field):
-        term = RatFunc.constant(target, coeff, field)
+def _poly_at(p, scale, images: list[RatFunc], target: Chart, d: int) -> RatFunc:
+    """scale * p over Q(sqrt(d)) with images[i] put for the i-th chart
+    variable."""
+    out = RatFunc.constant(target, 0)
+    for mono, coeff in _poly_terms(p, scale, d):
+        term = RatFunc.constant(target, coeff)
         for img, e in zip(images, mono):
             if e:
                 term = term * img ** e
@@ -717,9 +704,9 @@ def _quad_text(c: QuadScalar, params: MetallicParams | None) -> str:
     return f"({rational_text(c.a)} {sign} {rad.lstrip('-')})"
 
 
-def _poly_text(p, scale: Fraction, field: CoeffField, params: MetallicParams | None,
+def _poly_text(p, scale: Fraction, d: int, params: MetallicParams | None,
                names: tuple[str, ...]) -> str:
-    terms = list(_poly_terms(p, scale, field))  # chart monomials descending
+    terms = list(_poly_terms(p, scale, d))  # chart monomials descending
     if not terms:
         return "0"
     parts = []
@@ -843,7 +830,6 @@ class _Parser:
         self.depth = 0
         self.chart = chart
         self.params = params
-        self.field = coeff_field(params.radicand) if params else coeff_field(0)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -867,7 +853,7 @@ class _Parser:
         terms; none has more terms than there are chart monomials of its
         degree (twice that with sqrt(d))."""
         k = self.chart.dimension
-        terms = min(terms, comb(degree + k, k) * (2 if self.field.d else 1))
+        terms = min(terms, comb(degree + k, k) * (2 if self.chart.field.d else 1))
         if degree > MAX_DEGREE or terms > MAX_TERMS:
             raise ParseError(f"expression too large: degree {degree} with up to {terms} "
                              f"terms (limits {MAX_DEGREE} and {MAX_TERMS})", at)
@@ -947,7 +933,7 @@ class _Parser:
         kind, text, at = self.peek()
         if kind == "int":
             self.take()
-            return RatFunc.constant(self.chart, _integer(text, at), self.field)
+            return RatFunc.constant(self.chart, _integer(text, at))
         if kind == "ident":
             self.take()
             return self.resolve(text, at)
@@ -960,11 +946,15 @@ class _Parser:
 
     def resolve(self, name: str, at: int) -> RatFunc:
         if name in self.chart.variables:
-            return RatFunc.variable(self.chart, name, self.field)
+            return RatFunc.variable(self.chart, name)
         if self.params is not None and name in PARAM_NAMES:
-            return RatFunc.constant(self.chart, getattr(self.params, name), self.field)
+            return RatFunc.constant(self.chart, getattr(self.params, name))
         raise ParseError(f"unknown identifier {name!r}", at)
 
 
 def parse_expr(text: str, chart: Chart, params: MetallicParams | None = None) -> RatFunc:
+    """``text`` as a value on ``chart``; ``params``, if given, must be over
+    the chart's field, as the parameters are constants on it."""
+    if params is not None and params.radicand != chart.field.d:
+        raise ExprError(f"params of radicand {params.radicand} on {chart}")
     return _Parser(text, chart, params).parse()

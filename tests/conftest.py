@@ -16,6 +16,12 @@ def chart2():
     return Chart(("x", "y"))
 
 
+def chart_over(params, variables=("x", "y")) -> Chart:
+    """The chart of ``variables`` over the field of ``params``, Q(sqrt D):
+    the chart on which values with params' constants live."""
+    return Chart(variables, params.radicand)
+
+
 @pytest.fixture
 def rng():
     return random.Random(987123)

@@ -37,10 +37,11 @@ from metallifts.numfield import QuadScalar, make_params
 from metallifts.report import run_scenario, render_structured
 from metallifts.symexpr import Chart, RatFunc, ResampleNeeded, parse_expr
 
-from conftest import involutive_product, rand_poly, rand_t11, rand_vector
+from conftest import chart_over, involutive_product, rand_poly, rand_t11, rand_vector
 
-CH = Chart(("x", "y"))
-TB = tangent_bundle(CH)
+CH = Chart(("x", "y"))  # over QQ
+GOLDEN = make_params(1, 1)
+CH5 = chart_over(GOLDEN)  # over Q(sqrt 5)
 THREE_PARAMS = [make_params(1, 1), make_params(2, 1), make_params(1, 2)]
 SIX_PAIRS = [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (1, 3)]
 
@@ -82,16 +83,16 @@ def expect_nonzero(label, obj):
     LEDGER.append((label, witness, "nonzero"))
 
 
-def products_20(seed=424242):
-    """20 involutive almost product structures: constant and
+def products_20(chart, seed=424242):
+    """20 involutive almost product structures on ``chart``: constant and
     position-dependent."""
     rng = random.Random(seed)
-    out = [Tensor11Field.diagonal(CH, [1, -1]),
-           Tensor11Field.make(CH, [[0, 1], [1, 0]]),
-           Tensor11Field.make(CH, [[1, 0], [3, -1]]),
-           Tensor11Field.make(CH, [[5, -4], [6, -5]])]
+    out = [Tensor11Field.diagonal(chart, [1, -1]),
+           Tensor11Field.make(chart, [[0, 1], [1, 0]]),
+           Tensor11Field.make(chart, [[1, 0], [3, -1]]),
+           Tensor11Field.make(chart, [[5, -4], [6, -5]])]
     while len(out) < 20:
-        out.append(involutive_product(rng, CH))
+        out.append(involutive_product(rng, chart))
     return out
 
 
@@ -119,11 +120,11 @@ def test_criterion_1_means_table():
 # -- criterion 2: structures, projectors, expansions ------------------------
 
 def test_criterion_2_product_metallic_suite():
-    I = Tensor11Field.identity(CH)
     for params in THREE_PARAMS:
         tag = f"(a={params.alpha},b={params.beta})"
         inv = params.sqrtD.inverse()
-        for k, P in enumerate(products_20()):
+        I = Tensor11Field.identity(chart_over(params))
+        for k, P in enumerate(products_20(chart_over(params))):
             M = metallic_from_product(P, params)
             expect_zero(f"{tag} P{k}: defining relation",
                         metallic_residual(M.tensor, params))
@@ -174,7 +175,7 @@ def test_criterion_2_errata_report_flags_printed_signs():
 def test_criterion_3_complete_lift_metallic():
     for params in THREE_PARAMS:
         tag = f"(a={params.alpha},b={params.beta})"
-        for k, P in enumerate(products_20()):
+        for k, P in enumerate(products_20(chart_over(params))):
             lifted = complete_lift_t11(metallic_from_product(P, params).tensor)
             expect_zero(f"{tag} P{k}: lifted defining relation",
                         metallic_residual(lifted, params))
@@ -191,8 +192,8 @@ def test_criterion_3_lift_is_multiplicative():
 
 
 def test_criterion_3_tangent_polynomial():
-    T = Tensor11Field.make(CH, [[0, 1], [0, 0]])
     for params in THREE_PARAMS:
+        T = Tensor11Field.make(chart_over(params), [[0, 1], [0, 0]])
         rep = minimal_polynomial_check(T, "tangent", params)
         assert (rep.degree, rep.computed_c1, rep.computed_c0) == (2, rep.claimed_c1, rep.claimed_c0)
         assert rep.computed_c1 == QuadScalar.rational(-params.alpha)
@@ -201,8 +202,8 @@ def test_criterion_3_tangent_polynomial():
 
 
 def test_criterion_3_complex_constant_discrepancy():
-    J = Tensor11Field.make(CH, [[0, -1], [1, 0]])
     for params in THREE_PARAMS:
+        J = Tensor11Field.make(chart_over(params), [[0, -1], [1, 0]])
         rep = minimal_polynomial_check(J, "complex", params)
         assert (rep.degree, rep.computed_c1, rep.computed_c0) != (2, rep.claimed_c1, rep.claimed_c0)
         derived = QuadScalar.rational(Fraction(params.alpha ** 2, 2)
@@ -218,10 +219,11 @@ def test_criterion_3_complex_constant_discrepancy():
 
 def test_criterion_3_composite_relation_on_10_pairs():
     rng = random.Random(27182)
+    silver = make_params(2, 1)
     for k in range(10):
-        P, F = rand_t11(rng, CH), rand_t11(rng, CH)
+        P, F = rand_t11(rng, chart_over(silver)), rand_t11(rng, chart_over(silver))
         expect_zero(f"pair {k}: composite relation",
-                    composite_relation(P, F, make_params(2, 1)))
+                    composite_relation(P, F, silver))
 
 
 # -- criterion 4: Nijenhuis calculus and the worked example -----------------
@@ -231,7 +233,7 @@ def test_criterion_4_product_metallic_nijenhuis_relation():
     rng = random.Random(16180)
     for params in THREE_PARAMS:
         tag = f"(a={params.alpha},b={params.beta})"
-        P = involutive_product(rng, CH)
+        P = involutive_product(rng, chart_over(params))
         psi = metallic_from_product(P, params).tensor
         for label, prod, met in [
                 ("base", P, psi),
@@ -262,9 +264,6 @@ def test_criterion_4_affine_invariance():
         expect_zero(f"affine ({a},{b})",
                     tuple(c for plane in diff.components
                           for row in plane for c in row))
-
-
-GOLDEN = make_params(1, 1)
 
 
 def test_criterion_4_worked_example():
@@ -308,7 +307,7 @@ def test_criterion_4_worked_example():
 def test_criterion_4_lift_preserves_vanishing_nijenhuis():
     """Whenever N_Psi = 0 the complete lift has N_{Psi^C} = 0 too; a
     constant structure gives a second, independent instance."""
-    M = metallic_from_product(Tensor11Field.make(CH, [[0, 1], [1, 0]]), GOLDEN)
+    M = metallic_from_product(Tensor11Field.make(CH5, [[0, 1], [1, 0]]), GOLDEN)
     assert nijenhuis_t11(M.tensor).is_zero
     lifted = complete_lift_t11(M.tensor)
     expect_zero("constant example: N_{Psi^C}",
@@ -318,10 +317,10 @@ def test_criterion_4_lift_preserves_vanishing_nijenhuis():
 
 # -- criterion 5: horizontal lifts and the frame-swap structure -------------
 
-def _rand_connection(rng):
-    n = CH.dimension
-    return Connection(CH, tuple(
-        tuple(tuple(rand_poly(rng, CH) for _ in range(n)) for _ in range(n))
+def _rand_connection(rng, chart):
+    n = chart.dimension
+    return Connection(chart, tuple(
+        tuple(tuple(rand_poly(rng, chart) for _ in range(n)) for _ in range(n))
         for _ in range(n)))
 
 
@@ -329,8 +328,8 @@ def test_criterion_5_horizontal_lift_metallic():
     rng = random.Random(5151)
     for params in THREE_PARAMS:
         tag = f"(a={params.alpha},b={params.beta})"
-        conn = _rand_connection(rng)
-        psi = metallic_from_product(involutive_product(rng, CH), params).tensor
+        conn = _rand_connection(rng, chart_over(params))
+        psi = metallic_from_product(involutive_product(rng, conn.chart), params).tensor
         TH = horizontal_lift_t11(psi, conn)
         expect_zero(f"{tag}: horizontal defining relation",
                     metallic_residual(TH, params))
@@ -340,46 +339,43 @@ def test_criterion_5_horizontal_lift_metallic():
 
 
 def test_criterion_5_frame_swap_structure():
-    rng = random.Random(5252)
-    conn = _rand_connection(rng)
     for pair in [(1, 1), (2, 1), (1, 2)]:
         params = make_params(*pair)
+        # the same connection each time, on the chart over params' field
+        conn = _rand_connection(random.Random(5252), chart_over(params))
         J = jtilde_structure(conn, params)
         expect_zero(f"J~ (a={params.alpha},b={params.beta})",
                     metallic_residual(J, params))
 
 
 def test_criterion_5_printed_form_at_unit_alpha():
-    rng = random.Random(5353)
-    conn = _rand_connection(rng)
-    n = TB.n
-    F = frame_matrix(conn)
-    swap = Tensor11Field.make(TB.chart, [
-        [1 if (i == h + n or i == h - n) else 0 for i in range(2 * n)]
-        for h in range(2 * n)])
-    p_swap = compose_t11(compose_t11(F, swap), invert_t11(F))
-    expect_zero("P~ = F S F^-1", frame_swap_product(conn) - p_swap)
-    I = Tensor11Field.identity(TB.chart)
-    half = RatFunc.constant(TB.chart, Fraction(1, 2))
-
-    def printed(params):
-        return (I + p_swap.scale(params.sqrtD)).scale(half)
-
-    golden = make_params(1, 1)
-    expect_zero("printed J~ at alpha=1",
-                printed(golden) - jtilde_structure(conn, golden))
-    silver = make_params(2, 1)
-    expect_nonzero("printed J~ at alpha=2",
-                   printed(silver) - jtilde_structure(conn, silver))
+    for params, expect in ((make_params(1, 1), expect_zero),
+                           (make_params(2, 1), expect_nonzero)):
+        # the same connection each time, on the chart over params' field
+        conn = _rand_connection(random.Random(5353), chart_over(params))
+        tb = tangent_bundle(conn.chart)
+        n = tb.n
+        F = frame_matrix(conn)
+        swap = Tensor11Field.make(tb.chart, [
+            [1 if (i == h + n or i == h - n) else 0 for i in range(2 * n)]
+            for h in range(2 * n)])
+        p_swap = compose_t11(compose_t11(F, swap), invert_t11(F))
+        expect_zero(f"P~ = F S F^-1 over sqrt({params.radicand})",
+                    frame_swap_product(conn) - p_swap)
+        I = Tensor11Field.identity(tb.chart)
+        half = RatFunc.constant(tb.chart, Fraction(1, 2))
+        printed = (I + p_swap.scale(params.sqrtD)).scale(half)
+        expect(f"printed J~ at alpha={params.alpha}",
+               printed - jtilde_structure(conn, params))
 
 
 # -- criterion 6: cross-sections --------------------------------------------
 
 def test_criterion_6_lift_decompositions():
     rng = random.Random(6161)
-    V = rand_vector(rng, CH)
+    V = rand_vector(rng, CH5)
     cs = CrossSection(V)
-    X, Y = rand_vector(rng, CH), rand_vector(rng, CH)
+    X, Y = rand_vector(rng, CH5), rand_vector(rng, CH5)
     # [BX, BY] = B[X, Y] and [CX, CY] = 0.
     expect_zero("[BX,BY] - B[X,Y]",
                 lie_derivative(b_lift(X, cs), b_lift(Y, cs))
@@ -393,7 +389,7 @@ def test_criterion_6_lift_decompositions():
                 tuple(a - b for a, b in zip(lhs, rhs)))
     expect_zero("X^V - CX", vertical_lift_vf(X) - c_lift(X))
     # Psi^C(BX) = B(Psi X) + C((L_V Psi) X) along the section.
-    M = metallic_from_product(involutive_product(rng, CH), GOLDEN)
+    M = metallic_from_product(involutive_product(rng, CH5), GOLDEN)
     lie = lie_derivative(V, M.tensor)
     psi_c = complete_lift_t11(M.tensor)
     lhs = restrict_to_section(apply_t11(psi_c, b_lift(X, cs)), cs)
@@ -415,13 +411,13 @@ def test_criterion_6_lift_decompositions():
 
 
 def test_criterion_6_invariance_both_directions():
-    M = metallic_from_product(Tensor11Field.make(CH, [[0, 1], [1, 0]]), GOLDEN)
-    euler = VectorField.make(CH, [parse_expr("x", CH), parse_expr("y", CH)])
+    M = metallic_from_product(Tensor11Field.make(CH5, [[0, 1], [1, 0]]), GOLDEN)
+    euler = VectorField.make(CH5, [parse_expr("x", CH5), parse_expr("y", CH5)])
     report = invariance_check(M, CrossSection(euler))
     assert report.is_zero
     expect_zero("decomposition (invariant case)", report.decomposition)
     expect_zero("L_V Psi (invariant case)", report.lie_derivative)
-    skew = VectorField.make(CH, [parse_expr("x*y", CH), parse_expr("0", CH)])
+    skew = VectorField.make(CH5, [parse_expr("x*y", CH5), parse_expr("0", CH5)])
     report = invariance_check(M, CrossSection(skew))
     assert not report.is_zero
     expect_nonzero("L_V Psi (non-invariant case)", report.lie_derivative)
@@ -429,18 +425,19 @@ def test_criterion_6_invariance_both_directions():
 
 def test_criterion_6_induced_structure_metallic():
     for params in THREE_PARAMS:
-        M = metallic_from_product(Tensor11Field.make(CH, [[0, 1], [1, 0]]),
+        ch = chart_over(params)
+        M = metallic_from_product(Tensor11Field.make(ch, [[0, 1], [1, 0]]),
                                   params)
-        euler = VectorField.make(CH, [parse_expr("x", CH),
-                                      parse_expr("y", CH)])
+        euler = VectorField.make(ch, [parse_expr("x", ch),
+                                      parse_expr("y", ch)])
         induced = induced_structure(M, CrossSection(euler))
         expect_zero(f"(a={params.alpha},b={params.beta}): induced relation",
                     metallic_residual(induced.tensor, params))
 
 
 def test_criterion_6_section_nijenhuis_equivalence():
-    M = metallic_from_product(Tensor11Field.make(CH, [[0, 1], [1, 0]]), GOLDEN)
-    euler = VectorField.make(CH, [parse_expr("x", CH), parse_expr("y", CH)])
+    M = metallic_from_product(Tensor11Field.make(CH5, [[0, 1], [1, 0]]), GOLDEN)
+    euler = VectorField.make(CH5, [parse_expr("x", CH5), parse_expr("y", CH5)])
     report = section_nijenhuis_check(M, CrossSection(euler))
     assert report.lie_derivative.is_zero
     expect_zero("section Nijenhuis decomposition",

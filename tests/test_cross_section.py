@@ -13,14 +13,14 @@ from metallifts.metallic import (StructureError, metallic_from_product,
 from metallifts.numfield import make_params
 from metallifts.symexpr import Chart, parse_expr
 
-from conftest import involutive_product, rand_vector
+from conftest import chart_over, involutive_product, rand_vector
 
-CH = Chart(("x", "y"))
 GOLDEN = make_params(1, 1)
+CH = chart_over(GOLDEN)
 
 
-def euler_field():
-    return VectorField.make(CH, [parse_expr("x", CH), parse_expr("y", CH)])
+def euler_field(chart=CH):
+    return VectorField.make(chart, [parse_expr("x", chart), parse_expr("y", chart)])
 
 
 def all_zero(rows):
@@ -28,7 +28,7 @@ def all_zero(rows):
 
 
 def constant_structure(params):
-    P = Tensor11Field.make(CH, [[0, 1], [1, 0]])
+    P = Tensor11Field.make(chart_over(params), [[0, 1], [1, 0]])
     return metallic_from_product(P, params)
 
 
@@ -117,7 +117,7 @@ def test_decomposition_identity_for_random_data(rng):
 
 def test_induced_structure_on_invariant_section():
     M = constant_structure(make_params(2, 1))
-    cs = CrossSection(euler_field())
+    cs = CrossSection(euler_field(M.chart))
     induced = induced_structure(M, cs)
     assert metallic_residual(induced.tensor, M.params).is_zero
     # For a constant structure the induced tensor is the structure itself,
@@ -155,13 +155,16 @@ def test_section_nijenhuis_equivalence_on_invariant_section():
 
 
 def test_chart_mismatch_rejected():
-    other = Chart(("u", "v"))
+    other = Chart(("u", "v"), GOLDEN.radicand)
     M = constant_structure(GOLDEN)
     V = VectorField.make(other, [parse_expr("u", other), parse_expr("v", other)])
-    with pytest.raises(ValueError):
-        invariance_check(M, CrossSection(V))
-    with pytest.raises(ValueError):
-        section_nijenhuis_check(M, CrossSection(V))
+    # The same variables as M's chart, over QQ instead of Q(sqrt 5).
+    W = euler_field(Chart(("x", "y")))
+    for section in (V, W):
+        with pytest.raises(ValueError):
+            invariance_check(M, CrossSection(section))
+        with pytest.raises(ValueError):
+            section_nijenhuis_check(M, CrossSection(section))
 
 
 def test_section_nijenhuis_formula_matches_the_definition():
@@ -169,7 +172,7 @@ def test_section_nijenhuis_formula_matches_the_definition():
     bracket definition on the lifted fields, for a Psi with N_Psi != 0 (from
     the contact-type projector onto span{d/dx, d/dy + x d/dz}) along a
     non-invariant section."""
-    ch3 = Chart(("x", "y", "z"))
+    ch3 = chart_over(GOLDEN, ("x", "y", "z"))
     x = parse_expr("x", ch3)
     r = Tensor11Field.make(ch3, [[1, 0, 0], [0, 1, 0], [0, x, 0]])
     M = metallic_from_product(r.scale(2) - Tensor11Field.identity(ch3), GOLDEN)

@@ -14,7 +14,7 @@ from metallifts.lifts import complete_lift_t11
 from metallifts.numfield import make_params
 from metallifts.symexpr import Chart, RatFunc, _fkey, parse_expr
 
-from conftest import rand_poly, rand_t11, rand_vector
+from conftest import chart_over, rand_poly, rand_t11, rand_vector
 
 CH = Chart(("x", "y"))
 
@@ -221,10 +221,11 @@ def test_chart_mismatch():
 # -- one sum of products ----------------------------------------------------
 
 P8 = make_params(2, 1)  # sqrtD = 2*sqrt(2)
-ZERO = RatFunc.constant(CH, 0)
+CH8 = chart_over(P8)
+ZERO = RatFunc.constant(CH8, 0)
 # Pairwise coprime divisors, one of them with sqrtD: dividing by x + sqrtD*y
 # rationalises it into the base x^2 - 8*y^2.
-DIVISORS = [parse_expr(t, CH, P8) for t in ("x + 1", "x*y + 2", "x^2 + y^2 + 3", "x + sqrtD*y")]
+DIVISORS = [parse_expr(t, CH8, P8) for t in ("x + 1", "x*y + 2", "x^2 + y^2 + 3", "x + sqrtD*y")]
 
 
 @st.composite
@@ -234,8 +235,8 @@ def contraction_factors(draw):
     if draw(st.integers(0, 3)) == 0:
         return ZERO
     monomials = ("1", "x", "y", "x*y", "sqrtD", "sqrtD*x")
-    p = parse_expr("+".join(f"({draw(st.integers(-3, 3))})*{m}" for m in monomials), CH, P8)
-    f = RatFunc.constant(CH, Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 6)))) * p
+    p = parse_expr("+".join(f"({draw(st.integers(-3, 3))})*{m}" for m in monomials), CH8, P8)
+    f = RatFunc.constant(CH8, Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 6)))) * p
     for d in draw(st.lists(st.sampled_from(DIVISORS), max_size=3)):
         f = f / d
     return f
@@ -284,21 +285,21 @@ def test_contract_equals_the_left_to_right_sum_of_products(pairs):
 
 
 def test_contract_cancels_a_base_of_the_sum():
-    x, y = (parse_expr(n, CH) for n in CH.variables)
+    x, y = (parse_expr(n, CH8) for n in CH8.variables)
     got = _contract([x / (x + 1), 1 / (x + 1), y], [1 / (y + 2), 1 / (y + 2), 1 / (y + 2)])
     assert got == (y + 1) / (y + 2) and len(got.factors) == 1
 
 
 def test_contract_of_all_zero_products_is_the_first_factor_zero():
-    x = parse_expr("x", CH, P8)
+    x = parse_expr("x", CH8, P8)
     got = _contract([ZERO, x], [x, ZERO])
-    assert got.is_zero and got.field is ZERO.field
+    assert got.is_zero and got.chart is ZERO.chart
 
 
 def rational_t11(rng: random.Random) -> Tensor11Field:
     """A 2x2 tensor whose entries are random polynomials over one of the
     pairwise coprime DIVISORS each."""
-    return Tensor11Field(CH, tuple(tuple(rand_poly(rng, CH) / rng.choice(DIVISORS)
+    return Tensor11Field(CH8, tuple(tuple(rand_poly(rng, CH8) / rng.choice(DIVISORS)
                                          for _ in range(2)) for _ in range(2)))
 
 

@@ -21,7 +21,7 @@ from metallifts.report import run_scenario
 from metallifts.scenario import parse_scenario
 from metallifts.symexpr import Chart, RatFunc, parse_expr
 
-from conftest import involutive_product, rand_poly, rand_t11, rand_vector
+from conftest import chart_over, involutive_product, rand_poly, rand_t11, rand_vector
 
 CH = Chart(("x", "y"))
 GOLDEN = make_params(1, 1)
@@ -54,9 +54,10 @@ def test_nijenhuis_t11_matches_direct_evaluation(rng):
 
 def _quad_t11(rng, params) -> Tensor11Field:
     """Random entries a + b*sqrtD with a, b affine in each variable."""
-    sqrt_d = RatFunc.constant(CH, params.sqrtD)
-    return Tensor11Field(CH, tuple(
-        tuple(rand_poly(rng, CH) + sqrt_d * rand_poly(rng, CH) for _ in range(2))
+    chart = chart_over(params)
+    sqrt_d = RatFunc.constant(chart, params.sqrtD)
+    return Tensor11Field(chart, tuple(
+        tuple(rand_poly(rng, chart) + sqrt_d * rand_poly(rng, chart) for _ in range(2))
         for _ in range(2)))
 
 
@@ -80,7 +81,7 @@ def test_nijenhuis_formula_matches_definition(seed):
     definition takes seconds there)."""
     rng = random.Random(seed)
     T = _quad_t11(rng, GOLDEN)
-    den = parse_expr("x^2 + sqrtD*y + 3", CH, GOLDEN)
+    den = parse_expr("x^2 + sqrtD*y + 3", T.chart, GOLDEN)
     for case in (T, complete_lift_t11(T), T.scale(1 / den)):
         assert not _assert_formula_matches_definition(case).is_zero
 
@@ -106,7 +107,7 @@ def test_affine_invariance(rng):
 @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (1, 2)])
 def test_np_relation_random_products(pair, rng):
     params = make_params(*pair)
-    P = involutive_product(rng, CH)
+    P = involutive_product(rng, chart_over(params))
     assert np_relation(P, params).is_zero
     assert np_relation(complete_lift_t11(P), params).is_zero
 
@@ -285,7 +286,7 @@ def test_projector_criterion_detects_non_integrable_eigendistribution():
     span{d/dx, d/dy + x d/dz}: s N(rX, rY) = s[rX, rY] up to a nonzero
     factor, so the s_on_r criterion is nonzero, and it agrees exactly with
     N_Psi evaluated on the projected fields."""
-    ch3 = Chart(("x", "y", "z"))
+    ch3 = chart_over(GOLDEN, ("x", "y", "z"))
     x = parse_expr("x", ch3)
     r = Tensor11Field.make(ch3, [[1, 0, 0], [0, 1, 0], [0, x, 0]])
     P = r.scale(2) - Tensor11Field.identity(ch3)
@@ -400,13 +401,13 @@ def test_calls_outside_a_run_build_every_time(builds):
 
 def test_memo_hits_only_exactly_equal_tensors(builds):
     _, T = load_builtin("example_4_1").structures["PSI"]
-    shifted = T + Tensor11Field.identity(CH).scale(parse_expr("x", CH))
+    shifted = T + Tensor11Field.identity(T.chart).scale(parse_expr("x", T.chart))
     with run_memo():
         n_t, n_shifted = nijenhuis_t11(T), nijenhuis_t11(shifted)
         assert builds["nijenhuis"] == 2
         builds["nijenhuis"] = 0
         # An equal tensor built another way is found; the stored results stay apart.
-        rebuilt = shifted - Tensor11Field.identity(CH).scale(parse_expr("x", CH))
+        rebuilt = shifted - Tensor11Field.identity(T.chart).scale(parse_expr("x", T.chart))
         assert rebuilt is not T
         assert nijenhuis_t11(rebuilt) is n_t
         assert nijenhuis_t11(shifted) is n_shifted

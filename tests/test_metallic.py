@@ -11,7 +11,7 @@ from metallifts.metallic import (MetallicStructure, StructureError,
 from metallifts.numfield import QuadScalar, make_params
 from metallifts.symexpr import Chart, RatFunc, parse_expr
 
-from conftest import all_params, involutive_product, rand_t11
+from conftest import all_params, chart_over, involutive_product, rand_t11
 
 CH = Chart(("x", "y"))
 PARAMS = all_params()
@@ -28,8 +28,8 @@ def test_structure_error_quotes_a_large_component_cut_short():
     # relation tens of thousands of characters long; the message keeps 200
     # of them and the full length.
     params = make_params(1, 1)
-    big = parse_expr("(x+2*y+3)^20", CH, params)
-    T = Tensor11Field.make(CH, [[big, 0], [0, 1]])
+    big = parse_expr("(x+2*y+3)^20", chart_over(params), params)
+    T = Tensor11Field.make(chart_over(params), [[big, 0], [0, 1]])
     for build in (lambda: MetallicStructure(params, T),
                   lambda: metallic_from_product(T, params)):
         with pytest.raises(StructureError) as err:
@@ -39,7 +39,7 @@ def test_structure_error_quotes_a_large_component_cut_short():
         assert msg.endswith(" characters)") and "[1][1]" in msg
     # A short component is quoted whole, as before.
     with pytest.raises(StructureError) as err:
-        metallic_from_product(Tensor11Field.make(CH, [[0, 0], [0, 1]]), params)
+        metallic_from_product(Tensor11Field.make(chart_over(params), [[0, 0], [0, 1]]), params)
     assert str(err.value).endswith("[1][1] of the defining relation is nonzero: RatFunc(-1)")
 
 
@@ -52,7 +52,7 @@ def test_metallic_from_product_rejects_non_involutive(rng):
 @pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"a{p.alpha}b{p.beta}")
 def test_product_metallic_correspondence(params, rng):
     for _ in range(4):
-        P = involutive_product(rng, CH)
+        P = involutive_product(rng, chart_over(params))
         M = metallic_from_product(P, params)
         # Defining relation holds exactly.
         assert metallic_residual(M.tensor, params).is_zero
@@ -66,9 +66,9 @@ def test_product_metallic_correspondence(params, rng):
 
 @pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"a{p.alpha}b{p.beta}")
 def test_projector_algebra(params, rng):
-    I = Tensor11Field.identity(CH)
+    I = Tensor11Field.identity(chart_over(params))
     for _ in range(3):
-        M = metallic_from_product(involutive_product(rng, CH), params)
+        M = metallic_from_product(involutive_product(rng, chart_over(params)), params)
         pair = projectors_from_metallic(M)
         r, s = pair.r, pair.s
         assert (r + s - I).is_zero
@@ -86,10 +86,10 @@ def test_projector_expansions(params, rng):
     """sigma*r and (alpha-sigma)*s expand in Psi and I with the derived
     coefficients; the identity-term sign differs from a widely printed
     variant, which the errata scenario documents."""
-    I = Tensor11Field.identity(CH)
+    I = Tensor11Field.identity(chart_over(params))
     inv = params.sqrtD.inverse()
     for _ in range(3):
-        M = metallic_from_product(involutive_product(rng, CH), params)
+        M = metallic_from_product(involutive_product(rng, chart_over(params)), params)
         pair = projectors_from_metallic(M)
         lhs_r = pair.r.scale(params.sigma)
         rhs_r = (M.tensor.scale(params.sigma * inv)
@@ -108,21 +108,21 @@ def test_projector_expansions(params, rng):
 
 # -- minimal polynomials of derived structures ------------------------------
 
-def _swap_product():
-    return Tensor11Field.make(CH, [[0, 1], [1, 0]])
+def _swap_product(chart=CH):
+    return Tensor11Field.make(chart, [[0, 1], [1, 0]])
 
 
-def _nilpotent_tangent():
-    return Tensor11Field.make(CH, [[0, 1], [0, 0]])
+def _nilpotent_tangent(chart=CH):
+    return Tensor11Field.make(chart, [[0, 1], [0, 0]])
 
 
-def _complex_structure():
-    return Tensor11Field.make(CH, [[0, -1], [1, 0]])
+def _complex_structure(chart=CH):
+    return Tensor11Field.make(chart, [[0, -1], [1, 0]])
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"a{p.alpha}b{p.beta}")
 def test_product_polynomial(params):
-    rep = minimal_polynomial_check(_swap_product(), "product", params)
+    rep = minimal_polynomial_check(_swap_product(chart_over(params)), "product", params)
     assert (rep.degree, rep.computed_c1, rep.computed_c0) == (2, rep.claimed_c1, rep.claimed_c0)
     assert rep.computed_c1 == QuadScalar.rational(-params.alpha)
     assert rep.computed_c0 == QuadScalar.rational(-params.beta)
@@ -130,7 +130,7 @@ def test_product_polynomial(params):
 
 @pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"a{p.alpha}b{p.beta}")
 def test_tangent_polynomial(params):
-    rep = minimal_polynomial_check(_nilpotent_tangent(), "tangent", params)
+    rep = minimal_polynomial_check(_nilpotent_tangent(chart_over(params)), "tangent", params)
     assert (rep.degree, rep.computed_c1, rep.computed_c0) == (2, rep.claimed_c1, rep.claimed_c0)
     assert rep.computed_c0 == QuadScalar.rational(Fraction(params.alpha ** 2, 4))
 
@@ -140,7 +140,7 @@ def test_complex_polynomial_disagrees_with_printed_constant(params):
     """For T^2 = eps*I the derived structure satisfies
     X^2 - alpha*X + (alpha^2 - eps*D)/4; with eps = -1 the constant term is
     alpha^2/2 + beta, not the printed alpha^2/4 + beta."""
-    rep = minimal_polynomial_check(_complex_structure(), "complex", params)
+    rep = minimal_polynomial_check(_complex_structure(chart_over(params)), "complex", params)
     assert (rep.degree, rep.computed_c1, rep.computed_c0) != (2, rep.claimed_c1, rep.claimed_c0)
     expected = QuadScalar.rational(Fraction(params.alpha ** 2 + params.discriminant, 4))
     assert rep.computed_c0 == expected
@@ -153,7 +153,7 @@ def test_complex_polynomial_disagrees_with_printed_constant(params):
 
 def test_degenerate_scalar_structure_reported_linear():
     params = make_params(2, 1)
-    rep = minimal_polynomial_check(Tensor11Field.zero(CH), "tangent", params)
+    rep = minimal_polynomial_check(Tensor11Field.zero(chart_over(params)), "tangent", params)
     assert rep.degree == 1
     assert (rep.degree, rep.computed_c1, rep.computed_c0) != (2, rep.claimed_c1, rep.claimed_c0)
     # Psi collapses to (alpha/2) I, annihilated by X - alpha/2.
@@ -163,9 +163,9 @@ def test_degenerate_scalar_structure_reported_linear():
 def test_minimal_polynomial_rejects_wrong_kind():
     params = make_params(1, 1)
     with pytest.raises(ValueError):
-        minimal_polynomial_check(_swap_product(), "mystery", params)
+        minimal_polynomial_check(_swap_product(chart_over(params)), "mystery", params)
     with pytest.raises(StructureError):
-        minimal_polynomial_check(_swap_product(), "complex", params)
+        minimal_polynomial_check(_swap_product(chart_over(params)), "complex", params)
 
 
 # -- composite structures ---------------------------------------------------
@@ -175,7 +175,7 @@ def test_composite_relation_random_pairs(params, rng):
     """The bridge between Psi_{P o F} and Psi_P, Psi_F is a polynomial
     identity in the entries; it needs no involutivity at all."""
     for _ in range(10):
-        P, F = rand_t11(rng, CH), rand_t11(rng, CH)
+        P, F = rand_t11(rng, chart_over(params)), rand_t11(rng, chart_over(params))
         assert composite_relation(P, F, params).is_zero
 
 

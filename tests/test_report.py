@@ -13,8 +13,10 @@ from metallifts.report import (MAX_RESAMPLES, NUM_POINTS, NumericSummary, _sampl
                                _write_json, render_structured, run_scenario)
 from metallifts.symexpr import Chart, RatFunc, ResampleNeeded, parse_expr
 
-CH3 = Chart(("x", "y", "z"))
+from conftest import chart_over
+
 P8 = make_params(2, 1)
+CH3 = chart_over(P8, ("x", "y", "z"))
 # Exact zeros on charts of dimension 1 and 3 and on TM of a plane (dimension 4).
 ZEROS = [RatFunc.constant(chart, 0) for chart in
          (Chart(("t",)), CH3, tangent_bundle(Chart(("x", "y"))).chart)]

@@ -1,5 +1,6 @@
 import pytest
 
+from metallifts.report import render_structured, run_scenario
 from metallifts.scenario import Scenario, ScenarioError, parse_scenario
 
 GOOD = """\
@@ -185,12 +186,31 @@ LOAD_ERRORS = [  # (text, a fragment of its message, the line at fault)
 ]
 
 
-@pytest.mark.parametrize("text, fragment, line", LOAD_ERRORS,
-                         ids=[fragment for _, fragment, _ in LOAD_ERRORS])
+# The chart line's errors with params given first: the chart is built over
+# the params' field once both lines are read, in either order.
+PARAMS_FIRST = [(text.replace("scenario s\nchart", "scenario s\nparams alpha=1 beta=1\nchart"),
+                 fragment, line + 1)
+                for text, fragment, line in LOAD_ERRORS[2:5]]
+
+
+@pytest.mark.parametrize("text, fragment, line", LOAD_ERRORS + PARAMS_FIRST,
+                         ids=[fragment for _, fragment, _ in LOAD_ERRORS]
+                         + [f"params first: {fragment}" for _, fragment, _ in PARAMS_FIRST])
 def test_every_load_error_gives_its_line_once(text, fragment, line):
     msg = scenario_error(text)
     assert msg.startswith("bad.scn: " if line is None else f"bad.scn:{line}: ")
     assert fragment in msg and msg.count("bad.scn") == 1
+
+
+def test_params_before_chart_load_the_same_scenario():
+    params_first = GOOD.replace("chart x y\nparams alpha=1 beta=1\n",
+                                "params alpha=1 beta=1\nchart x y\n")
+    assert params_first != GOOD
+    sc, sc_params_first = parse_scenario(GOOD), parse_scenario(params_first)
+    assert sc.chart.field.d == sc.params.radicand == 5
+    assert sc_params_first == sc
+    assert (render_structured(run_scenario(sc_params_first), sc.params)
+            == render_structured(run_scenario(sc), sc.params))
 
 
 def test_long_params_value_is_quoted_in_part():

@@ -31,7 +31,15 @@ def test_run_all_scenarios_reads_the_seed_as_metallifts_run_does():
     # int() would take "1_0" as 10; the integer rule [+-]?[0-9]+ refuses it.
     proc = run_script("run_all_scenarios.py", "--seed", "1_0")
     assert proc.returncode == 2
-    assert "invalid parse_integer value: '1_0'" in proc.stderr
+    assert "argument --seed: '1_0' is not an integer" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_run_all_scenarios_quotes_a_long_seed_in_part():
+    proc = run_script("run_all_scenarios.py", "--seed", "7" * 4400)
+    assert proc.returncode == 2
+    assert max(len(line) for line in proc.stderr.splitlines()) <= 300
+    assert "argument --seed: '" + "7" * 60 + "'... (4400 characters) has more than" in proc.stderr
     assert proc.stdout == ""
 
 

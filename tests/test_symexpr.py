@@ -10,13 +10,13 @@ from metallifts.symexpr import (MAX_DEGREE, MAX_TERMS, Chart, DivisionByZeroExpr
                                 ExprError, ParseError, RatFunc, ResampleNeeded, _fold,
                                 _primitive, parse_expr, parse_integer)
 
-CH = Chart(("x", "y"))
-X = RatFunc.variable(CH, "x")
-Y = RatFunc.variable(CH, "y")
-
+from conftest import chart_over
 
 # D = 8: sqrtD = 2*sqrt(2), so rendered coefficients scale sqrtD.
 P8 = make_params(2, 1)
+CH = chart_over(P8)  # over Q(sqrt 2), which holds QQ
+X = RatFunc.variable(CH, "x")
+Y = RatFunc.variable(CH, "y")
 
 
 def coeffs(span=4, quad=False):
@@ -77,6 +77,10 @@ def test_chart_basics():
         Chart(())
     with pytest.raises(AttributeError):
         CH.variables = ("a",)
+    # The field is Q(sqrt 2) however the radicand is written: 8 = 2^2 * 2.
+    assert Chart(("x", "y"), 8) == CH and CH.field.d == 2
+    assert repr(CH) == "Chart(('x', 'y'), radicand=2)"
+    assert Chart(("x",), 9).field.d == 0
 
 
 # -- field axioms -----------------------------------------------------------
@@ -207,7 +211,7 @@ def expanded_quotient_rule(f: RatFunc, var: str) -> RatFunc:
     den = f.den
     k, t = _primitive(f.num.diff(i) * den - f.num * den.diff(i))
     num, factors = RatFunc._reduce(t, {base: 2 * e for base, e in f.factors})
-    return RatFunc(f.chart, f.field, f.c * k, num, factors)
+    return RatFunc(f.chart, f.c * k, num, factors)
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,7 +240,7 @@ def test_a_scalar_product_has_the_general_products_normal_form(f, k):
     k = RatFunc.constant(CH, k)
     # The general product: numerators multiplied, s^2 folded, the bases
     # trial-divided.
-    c, num = _fold(f._join(k), k.c * f.c, k.num * f.num)
+    c, num = _fold(CH.field, k.c * f.c, k.num * f.num)
     num, factors = RatFunc._reduce(num, dict(f.factors))
     for p in (k * f, f * k):
         assert (p.c, p.num, p.factors) == (c, num, factors)
@@ -305,13 +309,15 @@ def test_substitute_chain_rule():
 
 
 def test_substitute_onto_new_chart():
-    big = Chart(("x", "y", "z"))
+    big = Chart(("x", "y", "z"), P8.radicand)
     f = X + Y
     g = f.on_chart(big)
     assert g.chart == big
     assert g == parse_expr("x + y", big)
     with pytest.raises(ExprError):
-        (X + Y).on_chart(Chart(("x", "w")))
+        (X + Y).on_chart(Chart(("x", "w"), P8.radicand))
+    with pytest.raises(ExprError):  # the same variables over another field
+        (X + Y).on_chart(Chart(("x", "y", "z")))
     # The factors come along as they are, not expanded.
     base = parse_expr("x^2 + y^2 + 1", CH)
     h = (X * base.reciprocal() ** 3).on_chart(big)
@@ -363,7 +369,7 @@ def test_denominators_free_of_radical(a, b):
 
 def test_quadratic_coefficients():
     params = make_params(1, 1)
-    f = parse_expr("sigma", CH, params)
+    f = parse_expr("sigma", chart_over(params), params)
     assert f.constant_value() == params.sigma
     # sigma^2 - sigma - 1 == 0 in the golden field.
     assert (f * f - f - 1).is_zero
@@ -396,8 +402,8 @@ def test_parse_with_params():
 
 def test_chart_variable_named_like_the_radical_generator():
     # The radical generator is named "_s" unless a chart variable is.
-    chart = Chart(("x", "_s"))
     params = make_params(1, 1)
+    chart = chart_over(params, ("x", "_s"))
     f = parse_expr("_s^2*sqrtD + x*_s/(x - sqrtD)", chart, params)
     s, x = RatFunc.variable(chart, "_s"), RatFunc.variable(chart, "x")
     sqrt5 = RatFunc.constant(chart, params.sqrtD)
@@ -458,7 +464,7 @@ def test_parser_size_bound_is_sharp():
 def test_parser_refuses_oversized_products(text):
     params = make_params(1, 1)
     with pytest.raises(ParseError, match="too large"):
-        parse_expr(text, CH, params)
+        parse_expr(text, chart_over(params), params)
 
 
 # -- numerics ---------------------------------------------------------------
@@ -477,7 +483,7 @@ def test_eval_numeric_resample():
 
 def test_eval_numeric_radical():
     params = make_params(1, 1)
-    f = parse_expr("sigma", CH, params)
+    f = parse_expr("sigma", chart_over(params), params)
     val = f.eval_numeric([0.0, 0.0])
     assert abs(val - (1 + 5 ** 0.5) / 2) < 1e-12
 
@@ -506,13 +512,33 @@ def test_numeric_matches_symbolic(f, seed):
 # -- mixed radicands --------------------------------------------------------
 
 def test_incompatible_radicands_rejected():
-    f = RatFunc.constant(CH, QuadScalar.root(2))
-    g = RatFunc.constant(CH, QuadScalar.root(3))
+    # A scalar enters a chart as a constant, which must be over its field.
     with pytest.raises(IncompatibleRadicands):
-        f + g
+        RatFunc.constant(Chart(("x", "y"), 2), QuadScalar.root(3))
+    with pytest.raises(IncompatibleRadicands):
+        X + QuadScalar.root(3)
 
 
 def test_chart_mismatch_rejected():
     other = Chart(("u", "v"))
     with pytest.raises(ExprError):
         X + RatFunc.variable(other, "u")
+    # The same variables over QQ and over Q(sqrt 2) are two charts, and the
+    # message tells them apart.
+    qq, sqrt2 = Chart(("x", "y")), Chart(("x", "y"), 2)
+    assert qq != sqrt2 and sqrt2 == CH and hash(sqrt2) == hash(CH)
+    x_qq, x_sqrt2 = RatFunc.variable(qq, "x"), RatFunc.variable(sqrt2, "x")
+    for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b,
+               lambda a, b: a == b,
+               lambda a, b: RatFunc.sum_of_products([a, a], [a, b])):
+        with pytest.raises(ExprError, match=r"radicand=2\) vs .*radicand=0\)"):
+            op(x_sqrt2, x_qq)
+
+
+@pytest.mark.parametrize("text", ["x + sqrtD", "x + 1"])
+def test_params_over_another_field_rejected(text):
+    # The params' sqrtD is the chart's radical, with or without sqrtD in
+    # the text.
+    with pytest.raises(ExprError, match=r"params of radicand 5 on .*radicand=2\)") as err:
+        parse_expr(text, CH, make_params(1, 1))
+    assert not isinstance(err.value, ParseError)
