@@ -28,10 +28,10 @@ from .lifts import (complete_lift_t11, frame_swap_product, horizontal_lift_t11,
                     jtilde_structure)
 from .metallic import (MetallicStructure, composite_relation, metallic_from_product,
                        metallic_recipe, metallic_residual, minimal_polynomial_check,
-                       product_from_metallic, projectors_from_metallic, square_residual)
-from .numfield import QuadScalar
+                       param_constant, product_from_metallic, projectors_from_metallic,
+                       square_residual)
 from .scenario import Scenario
-from .symexpr import Chart, ExprError, RatFunc, _excerpt, parse_expr, parse_integer
+from .symexpr import ExprError, RatFunc, _excerpt, parse_expr, parse_integer
 
 
 class CheckError(ValueError):
@@ -163,11 +163,6 @@ def _base_and_lifted(out: CheckOutcome, identity, base, lifted):
     _pair_residuals(out, "lifted", identity(lifted()))
 
 
-def _scalar_residual(out: CheckOutcome, label: str, chart: Chart,
-                     value: QuadScalar, expect: str = "zero"):
-    out.residuals.append(Residual(label, RatFunc.constant(chart, value), expect))
-
-
 # ---------------------------------------------------------------------------
 # The catalog
 # ---------------------------------------------------------------------------
@@ -175,8 +170,9 @@ def _scalar_residual(out: CheckOutcome, label: str, chart: Chart,
 def check_mean_defining(ctx: Context) -> CheckOutcome:
     p = ctx.params
     out = CheckOutcome("sigma solves x^2 - alpha*x - beta = 0 and is the positive root")
-    res = p.sigma * p.sigma - QuadScalar.rational(p.alpha) * p.sigma - QuadScalar.rational(p.beta)
-    _scalar_residual(out, "sigma^2 - alpha*sigma - beta", ctx.chart, res)
+    sigma = RatFunc.constant(ctx.chart, p.sigma)
+    out.residuals.append(Residual("sigma^2 - alpha*sigma - beta",
+                                  sigma * sigma - p.alpha * sigma - p.beta, "zero"))
     out.facts.append(("sigma > 0 numerically", p.sigma.to_float() > 0))
     out.notes.append(f"sigma = {p.sigma}")
     return out
@@ -230,16 +226,20 @@ def check_projector_algebra(ctx: Context, name) -> CheckOutcome:
     out = CheckOutcome("r + s = I, rs = sr = 0, r^2 = r, s^2 = s, "
                        "Psi r = sigma r, Psi s = (alpha - sigma) s")
     r, s = pair.r, pair.s
-    sigma, conjugate = p.sigma, p.conjugate_root()
+    half = Fraction(1, 2)
+    # -sigma = -alpha/2 - sqrtD/2 and -(alpha - sigma) = -alpha/2 + sqrtD/2
+    minus_sigma = param_constant(M.chart, p, Fraction(-p.alpha, 2), -half)
+    minus_conjugate = param_constant(M.chart, p, Fraction(-p.alpha, 2), half)
     _tensor_residuals(out, "r + s - I", linear_combination([(1, r), (1, s), (-1, I)]))
     _tensor_residuals(out, "r s", compose_t11(r, s))
     _tensor_residuals(out, "s r", compose_t11(s, r))
     for label, c, T, left, right in (
-            ("r^2 - r", 1, r, r, r), ("s^2 - s", 1, s, s, s),
-            ("Psi r - sigma r", sigma, r, psi, r), ("r Psi - sigma r", sigma, r, r, psi),
-            ("Psi s - (alpha-sigma) s", conjugate, s, psi, s),
-            ("s Psi - (alpha-sigma) s", conjugate, s, s, psi)):
-        _tensor_residuals(out, label, linear_combination([(-c, T)], compose=(left, right)))
+            ("r^2 - r", -1, r, r, r), ("s^2 - s", -1, s, s, s),
+            ("Psi r - sigma r", minus_sigma, r, psi, r),
+            ("r Psi - sigma r", minus_sigma, r, r, psi),
+            ("Psi s - (alpha-sigma) s", minus_conjugate, s, psi, s),
+            ("s Psi - (alpha-sigma) s", minus_conjugate, s, s, psi)):
+        _tensor_residuals(out, label, linear_combination([(c, T)], compose=(left, right)))
     return out
 
 
@@ -249,20 +249,25 @@ def check_projector_expansions(ctx: Context, name) -> CheckOutcome:
     pair = projectors_from_metallic(M)
     I = Tensor11Field.identity(M.chart)
     psi = M.tensor
-    inv = p.sqrtD.inverse()
-    beta_over = QuadScalar.rational(p.beta) * inv
+    # alpha - sigma = alpha/2 - sqrtD/2, sigma/sqrtD = 1/2 + alpha*sqrtD/(2*D),
+    # (alpha-sigma)/sqrtD = -1/2 + alpha*sqrtD/(2*D), beta/sqrtD = beta*sqrtD/D.
+    half, shift = Fraction(1, 2), Fraction(p.alpha, 2 * p.discriminant)
+    conjugate = param_constant(M.chart, p, Fraction(p.alpha, 2), -half)
+    minus_sigma_over = param_constant(M.chart, p, -half, -shift)
+    conjugate_over = param_constant(M.chart, p, -half, shift)
+    beta_over = param_constant(M.chart, p, 0, Fraction(p.beta, p.discriminant))
     out = CheckOutcome(
         "sign-corrected expansions: sigma*r = (sigma/sqrtD)*Psi + (beta/sqrtD)*I "
         "and (alpha-sigma)*s = ((sigma-alpha)/sqrtD)*Psi - (beta/sqrtD)*I")
     # sigma*r - derived, derived = (sigma/sqrtD)*Psi + (beta/sqrtD)*I
     _tensor_residuals(out, "sigma*r - derived", linear_combination(
-        [(p.sigma, pair.r), (-p.sigma * inv, psi), (-beta_over, I)]))
+        [(p.sigma, pair.r), (minus_sigma_over, psi), (-beta_over, I)]))
     # (alpha-sigma)*s - derived, derived = ((sigma-alpha)/sqrtD)*Psi - (beta/sqrtD)*I
     _tensor_residuals(out, "(alpha-sigma)*s - derived", linear_combination(
-        [(p.conjugate_root(), pair.s), (p.conjugate_root() * inv, psi), (beta_over, I)]))
+        [(conjugate, pair.s), (conjugate_over, psi), (beta_over, I)]))
     # sigma*r - printed, printed = (sigma/sqrtD)*Psi - (beta/sqrtD)*I
     _nonzero_witness(out, "sigma*r - printed", linear_combination(
-        [(p.sigma, pair.r), (-p.sigma * inv, psi), (beta_over, I)]))
+        [(p.sigma, pair.r), (minus_sigma_over, psi), (beta_over, I)]))
     out.notes.append("printed identity-term coefficient -beta/sqrtD; derived +beta/sqrtD")
     out.notes.append("printed Psi-term coefficient (sigma+alpha)/sqrtD; "
                      "derived (sigma-alpha)/sqrtD")
@@ -291,19 +296,20 @@ def _polynomial_outcome(ctx, name, kind, claim, expect_agreement: bool) -> Check
     _, T = ctx.structure(name)
     out = CheckOutcome(claim)
     rep = minimal_polynomial_check(T, kind, ctx.params)
+    c0 = rep.computed_c0.constant_value()
     out.notes.append(f"computed annihilator: X^{rep.degree} "
-                     f"{'+ (' + str(rep.computed_c1) + ')*X ' if rep.degree == 2 else ''}"
-                     f"+ ({rep.computed_c0})")
-    _scalar_residual(out, "computed c1 - claimed c1", ctx.chart,
-                     rep.computed_c1 - rep.claimed_c1)
+                     f"{f'+ ({rep.computed_c1.constant_value()})*X ' if rep.degree == 2 else ''}"
+                     f"+ ({c0})")
+    out.residuals.append(Residual("computed c1 - claimed c1",
+                                  rep.computed_c1 - rep.claimed_c1, "zero"))
     if expect_agreement:
-        _scalar_residual(out, "computed c0 - claimed c0", ctx.chart,
-                         rep.computed_c0 - rep.claimed_c0)
+        out.residuals.append(Residual("computed c0 - claimed c0",
+                                      rep.computed_c0 - rep.claimed_c0, "zero"))
     else:
-        _scalar_residual(out, "computed c0 - printed c0", ctx.chart,
-                         rep.computed_c0 - rep.claimed_c0, expect="nonzero")
-        out.notes.append(f"printed constant term {rep.claimed_c0}; "
-                         f"computed {rep.computed_c0}")
+        out.residuals.append(Residual("computed c0 - printed c0",
+                                      rep.computed_c0 - rep.claimed_c0, "nonzero"))
+        out.notes.append(f"printed constant term {rep.claimed_c0.constant_value()}; "
+                         f"computed {c0}")
     out.facts.append(("degree == 2", rep.degree == 2))
     return out
 
@@ -425,9 +431,8 @@ def check_jtilde_printed(ctx: Context, connection) -> CheckOutcome:
     conn = ctx.connection(connection)
     p = ctx.params
     p_swap = frame_swap_product(conn)
-    half = QuadScalar.rational(Fraction(1, 2))
-    printed = linear_combination([(half, Tensor11Field.identity(p_swap.chart)),
-                                  (half * p.sqrtD, p_swap)])
+    printed = linear_combination([(Fraction(1, 2), Tensor11Field.identity(p_swap.chart)),
+                                  (param_constant(p_swap.chart, p, 0, Fraction(1, 2)), p_swap)])
     difference = linear_combination([(1, printed), (-1, metallic_recipe(p_swap, p))])
     coincide = p.alpha == 1
     out = CheckOutcome(

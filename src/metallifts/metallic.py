@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from .geometry import (Tensor11Field, _index_label, _same_chart, compose_t11,
                        linear_combination, per_run)
-from .numfield import MetallicParams, QuadScalar
-from .symexpr import RatFunc
+from .numfield import MetallicParams
+from .symexpr import Chart, RatFunc
 
 
 class StructureError(ValueError):
@@ -46,6 +46,16 @@ def check_square_is(T: Tensor11Field, scalar, what: str) -> None:
         raise StructureError(
             f"{what}: component {_index_label(index)} of the defining relation "
             f"is nonzero: {_component_text(c)}")
+
+
+def param_constant(chart: Chart, params: MetallicParams, a, b=0) -> RatFunc:
+    """The constant a + b*sqrtD on ``chart``, for rationals a and b, with
+    sqrtD = k*sqrt(d) over the params' field, or the integer k when D is a
+    square.  In this form every constant of a metallic pair is closed, as
+    1/sqrtD = sqrtD/D and sigma = alpha/2 + sqrtD/2."""
+    if params.radicand:
+        return RatFunc.constant(chart, a, b * params.sqrtD.b)
+    return RatFunc.constant(chart, a + b * params.sqrtD.a)
 
 
 @dataclass(frozen=True)
@@ -84,9 +94,8 @@ class ProjectorPair:
 @per_run
 def metallic_recipe(T: Tensor11Field, params: MetallicParams) -> Tensor11Field:
     """(alpha*I + sqrtD*T)/2, metallic when T is an almost product structure."""
-    half = QuadScalar.rational(Fraction(1, 2))
-    return linear_combination([(half * params.alpha, Tensor11Field.identity(T.chart)),
-                               (half * params.sqrtD, T)])
+    return linear_combination([(Fraction(params.alpha, 2), Tensor11Field.identity(T.chart)),
+                               (param_constant(T.chart, params, 0, Fraction(1, 2)), T)])
 
 
 @per_run
@@ -96,22 +105,28 @@ def metallic_from_product(P: Tensor11Field, params: MetallicParams) -> MetallicS
 
 
 def product_from_metallic(M: MetallicStructure) -> Tensor11Field:
-    """(2*Psi - alpha*I)/sqrtD."""
-    inv = M.params.sqrtD.inverse()
-    P = linear_combination([(2 * inv, M.tensor),
-                            (-M.params.alpha * inv, Tensor11Field.identity(M.chart))])
+    """(2*Psi - alpha*I)/sqrtD, with 1/sqrtD = sqrtD/D."""
+    params, D = M.params, M.params.discriminant
+    P = linear_combination([(param_constant(M.chart, params, 0, Fraction(2, D)), M.tensor),
+                            (param_constant(M.chart, params, 0, Fraction(-params.alpha, D)),
+                             Tensor11Field.identity(M.chart))])
     check_square_is(P, 1, "recovered tensor is not almost product")
     return P
 
 
 @per_run
 def projectors_from_metallic(M: MetallicStructure) -> ProjectorPair:
-    """r = (Psi - (alpha - sigma)*I)/sqrtD and s = (sigma*I - Psi)/sqrtD."""
-    params = M.params
-    identity = Tensor11Field.identity(M.chart)
-    inv = params.sqrtD.inverse()
-    r = linear_combination([(inv, M.tensor), (-params.conjugate_root() * inv, identity)])
-    s = linear_combination([(-inv, M.tensor), (params.sigma * inv, identity)])
+    """r = (Psi - (alpha - sigma)*I)/sqrtD and s = (sigma*I - Psi)/sqrtD,
+    with 1/sqrtD = sqrtD/D, sigma/sqrtD = 1/2 + alpha*sqrtD/(2*D) and
+    (alpha - sigma)/sqrtD = -1/2 + alpha*sqrtD/(2*D)."""
+    params, chart = M.params, M.chart
+    identity = Tensor11Field.identity(chart)
+    inv = param_constant(chart, params, 0, Fraction(1, params.discriminant))
+    shift = Fraction(params.alpha, 2 * params.discriminant)
+    r = linear_combination([(inv, M.tensor),
+                            (param_constant(chart, params, Fraction(1, 2), -shift), identity)])
+    s = linear_combination([(-inv, M.tensor),
+                            (param_constant(chart, params, Fraction(1, 2), shift), identity)])
     return ProjectorPair(r, s)
 
 
@@ -121,30 +136,33 @@ class PolynomialReport:
 
     ``computed`` holds the coefficients of p(X) = X^2 + c1*X + c0 (or
     (c1, c0) of X + c0 for the degenerate scalar case, flagged by
-    ``degree``); ``claimed`` is the kind's published polynomial.
+    ``degree``); ``claimed`` is the kind's published polynomial.  Each is a
+    constant on the structure's chart.
     """
 
     kind: str
     degree: int
-    computed_c1: QuadScalar
-    computed_c0: QuadScalar
-    claimed_c1: QuadScalar
-    claimed_c0: QuadScalar
+    computed_c1: RatFunc
+    computed_c0: RatFunc
+    claimed_c1: RatFunc
+    claimed_c0: RatFunc
 
 
 _KIND_SQUARE = {"product": 1, "tangent": 0, "complex": -1}
 
 
-def _claimed_polynomial(kind: str, params: MetallicParams) -> tuple[QuadScalar, QuadScalar]:
+def _claimed_polynomial(kind: str, params: MetallicParams,
+                        chart: Chart) -> tuple[RatFunc, RatFunc]:
     alpha, beta = params.alpha, params.beta
-    minus_alpha = QuadScalar.rational(-alpha)
     if kind == "product":
-        return minus_alpha, QuadScalar.rational(-beta)
-    if kind == "tangent":
-        return minus_alpha, QuadScalar.rational(Fraction(alpha * alpha, 4))
-    if kind == "complex":
-        return minus_alpha, QuadScalar.rational(Fraction(alpha * alpha, 4) + beta)
-    raise ValueError(f"unknown kind {kind!r}")
+        c0 = -beta
+    elif kind == "tangent":
+        c0 = Fraction(alpha * alpha, 4)
+    elif kind == "complex":
+        c0 = Fraction(alpha * alpha, 4) + beta
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return RatFunc.constant(chart, -alpha), RatFunc.constant(chart, c0)
 
 
 def minimal_polynomial_check(T: Tensor11Field, kind: str,
@@ -159,7 +177,7 @@ def minimal_polynomial_check(T: Tensor11Field, kind: str,
     identity = Tensor11Field.identity(chart)
     psi = metallic_recipe(T, params)
     psi2 = compose_t11(psi, psi)
-    claimed_c1, claimed_c0 = _claimed_polynomial(kind, params)
+    claimed_c1, claimed_c0 = _claimed_polynomial(kind, params, chart)
 
     # Solve psi2 + c1*psi + c0*I = 0 for constants c1, c0: pick two
     # independent entry equations, then verify the whole matrix.
@@ -178,16 +196,13 @@ def minimal_polynomial_check(T: Tensor11Field, kind: str,
                 or not linear_combination([(1, psi), (-scalar, identity)]).is_zero):
             raise StructureError("derived structure has no quadratic annihilator "
                                  "with constant coefficients")
-        lam = scalar.constant_value()
-        return PolynomialReport(kind, 1, QuadScalar.rational(0), -lam,
-                                claimed_c1, claimed_c0)
+        return PolynomialReport(kind, 1, scalar.zero(), -scalar, claimed_c1, claimed_c0)
     c1, c0 = solution
     residual = linear_combination([(1, psi2), (c1, psi), (c0, identity)])
     if not residual.is_zero:
         raise StructureError("derived structure has no quadratic annihilator "
                              "with constant coefficients")
-    return PolynomialReport(kind, 2, c1.constant_value(), c0.constant_value(),
-                            claimed_c1, claimed_c0)
+    return PolynomialReport(kind, 2, c1, c0, claimed_c1, claimed_c0)
 
 
 def _solve_two_unknowns(rows, chart):
@@ -210,11 +225,14 @@ def composite_relation(P: Tensor11Field, F: Tensor11Field,
                        params: MetallicParams) -> Tensor11Field:
     """sqrtD*Psi_J - (2*Psi_P*Psi_F - alpha*Psi_P - alpha*Psi_F + alpha*sigma*I)
     with J = P o F and Psi_T = (alpha*I + sqrtD*T)/2; zero for every P, F,
-    as the identity is purely algebraic and needs no involutivity."""
-    _same_chart(P, F)
+    as the identity is purely algebraic and needs no involutivity.  Its
+    last coefficient is -alpha*sigma = -alpha^2/2 - alpha*sqrtD/2."""
+    chart = _same_chart(P, F)
     psi_p, psi_f = metallic_recipe(P, params), metallic_recipe(F, params)
     psi_j = metallic_recipe(compose_t11(P, F), params)
-    alpha = QuadScalar.rational(params.alpha)
+    alpha = params.alpha
+    minus_alpha_sigma = param_constant(chart, params, Fraction(-alpha * alpha, 2),
+                                       Fraction(-alpha, 2))
     return linear_combination([(params.sqrtD, psi_j), (alpha, psi_p), (alpha, psi_f),
-                               (-alpha * params.sigma, Tensor11Field.identity(P.chart))],
+                               (minus_alpha_sigma, Tensor11Field.identity(chart))],
                               compose=(psi_p.scale(-2), psi_f))

@@ -1,11 +1,13 @@
-"""Exact arithmetic in the quadratic field Q(sqrt(d)).
+"""The metallic parameters and the exact read-out of a constant.
 
-A ``QuadScalar`` is an element ``a + b*sqrt(d)`` with exact rational parts
-and its own squarefree radicand ``d``; ``d == 0`` marks a pure rational.  It
-is the chart-free scalar: the constants of ``MetallicParams`` and the
-scalar residuals of the checks.  A value on a chart keeps its coefficients
-as integers over the chart's field instead (``symexpr``), and a
-``QuadScalar`` enters a chart as a constant of that field.
+``make_params`` gives the pair (alpha, beta) its constants over the quadratic
+field Q(sqrt(d)), d the squarefree part of D = alpha^2 + 4*beta, in closed
+form: sqrtD = k*sqrt(d) and sigma = (alpha + k*sqrt(d))/2.  Each is a
+``QuadScalar``, the record ``a + b*sqrt(d)`` with exact rational parts that
+prints a constant and compares it; it has no arithmetic.  Values are
+computed on a chart (``symexpr``), whose constants are built from rational
+parts (``metallic.param_constant`` builds a + b*sqrtD), and
+``RatFunc.constant_value`` reads a constant back out as a ``QuadScalar``.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-
-
-class IncompatibleRadicands(ValueError):
-    """Two operands live in different quadratic fields."""
 
 
 @lru_cache(maxsize=None)
@@ -66,118 +64,20 @@ def _int_text(n: int) -> str:
     return ("-" if n < 0 else "") + str(rest) + "".join(reversed(chunks))
 
 
-def _normalize(a: Fraction, b: Fraction, d: int) -> tuple[Fraction, Fraction, int]:
-    if d < 0:
-        raise ValueError("negative radicand")
-    k, d0 = squarefree_split(d)
-    if d0 == 1:
-        # sqrt(d) is the integer k: collapse to a rational.
-        a, b, d = a + b * k, Fraction(0), 0
-    else:
-        b, d = b * k, d0
-    if b == 0:
-        d = 0
-    return a, b, d
-
-
 @dataclass(frozen=True)
 class QuadScalar:
-    """a + b*sqrt(d), d squarefree; immutable and hashable."""
+    """The exact value a + b*sqrt(d) of a constant, read out for printing
+    and comparison: a and b rational, d squarefree, and d == 0 exactly when
+    b == 0.  It does no arithmetic: values are computed as constants on a
+    chart (``symexpr``), and ``RatFunc.constant_value`` reads them out."""
 
     a: Fraction
     b: Fraction = Fraction(0)
     d: int = 0
 
-    def __post_init__(self):
-        a, b, d = _normalize(Fraction(self.a), Fraction(self.b), self.d)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-
-    @classmethod
-    def rational(cls, p, q=1) -> QuadScalar:
-        return cls(Fraction(p, q))
-
-    @classmethod
-    def root(cls, n: int) -> QuadScalar:
-        """The exact square root of a nonnegative integer n."""
-        return cls(Fraction(0), Fraction(1), n)
-
     @property
     def is_rational(self) -> bool:
         return self.b == 0
-
-    def _join(self, other: QuadScalar) -> int:
-        if self.d == other.d:
-            return self.d
-        if self.d == 0:
-            return other.d
-        if other.d == 0:
-            return self.d
-        raise IncompatibleRadicands(f"sqrt({self.d}) vs sqrt({other.d})")
-
-    @staticmethod
-    def _coerce(x) -> QuadScalar:
-        if isinstance(x, QuadScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QuadScalar(Fraction(x))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = self._join(other)
-        return QuadScalar(self.a + other.a, self.b + other.b, d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadScalar(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = self._join(other)
-        return QuadScalar(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> QuadScalar:
-        # (a + b*sqrt(d))^-1 = (a - b*sqrt(d)) / (a^2 - b^2 d); the norm
-        # vanishes only at zero since d is squarefree and > 1.
-        norm = self.a * self.a - self.b * self.b * self.d
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero quadratic scalar")
-        return QuadScalar(self.a / norm, -self.b / norm, self.d)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._join(other)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
 
     def to_float(self) -> float:
         return float(self.a) + float(self.b) * self.d ** 0.5
@@ -193,7 +93,8 @@ class QuadScalar:
 
 @dataclass(frozen=True)
 class MetallicParams:
-    """The pair (alpha, beta) with its derived exact constants."""
+    """The pair (alpha, beta) with its derived exact constants, sqrtD and
+    the mean sigma, in closed form."""
 
     alpha: int
     beta: int
@@ -205,10 +106,6 @@ class MetallicParams:
     def radicand(self) -> int:
         return self.sqrtD.d
 
-    def conjugate_root(self) -> QuadScalar:
-        """alpha - sigma, the negative root of x^2 - alpha*x - beta."""
-        return QuadScalar.rational(self.alpha) - self.sigma
-
 
 # Largest discriminant D = alpha^2 + 4*beta accepted.  sqrt(D) is brought to
 # its squarefree part by trial division up to cbrt(D), at most about 5000
@@ -218,7 +115,7 @@ MAX_DISCRIMINANT = 10 ** 12
 
 
 def make_params(alpha: int, beta: int) -> MetallicParams:
-    if not (isinstance(alpha, int) and isinstance(beta, int)):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (alpha, beta)):
         raise TypeError("alpha, beta must be integers")
     if alpha < 1 or beta < 1:
         raise ValueError("alpha, beta must be positive")
@@ -226,9 +123,16 @@ def make_params(alpha: int, beta: int) -> MetallicParams:
     if disc > MAX_DISCRIMINANT:
         raise ValueError(f"discriminant alpha^2 + 4*beta = {disc} exceeds "
                          f"the limit {MAX_DISCRIMINANT}")
-    sqrt_d = QuadScalar.root(disc)
-    sigma = (QuadScalar.rational(alpha) + sqrt_d) / 2
-    params = MetallicParams(alpha, beta, disc, sigma, sqrt_d)
-    assert sigma * sigma == alpha * sigma + QuadScalar.rational(beta)
-    assert sqrt_d * sqrt_d == QuadScalar.rational(disc)
-    return params
+    # D = k^2*d, d squarefree: sqrtD = k*sqrt(d) and sigma = a + b*sqrt(d)
+    # with a = alpha/2 and b = k/2.  Part by part, sigma^2 - alpha*sigma - beta
+    # has the sqrt(d) part 2*a*b - alpha*b = 0 and the rational part
+    # (k^2*d - D)/4, which is (sqrtD^2 - D)/4: both identities hold exactly
+    # when k^2*d == D, so the two asserts are one check.
+    k, d = squarefree_split(disc)
+    a, b = Fraction(alpha, 2), Fraction(k, 2)
+    assert a * a + b * b * d == alpha * a + beta and 2 * a * b == alpha * b
+    assert k * k * d == disc
+    if d == 1:  # D is a square: every constant is rational
+        return MetallicParams(alpha, beta, disc, QuadScalar(a + b), QuadScalar(Fraction(k)))
+    return MetallicParams(alpha, beta, disc, QuadScalar(a, b, d),
+                          QuadScalar(Fraction(0), Fraction(k), d))

@@ -3,7 +3,9 @@
 A ``Chart`` is the coordinate names and one coefficient field Q(sqrt(d))
 (``Chart(variables, radicand)``; d = 0 is QQ), and every value on a chart
 has its coefficients in that field, so no operation joins two radicands.  A
-scalar meets the chart's radicand only where it becomes a constant on it.
+constant ``a + b*sqrt(d)`` is built from its rational parts and cached
+under their integers (``RatFunc.constant``); a ``numfield.QuadScalar``,
+the read-out of a constant, meets the chart's radicand only there.
 A ``RatFunc`` is ``c * N / prod(F_i^e_i)``: a rational content ``c`` (an
 int when integral, else a ``Fraction``), a numerator ``N`` in ``ZZ[x, s]/
 (s^2 - d)``, where ``x`` are the chart coordinates and ``s`` stands for
@@ -29,7 +31,9 @@ by ``N == 0`` and ``c == 0`` (``A + s*B == 0`` iff ``A == B == 0``), which
 makes ``is_zero`` the decidable verdict primitive behind every identity
 check.  Equality is decided by exact cross-multiplication, independent of
 how the denominators are factored.  Rendering and numeric evaluation read
-the value as a numerator over ``QQ`` divided by monic bases.
+the value as a numerator over ``QQ`` divided by monic bases: each printed
+coefficient comes from the integer pair ``(A, B)`` of a chart monomial's
+``A + B*s`` in ``N`` times the content, with no scalar type between.
 """
 
 from __future__ import annotations
@@ -41,8 +45,7 @@ from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 from operator import mul
 
-from .numfield import (IncompatibleRadicands, MetallicParams, QuadScalar, rational_text,
-                       squarefree_split)
+from .numfield import MetallicParams, QuadScalar, rational_text, squarefree_split
 from .poly import poly_ring
 
 
@@ -247,8 +250,19 @@ class RatFunc:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, chart: Chart, value) -> RatFunc:
-        return _cached_constant(chart, value)
+    def constant(cls, chart: Chart, value, root=0) -> RatFunc:
+        """The constant value + root*sqrt(d) on chart, d its radicand, for
+        ints or Fractions value and root; or the constant a ``QuadScalar``
+        value reads out, whose radicand must be the chart's: this is where
+        a scalar enters a chart."""
+        if type(value) is int and not root:  # most constants: the shortest key
+            return _cached_constant(chart, value)
+        if isinstance(value, QuadScalar):
+            if value.d not in (0, chart.field.d):
+                raise ExprError(f"sqrt({value.d}) on {chart}")
+            value, root = value.a, value.b
+        return _cached_constant(chart, value.numerator, value.denominator,
+                                root.numerator, root.denominator)
 
     @classmethod
     def variable(cls, chart: Chart, name: str) -> RatFunc:
@@ -271,7 +285,7 @@ class RatFunc:
     def _coerce(chart, x):
         if isinstance(x, RatFunc):
             return x
-        if isinstance(x, (int, Fraction, QuadScalar)):
+        if isinstance(x, (int, Fraction)):
             return RatFunc.constant(chart, x)
         return None
 
@@ -420,8 +434,11 @@ class RatFunc:
     def constant_value(self) -> QuadScalar:
         if not self.is_constant():
             raise ExprError("not a constant expression")
-        terms = [c for _, c in _poly_terms(self.num, self.c, self.chart.field.d)]
-        return terms[0] if terms else QuadScalar(Fraction(0))
+        parts = [0, 0]
+        for m, c in self.num.items():
+            parts[m[-1]] = c
+        a, b = Fraction(self.c * parts[0]), Fraction(self.c * parts[1])
+        return QuadScalar(a, b, self.chart.field.d if b else 0)
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -622,17 +639,17 @@ def _common_sum(chart: Chart, terms) -> RatFunc:
 
 
 @lru_cache(maxsize=None)
-def _cached_constant(chart: Chart, value) -> RatFunc:
-    """The constant ``value`` on ``chart``: where a scalar enters a chart,
-    and so where its radicand must be the chart's."""
-    if isinstance(value, (int, Fraction)):
-        value = QuadScalar(Fraction(value))
-    if value.d not in (0, chart.field.d):
-        raise IncompatibleRadicands(f"sqrt({value.d}) on {chart}")
-    den = lcm(value.a.denominator, value.b.denominator)
+def _cached_constant(chart: Chart, a_num: int, a_den: int = 1, b_num: int = 0,
+                     b_den: int = 1) -> RatFunc:
+    """The constant a_num/a_den + (b_num/b_den)*sqrt(d) on ``chart``, d its
+    radicand, keyed by the integers: a key of ``Fraction``s hashes several
+    times slower."""
+    if b_num and not chart.field.d:
+        raise ExprError(f"a multiple of a square root on {chart}")
+    den = lcm(a_den, b_den)
     n = chart.dimension
-    parts = {(0,) * n + (0,): value.a * den, (0,) * n + (1,): value.b * den}
-    k, num = _primitive(poly_ring(n + 1)({m: int(c) for m, c in parts.items() if c}))
+    parts = {(0,) * n + (0,): a_num * (den // a_den), (0,) * n + (1,): b_num * (den // b_den)}
+    k, num = _primitive(poly_ring(n + 1)({m: c for m, c in parts.items() if c}))
     return RatFunc(chart, _rat(k, den), num, ())
 
 
@@ -651,18 +668,15 @@ def _coeff_pairs(p):
     return pairs.items()
 
 
-def _poly_terms(p, scale, d: int):
-    """The terms of scale * p over Q(sqrt(d)), each coefficient a QuadScalar."""
-    for mono, (a, b) in _coeff_pairs(p):
-        yield mono, QuadScalar(scale * a, scale * b, d)
-
-
 def _poly_at(p, scale, images: list[RatFunc], target: Chart, d: int) -> RatFunc:
     """scale * p over Q(sqrt(d)) with images[i] put for the i-th chart
-    variable."""
+    variable, on ``target``, which must be over Q(sqrt(d)) if p has an s
+    term."""
+    if d != target.field.d and _has_radical(p):
+        raise ExprError(f"sqrt({d}) on {target}")
     out = RatFunc.constant(target, 0)
-    for mono, coeff in _poly_terms(p, scale, d):
-        term = RatFunc.constant(target, coeff)
+    for mono, (a, b) in _coeff_pairs(p):
+        term = RatFunc.constant(target, scale * a, scale * b)
         for img, e in zip(images, mono):
             if e:
                 term = term * img ** e
@@ -687,35 +701,40 @@ def _table_value(table, vals: Sequence[float]) -> float:
     return total
 
 
-def _quad_text(c: QuadScalar, params: MetallicParams | None) -> str:
-    """Render a coefficient inside the expression grammar, whose radical is
-    params' sqrtD; without matching params the radical reads sqrt(d)."""
-    if c.is_rational:
-        return rational_text(c.a)
-    if params is not None and params.radicand == c.d:
-        name, scale = "sqrtD", c.b / params.sqrtD.b  # b*sqrt(d) == scale * sqrtD
-    else:
-        name, scale = f"sqrt({c.d})", c.b
+def _quad_text(a, b, d: int, root) -> str:
+    """Render the coefficient a + b*sqrt(d), a and b rational, inside the
+    expression grammar, whose radical is params' sqrtD = root*sqrt(d); with
+    no root (0) the radical reads sqrt(d)."""
+    if not b:
+        return rational_text(a)
+    name, scale = ("sqrtD", Fraction(b, root)) if root else (f"sqrt({d})", b)
     rad = (name if scale == 1 else f"-{name}" if scale == -1
            else f"{rational_text(scale)}*{name}")
-    if c.a == 0:
+    if not a:
         return rad
     sign = "-" if rad.startswith("-") else "+"
-    return f"({rational_text(c.a)} {sign} {rad.lstrip('-')})"
+    return f"({rational_text(a)} {sign} {rad.lstrip('-')})"
 
 
 def _poly_text(p, scale: Fraction, d: int, params: MetallicParams | None,
                names: tuple[str, ...]) -> str:
-    terms = list(_poly_terms(p, scale, d))  # chart monomials descending
-    if not terms:
+    """scale * p over Q(sqrt(d)), its terms' chart monomials descending,
+    each coefficient printed from the integer pair of p and scale."""
+    pairs = _coeff_pairs(p)
+    if not pairs:
         return "0"
+    root = params.sqrtD.b if params is not None and params.radicand == d else 0
+    if scale.denominator == 1:  # int products print the same, several times faster
+        scale = scale.numerator
     parts = []
-    for mono, coeff in terms:
+    for mono, (a, b) in pairs:
         factors = [f"{n}^{e}" if e > 1 else n for n, e in zip(names, mono) if e]
-        neg = coeff.is_rational and coeff.a < 0
-        c = -coeff if neg else coeff
-        if not factors or c != QuadScalar.rational(1):
-            factors.insert(0, _quad_text(c, params))
+        a, b = scale * a, scale * b
+        neg = not b and a < 0
+        if neg:
+            a = -a
+        if not factors or b or a != 1:
+            factors.insert(0, _quad_text(a, b, d, root))
         text = "*".join(factors)
         if text.startswith("-"):
             neg, text = not neg, text[1:]

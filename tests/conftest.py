@@ -22,6 +22,13 @@ def chart_over(params, variables=("x", "y")) -> Chart:
     return Chart(variables, params.radicand)
 
 
+def params_constants(params, chart: Chart) -> tuple[RatFunc, RatFunc, RatFunc]:
+    """sigma, alpha - sigma and sqrtD as constants on ``chart``, the second
+    by chart arithmetic from the first."""
+    sigma = RatFunc.constant(chart, params.sigma)
+    return sigma, params.alpha - sigma, RatFunc.constant(chart, params.sqrtD)
+
+
 @pytest.fixture
 def rng():
     return random.Random(987123)

@@ -37,7 +37,8 @@ from metallifts.numfield import QuadScalar, make_params
 from metallifts.report import run_scenario, render_structured
 from metallifts.symexpr import Chart, RatFunc, ResampleNeeded, parse_expr
 
-from conftest import chart_over, involutive_product, rand_poly, rand_t11, rand_vector
+from conftest import (chart_over, involutive_product, params_constants, rand_poly, rand_t11,
+                      rand_vector)
 
 CH = Chart(("x", "y"))  # over QQ
 GOLDEN = make_params(1, 1)
@@ -104,17 +105,16 @@ def test_criterion_1_means_table():
         (2, 1): QuadScalar(1, 1, 2),
         (3, 1): QuadScalar(Fraction(3, 2), Fraction(1, 2), 13),
         (4, 1): QuadScalar(2, 1, 5),
-        (1, 2): QuadScalar.rational(2),
+        (1, 2): QuadScalar(2),
         (1, 3): QuadScalar(Fraction(1, 2), Fraction(1, 2), 13),
     }
     for pair in SIX_PAIRS:
         params = make_params(*pair)
         assert params.sigma == expected[pair]
-        residual = params.sigma * params.sigma - params.alpha * params.sigma \
-            - params.beta
-        assert residual == QuadScalar.rational(0)
-        LEDGER.append((f"mean{pair}: sigma^2 - alpha*sigma - beta",
-                       RatFunc.constant(CH, residual), "zero"))
+        sigma = RatFunc.constant(chart_over(params), params.sigma)
+        residual = sigma * sigma - params.alpha * sigma - params.beta
+        assert residual == 0
+        LEDGER.append((f"mean{pair}: sigma^2 - alpha*sigma - beta", residual, "zero"))
 
 
 # -- criterion 2: structures, projectors, expansions ------------------------
@@ -122,7 +122,8 @@ def test_criterion_1_means_table():
 def test_criterion_2_product_metallic_suite():
     for params in THREE_PARAMS:
         tag = f"(a={params.alpha},b={params.beta})"
-        inv = params.sqrtD.inverse()
+        sigma, conjugate, sqrt_d = params_constants(params, chart_over(params))
+        inv = sqrt_d.reciprocal()
         I = Tensor11Field.identity(chart_over(params))
         for k, P in enumerate(products_20(chart_over(params))):
             M = metallic_from_product(P, params)
@@ -138,26 +139,26 @@ def test_criterion_2_product_metallic_suite():
             expect_zero(f"{tag} P{k}: rs", compose_t11(r, s))
             expect_zero(f"{tag} P{k}: sr", compose_t11(s, r))
             expect_zero(f"{tag} P{k}: Psi r = sigma r",
-                        compose_t11(M.tensor, r) - r.scale(params.sigma))
+                        compose_t11(M.tensor, r) - r.scale(sigma))
             expect_zero(f"{tag} P{k}: Psi s = (alpha-sigma) s",
                         compose_t11(M.tensor, s)
-                        - s.scale(params.conjugate_root()))
+                        - s.scale(conjugate))
             # Derived (sign-corrected) expansions of the scaled projectors.
             expect_zero(f"{tag} P{k}: sigma r expansion",
-                        r.scale(params.sigma)
-                        - M.tensor.scale(params.sigma * inv)
-                        - I.scale(QuadScalar.rational(params.beta) * inv))
+                        r.scale(sigma)
+                        - M.tensor.scale(sigma * inv)
+                        - I.scale(params.beta * inv))
             expect_zero(f"{tag} P{k}: (alpha-sigma) s expansion",
-                        s.scale(params.conjugate_root())
-                        - M.tensor.scale((params.sigma - params.alpha) * inv)
-                        + I.scale(QuadScalar.rational(params.beta) * inv))
+                        s.scale(conjugate)
+                        - M.tensor.scale((sigma - params.alpha) * inv)
+                        + I.scale(params.beta * inv))
             if k == 0:
                 # The printed variants (flipped identity-term sign; alpha+sigma
                 # numerator) disagree: keep one nonzero witness per params.
-                printed_r = (M.tensor.scale(params.sigma * inv)
-                             - I.scale(QuadScalar.rational(params.beta) * inv))
+                printed_r = (M.tensor.scale(sigma * inv)
+                             - I.scale(params.beta * inv))
                 expect_nonzero(f"{tag}: printed sigma r variant",
-                               r.scale(params.sigma) - printed_r)
+                               r.scale(sigma) - printed_r)
 
 
 def test_criterion_2_errata_report_flags_printed_signs():
@@ -196,9 +197,8 @@ def test_criterion_3_tangent_polynomial():
         T = Tensor11Field.make(chart_over(params), [[0, 1], [0, 0]])
         rep = minimal_polynomial_check(T, "tangent", params)
         assert (rep.degree, rep.computed_c1, rep.computed_c0) == (2, rep.claimed_c1, rep.claimed_c0)
-        assert rep.computed_c1 == QuadScalar.rational(-params.alpha)
-        assert rep.computed_c0 == QuadScalar.rational(
-            Fraction(params.alpha ** 2, 4))
+        assert rep.computed_c1 == -params.alpha
+        assert rep.computed_c0 == Fraction(params.alpha ** 2, 4)
 
 
 def test_criterion_3_complex_constant_discrepancy():
@@ -206,10 +206,8 @@ def test_criterion_3_complex_constant_discrepancy():
         J = Tensor11Field.make(chart_over(params), [[0, -1], [1, 0]])
         rep = minimal_polynomial_check(J, "complex", params)
         assert (rep.degree, rep.computed_c1, rep.computed_c0) != (2, rep.claimed_c1, rep.claimed_c0)
-        derived = QuadScalar.rational(Fraction(params.alpha ** 2, 2)
-                                      + params.beta)
-        printed = QuadScalar.rational(Fraction(params.alpha ** 2, 4)
-                                      + params.beta)
+        derived = Fraction(params.alpha ** 2, 2) + params.beta
+        printed = Fraction(params.alpha ** 2, 4) + params.beta
         assert rep.computed_c0 == derived
         assert rep.claimed_c0 == printed
         expect_nonzero(f"(a={params.alpha},b={params.beta}): "

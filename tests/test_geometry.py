@@ -309,7 +309,8 @@ def test_linear_combination_equals_the_chain_of_binary_operations(rng, lifted):
     if lifted:  # 4x4, with the squared bases of the complete lift's y^a d_a T block
         S, T, U = map(complete_lift_t11, (S, T, U))
     I = Tensor11Field.identity(S.chart)
-    a, b, c = Fraction(-3, 2), P8.sqrtD, 2 - P8.sqrtD
+    a, b = Fraction(-3, 2), P8.sqrtD
+    c = 2 - RatFunc.constant(S.chart, b)
     chains = [(linear_combination([(a, S), (b, T), (c, I)]),
                S.scale(a) + T.scale(b) + I.scale(c)),
               (linear_combination([(1, S), (-1, I)], compose=(T, U)),

@@ -8,10 +8,10 @@ from metallifts.metallic import (MetallicStructure, StructureError,
                                  composite_relation, metallic_from_product,
                                  metallic_residual, minimal_polynomial_check,
                                  product_from_metallic, projectors_from_metallic)
-from metallifts.numfield import QuadScalar, make_params
-from metallifts.symexpr import Chart, RatFunc, parse_expr
+from metallifts.numfield import make_params
+from metallifts.symexpr import Chart, parse_expr
 
-from conftest import all_params, chart_over, involutive_product, rand_t11
+from conftest import all_params, chart_over, involutive_product, params_constants, rand_t11
 
 CH = Chart(("x", "y"))
 PARAMS = all_params()
@@ -60,13 +60,15 @@ def test_product_metallic_correspondence(params, rng):
         assert (product_from_metallic(M) - P).is_zero
         # And Psi = sigma*r + (alpha-sigma)*s with the projectors.
         pair = projectors_from_metallic(M)
-        recon = pair.r.scale(params.sigma) + pair.s.scale(params.conjugate_root())
+        sigma, conjugate, _ = params_constants(params, M.chart)
+        recon = pair.r.scale(sigma) + pair.s.scale(conjugate)
         assert (M.tensor - recon).is_zero
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"a{p.alpha}b{p.beta}")
 def test_projector_algebra(params, rng):
     I = Tensor11Field.identity(chart_over(params))
+    sigma, conjugate, _ = params_constants(params, chart_over(params))
     for _ in range(3):
         M = metallic_from_product(involutive_product(rng, chart_over(params)), params)
         pair = projectors_from_metallic(M)
@@ -77,8 +79,8 @@ def test_projector_algebra(params, rng):
         assert compose_t11(r, s).is_zero
         assert compose_t11(s, r).is_zero
         # Eigen-relations: Psi r = sigma r, Psi s = (alpha - sigma) s.
-        assert (compose_t11(M.tensor, r) - r.scale(params.sigma)).is_zero
-        assert (compose_t11(M.tensor, s) - s.scale(params.conjugate_root())).is_zero
+        assert (compose_t11(M.tensor, r) - r.scale(sigma)).is_zero
+        assert (compose_t11(M.tensor, s) - s.scale(conjugate)).is_zero
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"a{p.alpha}b{p.beta}")
@@ -87,22 +89,23 @@ def test_projector_expansions(params, rng):
     coefficients; the identity-term sign differs from a widely printed
     variant, which the errata scenario documents."""
     I = Tensor11Field.identity(chart_over(params))
-    inv = params.sqrtD.inverse()
+    sigma, conjugate, sqrt_d = params_constants(params, chart_over(params))
+    inv = sqrt_d.reciprocal()
     for _ in range(3):
         M = metallic_from_product(involutive_product(rng, chart_over(params)), params)
         pair = projectors_from_metallic(M)
-        lhs_r = pair.r.scale(params.sigma)
-        rhs_r = (M.tensor.scale(params.sigma * inv)
-                 + I.scale(QuadScalar.rational(params.beta) * inv))
+        lhs_r = pair.r.scale(sigma)
+        rhs_r = (M.tensor.scale(sigma * inv)
+                 + I.scale(params.beta * inv))
         assert (lhs_r - rhs_r).is_zero
-        lhs_s = pair.s.scale(params.conjugate_root())
-        rhs_s = (M.tensor.scale((params.sigma - params.alpha) * inv)
-                 - I.scale(QuadScalar.rational(params.beta) * inv))
+        lhs_s = pair.s.scale(conjugate)
+        rhs_s = (M.tensor.scale((sigma - params.alpha) * inv)
+                 - I.scale(params.beta * inv))
         assert (lhs_s - rhs_s).is_zero
         # The variant with a flipped identity-term sign fails unless beta = 0,
         # which the parameter range excludes.
-        wrong_r = (M.tensor.scale(params.sigma * inv)
-                   - I.scale(QuadScalar.rational(params.beta) * inv))
+        wrong_r = (M.tensor.scale(sigma * inv)
+                   - I.scale(params.beta * inv))
         assert not (lhs_r - wrong_r).is_zero
 
 
@@ -124,15 +127,15 @@ def _complex_structure(chart=CH):
 def test_product_polynomial(params):
     rep = minimal_polynomial_check(_swap_product(chart_over(params)), "product", params)
     assert (rep.degree, rep.computed_c1, rep.computed_c0) == (2, rep.claimed_c1, rep.claimed_c0)
-    assert rep.computed_c1 == QuadScalar.rational(-params.alpha)
-    assert rep.computed_c0 == QuadScalar.rational(-params.beta)
+    assert rep.computed_c1 == -params.alpha
+    assert rep.computed_c0 == -params.beta
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"a{p.alpha}b{p.beta}")
 def test_tangent_polynomial(params):
     rep = minimal_polynomial_check(_nilpotent_tangent(chart_over(params)), "tangent", params)
     assert (rep.degree, rep.computed_c1, rep.computed_c0) == (2, rep.claimed_c1, rep.claimed_c0)
-    assert rep.computed_c0 == QuadScalar.rational(Fraction(params.alpha ** 2, 4))
+    assert rep.computed_c0 == Fraction(params.alpha ** 2, 4)
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"a{p.alpha}b{p.beta}")
@@ -142,12 +145,10 @@ def test_complex_polynomial_disagrees_with_printed_constant(params):
     alpha^2/2 + beta, not the printed alpha^2/4 + beta."""
     rep = minimal_polynomial_check(_complex_structure(chart_over(params)), "complex", params)
     assert (rep.degree, rep.computed_c1, rep.computed_c0) != (2, rep.claimed_c1, rep.claimed_c0)
-    expected = QuadScalar.rational(Fraction(params.alpha ** 2 + params.discriminant, 4))
+    expected = Fraction(params.alpha ** 2 + params.discriminant, 4)
     assert rep.computed_c0 == expected
-    assert expected == QuadScalar.rational(
-        Fraction(params.alpha ** 2, 2) + params.beta)
-    assert rep.claimed_c0 == QuadScalar.rational(
-        Fraction(params.alpha ** 2, 4) + params.beta)
+    assert expected == Fraction(params.alpha ** 2, 2) + params.beta
+    assert rep.claimed_c0 == Fraction(params.alpha ** 2, 4) + params.beta
     assert rep.computed_c1 == rep.claimed_c1
 
 
@@ -157,7 +158,7 @@ def test_degenerate_scalar_structure_reported_linear():
     assert rep.degree == 1
     assert (rep.degree, rep.computed_c1, rep.computed_c0) != (2, rep.claimed_c1, rep.claimed_c0)
     # Psi collapses to (alpha/2) I, annihilated by X - alpha/2.
-    assert rep.computed_c0 == QuadScalar.rational(-Fraction(params.alpha, 2))
+    assert rep.computed_c0 == -Fraction(params.alpha, 2)
 
 
 def test_minimal_polynomial_rejects_wrong_kind():

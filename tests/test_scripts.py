@@ -69,6 +69,12 @@ def test_report_digests_for_the_sqrtd_variant():
     assert [line.split()[0] for line in lines] == [
         "variant/example_4_1_sqrtD/20230831", "variant/example_4_1_sqrtD/7"]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
+    # The only reports with sqrt(D) in a denominator, which no workload reaches.
+    assert lines == [
+        "variant/example_4_1_sqrtD/20230831 "
+        "7d32d984e39595b4ef78646174d7970824aedfc665de99e24c6f3beaf04fe004",
+        "variant/example_4_1_sqrtD/7 "
+        "ef50df94f7c29838c1558d35bf3d5aaab37ef7bb8da82efd6ddb577b885b420e"]
 
 
 def test_report_digests_for_the_reflection():
@@ -82,3 +88,8 @@ def test_report_digests_for_the_reflection():
     assert [line.split()[0] for line in lines] == [
         "variant/reflection_3/20230831", "variant/reflection_3/7"]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
+    assert lines == [
+        "variant/reflection_3/20230831 "
+        "3f3af10233c31cd6a8a649a1940841165a879bc4234bfb84ef4cd09bb0242a24",
+        "variant/reflection_3/7 "
+        "01e54231153c985de4b5770fa9190b342d2fbc9f8f0ff76764c51e6655e6289c"]

@@ -1,11 +1,12 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metallifts.numfield import IncompatibleRadicands, QuadScalar, make_params
+from metallifts.numfield import QuadScalar, make_params, rational_text, squarefree_split
 from metallifts.symexpr import (MAX_DEGREE, MAX_TERMS, Chart, DivisionByZeroExpr,
                                 ExprError, ParseError, RatFunc, ResampleNeeded, _fold,
                                 _primitive, parse_expr, parse_integer)
@@ -17,6 +18,7 @@ P8 = make_params(2, 1)
 CH = chart_over(P8)  # over Q(sqrt 2), which holds QQ
 X = RatFunc.variable(CH, "x")
 Y = RatFunc.variable(CH, "y")
+SQRTD = RatFunc.constant(CH, P8.sqrtD)
 
 
 def coeffs(span=4, quad=False):
@@ -24,7 +26,7 @@ def coeffs(span=4, quad=False):
     ints = st.integers(min_value=-span, max_value=span)
     if not quad:
         return ints
-    return st.builds(lambda a, b: a + b * P8.sqrtD, ints, ints)
+    return st.builds(lambda a, b: a + b * SQRTD, ints, ints)
 
 
 def polys(chart=CH, span=4, quad=False):
@@ -34,7 +36,7 @@ def polys(chart=CH, span=4, quad=False):
     def build(c0, c1, c2, c3):
         x = RatFunc.variable(chart, chart.variables[0])
         y = RatFunc.variable(chart, chart.variables[1])
-        return (RatFunc.constant(chart, c0) + x * c1 + y * c2 + x * y * c3)
+        return RatFunc.constant(chart, 0) + c0 + x * c1 + y * c2 + x * y * c3
 
     return st.builds(build, c, c, c, c)
 
@@ -180,7 +182,7 @@ def test_diff_product_rule(a, b):
 @settings(max_examples=30, deadline=None)
 @given(any_ratfuncs())
 def test_diff_quotient_rule(a):
-    for den in (X * X + Y * Y + 1, X * X + P8.sqrtD * Y * Y + 1):
+    for den in (X * X + Y * Y + 1, X * X + SQRTD * Y * Y + 1):
         f = a / den
         for v in CH.variables:
             assert (f.diff(v) - (a.diff(v) * den - a * den.diff(v)) / den ** 2).is_zero
@@ -235,9 +237,8 @@ def test_diff_keeps_a_variable_free_base_at_its_exponent():
 
 @settings(max_examples=60, deadline=None)
 @given(factored(COPRIME_DIVISORS + SHARED_DIVISORS),
-       st.sampled_from([Fraction(-3, 4), P8.sqrtD, 2 - 3 * P8.sqrtD]))
+       st.sampled_from([RatFunc.constant(CH, Fraction(-3, 4)), SQRTD, 2 - 3 * SQRTD]))
 def test_a_scalar_product_has_the_general_products_normal_form(f, k):
-    k = RatFunc.constant(CH, k)
     # The general product: numerators multiplied, s^2 folded, the bases
     # trial-divided.
     c, num = _fold(CH.field, k.c * f.c, k.num * f.num)
@@ -343,19 +344,20 @@ def test_substitute_vanishing_denominator():
 def test_constant_recognition():
     c = (X + 1) - X
     assert c.is_constant()
-    assert c.constant_value() == QuadScalar.rational(1)
+    assert c.constant_value() == QuadScalar(1)
     assert not X.is_constant()
     with pytest.raises(ExprError):
         X.constant_value()
 
 
 @settings(max_examples=30, deadline=None)
-@given(coeffs(quad=True))
-def test_constant_recognition_quad(c):
-    f = (X + c) - X
+@given(st.integers(-4, 4), st.integers(-4, 4))
+def test_constant_recognition_quad(a, b):
+    f = (X + (a + b * SQRTD)) - X
     assert f.is_constant()
-    assert f.constant_value() == c
-    assert (f * X).is_constant() == (not c)
+    # a + b*sqrtD = a + 2b*sqrt(2); a rational value reads out over d = 0.
+    assert f.constant_value() == (QuadScalar(a, 2 * b, 2) if b else QuadScalar(a))
+    assert (f * X).is_constant() == (a == b == 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -390,6 +392,119 @@ def test_parse_print_roundtrip(text):
 @given(any_ratfuncs())
 def test_print_roundtrip_random(f):
     assert parse_expr(f.to_text(P8), CH, P8) == f
+
+
+# The reference printer: the printer as it was when each coefficient became
+# a scalar with its own arithmetic, a + b*sqrt(d) brought to a squarefree d
+# (0 when b == 0), negated and compared with 1 as a scalar.  to_text prints
+# from the integer pairs instead, byte for byte the same.
+
+@dataclass(frozen=True)
+class RefQuad:
+    a: Fraction
+    b: Fraction = Fraction(0)
+    d: int = 0
+
+    def __post_init__(self):
+        a, b, d = Fraction(self.a), Fraction(self.b), self.d
+        k, d0 = squarefree_split(d)
+        if d0 == 1:
+            a, b, d = a + b * k, Fraction(0), 0
+        else:
+            b, d = b * k, d0
+        if b == 0:
+            d = 0
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
+
+    @property
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    def __neg__(self):
+        return RefQuad(-self.a, -self.b, self.d)
+
+
+def ref_quad_text(c: RefQuad, params) -> str:
+    if c.is_rational:
+        return rational_text(c.a)
+    if params is not None and params.radicand == c.d:
+        name, scale = "sqrtD", c.b / params.sqrtD.b  # b*sqrt(d) == scale * sqrtD
+    else:
+        name, scale = f"sqrt({c.d})", c.b
+    rad = (name if scale == 1 else f"-{name}" if scale == -1
+           else f"{rational_text(scale)}*{name}")
+    if c.a == 0:
+        return rad
+    sign = "-" if rad.startswith("-") else "+"
+    return f"({rational_text(c.a)} {sign} {rad.lstrip('-')})"
+
+
+def ref_poly_text(p, scale: Fraction, d: int, params, names) -> str:
+    pairs: dict = {}
+    for m, c in p.terms():  # descending
+        pairs.setdefault(m[:-1], [0, 0])[m[-1]] = c
+    terms = [(mono, RefQuad(scale * a, scale * b, d)) for mono, (a, b) in pairs.items()]
+    if not terms:
+        return "0"
+    parts = []
+    for mono, coeff in terms:
+        factors = [f"{n}^{e}" if e > 1 else n for n, e in zip(names, mono) if e]
+        neg = coeff.is_rational and coeff.a < 0
+        c = -coeff if neg else coeff
+        if not factors or c != RefQuad(Fraction(1)):
+            factors.insert(0, ref_quad_text(c, params))
+        text = "*".join(factors)
+        if text.startswith("-"):
+            neg, text = not neg, text[1:]
+        if not parts:
+            parts.append(f"-{text}" if neg else text)
+        else:
+            parts.append(f"- {text}" if neg else f"+ {text}")
+    return " ".join(parts)
+
+
+def ref_to_text(f: RatFunc, params) -> str:
+    names, d = f.chart.variables, f.chart.field.d
+    lc = f.den.LC
+    num = ref_poly_text(f.num, Fraction(f.c, lc), d, params, names)
+    if not f.factors:
+        return num
+    return f"({num})/({ref_poly_text(f.den, Fraction(1, lc), d, params, names)})"
+
+
+@st.composite
+def printable(draw):
+    """A value on a chart over QQ, Q(sqrt 2) or Q(sqrt 5): a Fraction
+    content times a random polynomial in x, y and s = sqrt(d) (1 over QQ),
+    over another such polynomial or not."""
+    chart = Chart(("x", "y"), draw(st.sampled_from([0, 2, 5])))
+    x, y = (RatFunc.variable(chart, n) for n in chart.variables)
+    s = RatFunc.constant(chart, 0, 1) if chart.field.d else 1
+
+    def poly():
+        terms = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 2),
+                                        st.integers(0, 2), st.booleans()), max_size=6))
+        return sum((c * x ** i * y ** j * (s if r else 1) for c, i, j, r in terms),
+                   RatFunc.constant(chart, 0))
+
+    f = draw(st.fractions(min_value=-20, max_value=20, max_denominator=12)) * poly()
+    if draw(st.booleans()):
+        den = poly()
+        if not den.is_zero:
+            f = f / den
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(printable(), st.sampled_from([None, make_params(1, 2), P8, make_params(1, 1),
+                                     make_params(4, 1)]))
+def test_to_text_matches_the_reference_printer(f, params):
+    # Params over the chart's field (D = 9 on QQ, D = 8 on sqrt 2, D = 5 and
+    # D = 20 on sqrt 5) print its radical as a multiple of sqrtD; the others
+    # and no params print sqrt(d).
+    assert f.to_text(params) == ref_to_text(f, params)
 
 
 def test_parse_with_params():
@@ -513,10 +628,20 @@ def test_numeric_matches_symbolic(f, seed):
 
 def test_incompatible_radicands_rejected():
     # A scalar enters a chart as a constant, which must be over its field.
-    with pytest.raises(IncompatibleRadicands):
-        RatFunc.constant(Chart(("x", "y"), 2), QuadScalar.root(3))
-    with pytest.raises(IncompatibleRadicands):
-        X + QuadScalar.root(3)
+    with pytest.raises(ExprError, match=r"sqrt\(3\) on .*radicand=2\)"):
+        RatFunc.constant(Chart(("x", "y"), 2), QuadScalar(0, 1, 3))
+    with pytest.raises(ExprError, match=r"on .*radicand=0\)"):
+        RatFunc.constant(Chart(("x", "y")), 0, 1)
+    # A read-out is no operand: it enters a chart only as a constant.
+    with pytest.raises(TypeError):
+        X + QuadScalar(0, 1, 2)
+    # Substitution onto a chart over another field keeps a value free of s
+    # and refuses one with an s term.
+    other = Chart(("x", "y"), 3)
+    swap = {"x": RatFunc.variable(other, "y"), "y": RatFunc.variable(other, "x")}
+    assert (X * Y + 1).substitute(swap) == parse_expr("x*y + 1", other)
+    with pytest.raises(ExprError, match=r"sqrt\(2\) on .*radicand=3\)"):
+        (X + SQRTD).substitute(swap)
 
 
 def test_chart_mismatch_rejected():
