@@ -5,31 +5,33 @@ A check is its function: the line ``check KIND ARG ...`` runs
 its parameters give the arity and the argument names (a ``*args``
 parameter takes any number).  Every check resolves its arguments against
 the scenario's declarations, calls the library function that computes the
-identity's residual, and returns a :class:`CheckOutcome` whose
+identity's residual (``component`` and ``mean_value`` subtract a declared
+value from the scenario's expression instead), and returns a
+:class:`CheckOutcome` whose
 ``residuals`` carry the exact expressions that decide the verdict:
 an ``expect="zero"`` residual must be identically zero, an
-``expect="nonzero"`` residual must not be.  The runner later corroborates
-each residual numerically at seeded random points.
+``expect="nonzero"`` residual must not be.  The outcome's ``facts`` state
+only what is not a zero test, such as ``sigma > 0``.  The runner later
+corroborates each residual numerically at seeded random points.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .cross_section import (CrossSection, induced_structure, invariance_check,
                             lift_decomposition_check, section_nijenhuis_check)
 from .geometry import (Connection, Tensor11Field, Tensor12Field, VectorField, _Field,
-                       _index_label, apply_t11, compose_t11, linear_combination)
-from .integrability import (affine_invariance, frobenius_criterion,
-                            nijenhuis_t11, np_relation, projector_criterion)
-from .lifts import (complete_lift_t11, frame_swap_product, horizontal_lift_t11,
-                    jtilde_structure)
-from .metallic import (MetallicStructure, composite_relation, metallic_from_product,
-                       metallic_recipe, metallic_residual, minimal_polynomial_check,
-                       param_constant, product_from_metallic, projectors_from_metallic,
-                       square_residual)
+                       _index_label)
+from .integrability import (affine_invariance, distributions_integrable, nijenhuis_t11,
+                            np_relation, projector_criterion)
+from .lifts import (complete_lift_t11, composition_lift, horizontal_lift_t11,
+                    horizontal_square, jtilde_printed, jtilde_structure)
+from .metallic import (MetallicStructure, composite_relation, mean_defining,
+                       metallic_from_product, metallic_residual, minimal_polynomial_check,
+                       product_from_metallic, product_roundtrip, projector_algebra,
+                       projector_expansions, square_residual)
 from .scenario import Scenario
 from .symexpr import ExprError, RatFunc, _excerpt, parse_expr, parse_integer
 
@@ -156,6 +158,13 @@ def _pair_residuals(out: CheckOutcome, label: str, N: Tensor12Field):
                               [N.components[h][i][j] for h in range(n)])
 
 
+def _one_residual(claim: str, label: str, T: _Field, record=_tensor_residuals) -> CheckOutcome:
+    """The outcome of a check whose identity is one residual tensor."""
+    out = CheckOutcome(claim)
+    record(out, label, T)
+    return out
+
+
 def _base_and_lifted(out: CheckOutcome, identity, base, lifted):
     """Residuals of an identity on the base chart and on TM; ``lifted()``
     gives the lifted argument once the base residual is in."""
@@ -170,9 +179,8 @@ def _base_and_lifted(out: CheckOutcome, identity, base, lifted):
 def check_mean_defining(ctx: Context) -> CheckOutcome:
     p = ctx.params
     out = CheckOutcome("sigma solves x^2 - alpha*x - beta = 0 and is the positive root")
-    sigma = RatFunc.constant(ctx.chart, p.sigma)
     out.residuals.append(Residual("sigma^2 - alpha*sigma - beta",
-                                  sigma * sigma - p.alpha * sigma - p.beta, "zero"))
+                                  mean_defining(ctx.chart, p), "zero"))
     out.facts.append(("sigma > 0 numerically", p.sigma.to_float() > 0))
     out.notes.append(f"sigma = {p.sigma}")
     return out
@@ -187,87 +195,43 @@ def check_mean_value(ctx: Context, *expr) -> CheckOutcome:
 
 
 def check_almost_product(ctx: Context, name) -> CheckOutcome:
-    _, T = ctx.structure(name)
-    out = CheckOutcome(f"{name}^2 = I")
-    _tensor_residuals(out, "P^2 - I", square_residual(T, 1))
-    return out
+    return _one_residual(f"{name}^2 = I", "P^2 - I",
+                         square_residual(ctx.structure(name)[1], 1))
 
 
 def check_metallic(ctx: Context, name) -> CheckOutcome:
-    M = ctx.metallic(name)
-    out = CheckOutcome(f"{name} satisfies Psi^2 = alpha*Psi + beta*I")
-    _tensor_residuals(out, "Psi^2 - alpha*Psi - beta*I",
-                      metallic_residual(M.tensor, ctx.params))
-    return out
+    return _one_residual(f"{name} satisfies Psi^2 = alpha*Psi + beta*I",
+                         "Psi^2 - alpha*Psi - beta*I",
+                         metallic_residual(ctx.metallic(name).tensor, ctx.params))
 
 
 def check_metallic_from_product(ctx: Context, name) -> CheckOutcome:
-    out = CheckOutcome(f"(alpha*I + sqrtD*{name})/2 is metallic")
     M = metallic_from_product(ctx.structure(name)[1], ctx.params)
-    _tensor_residuals(out, "Psi^2 - alpha*Psi - beta*I",
-                      metallic_residual(M.tensor, ctx.params))
-    return out
+    return _one_residual(f"(alpha*I + sqrtD*{name})/2 is metallic",
+                         "Psi^2 - alpha*Psi - beta*I", metallic_residual(M.tensor, ctx.params))
 
 
 def check_roundtrip(ctx: Context, name) -> CheckOutcome:
-    _, P = ctx.structure(name)
-    out = CheckOutcome(f"product -> metallic -> product returns {name} exactly")
-    M = metallic_from_product(P, ctx.params)
-    _tensor_residuals(out, "P' - P", product_from_metallic(M) - P)
-    return out
+    return _one_residual(f"product -> metallic -> product returns {name} exactly", "P' - P",
+                         product_roundtrip(ctx.structure(name)[1], ctx.params))
 
 
 def check_projector_algebra(ctx: Context, name) -> CheckOutcome:
-    M = ctx.metallic(name)
-    p = ctx.params
-    pair = projectors_from_metallic(M)
-    I = Tensor11Field.identity(M.chart)
-    psi = M.tensor
     out = CheckOutcome("r + s = I, rs = sr = 0, r^2 = r, s^2 = s, "
                        "Psi r = sigma r, Psi s = (alpha - sigma) s")
-    r, s = pair.r, pair.s
-    half = Fraction(1, 2)
-    # -sigma = -alpha/2 - sqrtD/2 and -(alpha - sigma) = -alpha/2 + sqrtD/2
-    minus_sigma = param_constant(M.chart, p, Fraction(-p.alpha, 2), -half)
-    minus_conjugate = param_constant(M.chart, p, Fraction(-p.alpha, 2), half)
-    _tensor_residuals(out, "r + s - I", linear_combination([(1, r), (1, s), (-1, I)]))
-    _tensor_residuals(out, "r s", compose_t11(r, s))
-    _tensor_residuals(out, "s r", compose_t11(s, r))
-    for label, c, T, left, right in (
-            ("r^2 - r", -1, r, r, r), ("s^2 - s", -1, s, s, s),
-            ("Psi r - sigma r", minus_sigma, r, psi, r),
-            ("r Psi - sigma r", minus_sigma, r, r, psi),
-            ("Psi s - (alpha-sigma) s", minus_conjugate, s, psi, s),
-            ("s Psi - (alpha-sigma) s", minus_conjugate, s, s, psi)):
-        _tensor_residuals(out, label, linear_combination([(c, T)], compose=(left, right)))
+    for label, T in projector_algebra(ctx.metallic(name)).items():
+        _tensor_residuals(out, label, T)
     return out
 
 
 def check_projector_expansions(ctx: Context, name) -> CheckOutcome:
-    M = ctx.metallic(name)
-    p = ctx.params
-    pair = projectors_from_metallic(M)
-    I = Tensor11Field.identity(M.chart)
-    psi = M.tensor
-    # alpha - sigma = alpha/2 - sqrtD/2, sigma/sqrtD = 1/2 + alpha*sqrtD/(2*D),
-    # (alpha-sigma)/sqrtD = -1/2 + alpha*sqrtD/(2*D), beta/sqrtD = beta*sqrtD/D.
-    half, shift = Fraction(1, 2), Fraction(p.alpha, 2 * p.discriminant)
-    conjugate = param_constant(M.chart, p, Fraction(p.alpha, 2), -half)
-    minus_sigma_over = param_constant(M.chart, p, -half, -shift)
-    conjugate_over = param_constant(M.chart, p, -half, shift)
-    beta_over = param_constant(M.chart, p, 0, Fraction(p.beta, p.discriminant))
+    derived, printed = projector_expansions(ctx.metallic(name))
     out = CheckOutcome(
         "sign-corrected expansions: sigma*r = (sigma/sqrtD)*Psi + (beta/sqrtD)*I "
         "and (alpha-sigma)*s = ((sigma-alpha)/sqrtD)*Psi - (beta/sqrtD)*I")
-    # sigma*r - derived, derived = (sigma/sqrtD)*Psi + (beta/sqrtD)*I
-    _tensor_residuals(out, "sigma*r - derived", linear_combination(
-        [(p.sigma, pair.r), (minus_sigma_over, psi), (-beta_over, I)]))
-    # (alpha-sigma)*s - derived, derived = ((sigma-alpha)/sqrtD)*Psi - (beta/sqrtD)*I
-    _tensor_residuals(out, "(alpha-sigma)*s - derived", linear_combination(
-        [(conjugate, pair.s), (conjugate_over, psi), (beta_over, I)]))
-    # sigma*r - printed, printed = (sigma/sqrtD)*Psi - (beta/sqrtD)*I
-    _nonzero_witness(out, "sigma*r - printed", linear_combination(
-        [(p.sigma, pair.r), (minus_sigma_over, psi), (beta_over, I)]))
+    for label, T in derived.items():
+        _tensor_residuals(out, label, T)
+    _nonzero_witness(out, "sigma*r - printed", printed)
     out.notes.append("printed identity-term coefficient -beta/sqrtD; derived +beta/sqrtD")
     out.notes.append("printed Psi-term coefficient (sigma+alpha)/sqrtD; "
                      "derived (sigma-alpha)/sqrtD")
@@ -275,21 +239,14 @@ def check_projector_expansions(ctx: Context, name) -> CheckOutcome:
 
 
 def check_complete_lift_metallic(ctx: Context, name) -> CheckOutcome:
-    M = ctx.metallic(name)
-    out = CheckOutcome(f"the complete lift of {name} is metallic on TM")
-    _tensor_residuals(out, "(Psi^C)^2 - alpha*Psi^C - beta*I",
-                      metallic_residual(complete_lift_t11(M.tensor), ctx.params))
-    return out
+    return _one_residual(f"the complete lift of {name} is metallic on TM",
+                         "(Psi^C)^2 - alpha*Psi^C - beta*I", metallic_residual(
+                             complete_lift_t11(ctx.metallic(name).tensor), ctx.params))
 
 
 def check_composition_lift(ctx: Context, left, right) -> CheckOutcome:
-    _, S = ctx.structure(left)
-    _, T = ctx.structure(right)
-    out = CheckOutcome(f"({left} {right})^C = {left}^C {right}^C")
-    lhs = complete_lift_t11(compose_t11(S, T))
-    _tensor_residuals(out, "(S T)^C - S^C T^C", linear_combination(
-        [(1, lhs)], compose=(-complete_lift_t11(S), complete_lift_t11(T))))
-    return out
+    return _one_residual(f"({left} {right})^C = {left}^C {right}^C", "(S T)^C - S^C T^C",
+                         composition_lift(ctx.structure(left)[1], ctx.structure(right)[1]))
 
 
 def _polynomial_outcome(ctx, name, kind, claim, expect_agreement: bool) -> CheckOutcome:
@@ -330,26 +287,20 @@ def check_complex_polynomial(ctx: Context, name) -> CheckOutcome:
 
 
 def check_composite_relation(ctx: Context, p, f) -> CheckOutcome:
-    _, P = ctx.structure(p)
-    _, F = ctx.structure(f)
-    out = CheckOutcome("sqrtD*Psi_J = 2 Psi_P Psi_F - alpha*Psi_P - alpha*Psi_F "
-                       "+ alpha*sigma*I for J = P F")
-    _tensor_residuals(out, "lhs - rhs", composite_relation(P, F, ctx.params))
-    return out
+    return _one_residual("sqrtD*Psi_J = 2 Psi_P Psi_F - alpha*Psi_P - alpha*Psi_F "
+                         "+ alpha*sigma*I for J = P F", "lhs - rhs", composite_relation(
+                             ctx.structure(p)[1], ctx.structure(f)[1], ctx.params))
 
 
 def check_nijenhuis_zero(ctx: Context, name) -> CheckOutcome:
-    M = ctx.metallic(name)
-    out = CheckOutcome(f"N_Psi of {name} vanishes identically")
-    _pair_residuals(out, "N", nijenhuis_t11(M.tensor))
-    return out
+    return _one_residual(f"N_Psi of {name} vanishes identically", "N",
+                         nijenhuis_t11(ctx.metallic(name).tensor), _pair_residuals)
 
 
 def check_nijenhuis_zero_lifted(ctx: Context, name) -> CheckOutcome:
-    M = ctx.metallic(name)
-    out = CheckOutcome(f"N of the complete lift of {name} vanishes identically")
-    _pair_residuals(out, "N", nijenhuis_t11(complete_lift_t11(M.tensor)))
-    return out
+    return _one_residual(f"N of the complete lift of {name} vanishes identically", "N",
+                         nijenhuis_t11(complete_lift_t11(ctx.metallic(name).tensor)),
+                         _pair_residuals)
 
 
 def check_np_relation(ctx: Context, name) -> CheckOutcome:
@@ -366,9 +317,8 @@ def check_affine_invariance(ctx: Context, name, a, b) -> CheckOutcome:
         a, b = parse_integer(a), parse_integer(b)
     except ValueError:
         raise CheckError("affine_invariance needs integer coefficients a b") from None
-    out = CheckOutcome(f"N of {a}*I + {b}*{name} equals {b}^2 * N of {name}")
-    _pair_residuals(out, "diff", affine_invariance(T, a, b))
-    return out
+    return _one_residual(f"N of {a}*I + {b}*{name} equals {b}^2 * N of {name}", "diff",
+                         affine_invariance(T, a, b), _pair_residuals)
 
 
 def check_projector_criterion(ctx: Context, name, which) -> CheckOutcome:
@@ -384,68 +334,43 @@ def check_projector_criterion(ctx: Context, name, which) -> CheckOutcome:
 
 def check_distributions_integrable(ctx: Context, name, dist_r, dist_s) -> CheckOutcome:
     M = ctx.metallic(name)
-    gens_r = ctx.distribution(dist_r)
-    gens_s = ctx.distribution(dist_s)
-    pair = projectors_from_metallic(M)
+    results = distributions_integrable(M, ctx.distribution(dist_r), ctx.distribution(dist_s))
     out = CheckOutcome("both eigendistributions are integrable and contain "
                        "their declared generators")
-    for label, gens, proj, comp in ((dist_r, gens_r, pair.r, pair.s),
-                                    (dist_s, gens_s, pair.s, pair.r)):
-        out.facts.append((f"{label} integrable", frobenius_criterion(proj, comp).is_zero))
-        for k, g in enumerate(gens):
-            _vector_residuals(out, f"{label} generator {k + 1} fixed",
-                              (apply_t11(proj, g) - g).components)
+    for label, (frobenius, fixed) in zip((dist_r, dist_s), results):
+        _pair_residuals(out, f"{label} Frobenius", frobenius)
+        for k, residual in enumerate(fixed):
+            _vector_residuals(out, f"{label} generator {k + 1} fixed", residual.components)
     return out
 
 
 def check_horizontal_metallic(ctx: Context, name, connection) -> CheckOutcome:
-    M = ctx.metallic(name)
-    conn = ctx.connection(connection)
-    out = CheckOutcome(f"the horizontal lift of {name} along {connection} is metallic")
-    _tensor_residuals(out, "(Psi^H)^2 - alpha*Psi^H - beta*I",
-                      metallic_residual(horizontal_lift_t11(M.tensor, conn), ctx.params))
-    return out
+    return _one_residual(
+        f"the horizontal lift of {name} along {connection} is metallic",
+        "(Psi^H)^2 - alpha*Psi^H - beta*I", metallic_residual(horizontal_lift_t11(
+            ctx.metallic(name).tensor, ctx.connection(connection)), ctx.params))
 
 
 def check_horizontal_square(ctx: Context, name, connection) -> CheckOutcome:
-    M = ctx.metallic(name)
-    conn = ctx.connection(connection)
-    out = CheckOutcome("(Psi^2)^H = (Psi^H)^2")
-    th = horizontal_lift_t11(M.tensor, conn)
-    lhs = horizontal_lift_t11(compose_t11(M.tensor, M.tensor), conn)
-    _tensor_residuals(out, "(Psi^2)^H - (Psi^H)^2",
-                      linear_combination([(1, lhs)], compose=(-th, th)))
-    return out
+    return _one_residual("(Psi^2)^H = (Psi^H)^2", "(Psi^2)^H - (Psi^H)^2", horizontal_square(
+        ctx.metallic(name).tensor, ctx.connection(connection)))
 
 
 def check_jtilde(ctx: Context, connection) -> CheckOutcome:
-    conn = ctx.connection(connection)
-    out = CheckOutcome("the frame-swap structure (alpha*I + sqrtD*Ptilde)/2 is metallic")
-    J = jtilde_structure(conn, ctx.params)
-    _tensor_residuals(out, "Jtilde^2 - alpha*Jtilde - beta*I",
-                      metallic_residual(J, ctx.params))
-    return out
+    J = jtilde_structure(ctx.connection(connection), ctx.params)
+    return _one_residual("the frame-swap structure (alpha*I + sqrtD*Ptilde)/2 is metallic",
+                         "Jtilde^2 - alpha*Jtilde - beta*I", metallic_residual(J, ctx.params))
 
 
 def check_jtilde_printed(ctx: Context, connection) -> CheckOutcome:
-    conn = ctx.connection(connection)
     p = ctx.params
-    p_swap = frame_swap_product(conn)
-    printed = linear_combination([(Fraction(1, 2), Tensor11Field.identity(p_swap.chart)),
-                                  (param_constant(p_swap.chart, p, 0, Fraction(1, 2)), p_swap)])
-    difference = linear_combination([(1, printed), (-1, metallic_recipe(p_swap, p))])
+    residuals = jtilde_printed(ctx.connection(connection), p)
     coincide = p.alpha == 1
     out = CheckOutcome(
         "the printed coefficients (X^H + sqrtD*X^V)/2 coincide with the derived "
         "(alpha*X^H + sqrtD*X^V)/2 exactly when alpha = 1")
-    if coincide:
-        _tensor_residuals(out, "printed - derived", difference)
-        _tensor_residuals(out, "printed metallic residual",
-                          metallic_residual(printed, p))
-    else:
-        _nonzero_witness(out, "printed - derived", difference)
-        _nonzero_witness(out, "printed metallic residual",
-                         metallic_residual(printed, p))
+    for label, T in residuals.items():
+        (_tensor_residuals if coincide else _nonzero_witness)(out, label, T)
     out.notes.append(f"alpha = {p.alpha}: printed and derived forms "
                      f"{'coincide' if coincide else 'differ'}")
     return out
@@ -456,61 +381,47 @@ def check_section_lifts(ctx: Context, section, x, y) -> CheckOutcome:
     rep = lift_decomposition_check(ctx.vector(x), ctx.vector(y), cs)
     out = CheckOutcome("[BX,BY] = B[X,Y], [CX,CY] = 0, X^C|section = BX + C(L_V X), "
                        "X^V = CX")
-    out.facts.append(("[BX,BY] = B[X,Y]", rep.b_bracket.is_zero))
-    out.facts.append(("[CX,CY] = 0", rep.c_bracket.is_zero))
-    out.facts.append(("X^C = BX + C(L_V X) along the section",
-                      all(c.is_zero for c in rep.complete)))
-    out.facts.append(("X^V = CX", rep.vertical.is_zero))
     _vector_residuals(out, "[BX,BY] - B[X,Y]", rep.b_bracket.components)
     _vector_residuals(out, "[CX,CY]", rep.c_bracket.components)
+    _vector_residuals(out, "X^C - (BX + C(L_V X))", rep.complete)
+    _vector_residuals(out, "X^V - CX", rep.vertical.components)
     return out
 
 
-def _section_invariance(ctx: Context, name, section, out: CheckOutcome) -> Tensor11Field:
-    """Emit the decomposition residuals; return L_V Psi."""
+def _section_invariance(ctx: Context, name, section, claim: str, record) -> CheckOutcome:
+    """The decomposition residuals, then L_V Psi through ``record``."""
     rep = invariance_check(ctx.metallic(name), CrossSection(ctx.vector(section)))
+    out = CheckOutcome(claim)
     for i, comps in enumerate(rep.decomposition):
         _vector_residuals(out, f"decomposition(e{i + 1})", comps)
-    return rep.lie_derivative
+    record(out, "L_V Psi", rep.lie_derivative)
+    return out
 
 
 def check_section_invariant(ctx: Context, name, section) -> CheckOutcome:
-    out = CheckOutcome("Psi^C(BX) = B(Psi X) + C((L_V Psi) X) and L_V Psi = 0")
-    _tensor_residuals(out, "L_V Psi", _section_invariance(ctx, name, section, out))
-    return out
+    return _section_invariance(
+        ctx, name, section, "Psi^C(BX) = B(Psi X) + C((L_V Psi) X) and L_V Psi = 0",
+        _tensor_residuals)
 
 
 def check_section_not_invariant(ctx: Context, name, section) -> CheckOutcome:
-    out = CheckOutcome("the decomposition holds but L_V Psi != 0, so the section "
-                       "is not invariant")
-    bad = _section_invariance(ctx, name, section, out).first_nonzero()
-    if bad is None:
-        out.facts.append(("L_V Psi has a nonzero component", False))
-    else:
-        out.residuals.append(Residual("L_V Psi (first nonzero component)",
-                                      bad[-1], "nonzero"))
-    return out
+    return _section_invariance(
+        ctx, name, section, "the decomposition holds but L_V Psi != 0, so the section "
+        "is not invariant", _nonzero_witness)
 
 
 def check_induced_metallic(ctx: Context, name, section) -> CheckOutcome:
-    M = ctx.metallic(name)
-    cs = CrossSection(ctx.vector(section))
-    out = CheckOutcome("the tensor induced on the invariant section is metallic")
-    induced = induced_structure(M, cs)
-    _tensor_residuals(out, "induced residual",
-                      metallic_residual(induced.tensor, ctx.params))
-    return out
+    induced = induced_structure(ctx.metallic(name), CrossSection(ctx.vector(section)))
+    return _one_residual("the tensor induced on the invariant section is metallic",
+                         "induced residual", metallic_residual(induced.tensor, ctx.params))
 
 
 def check_section_nijenhuis(ctx: Context, name, section) -> CheckOutcome:
-    M = ctx.metallic(name)
-    cs = CrossSection(ctx.vector(section))
-    rep = section_nijenhuis_check(M, cs)
+    rep = section_nijenhuis_check(ctx.metallic(name), CrossSection(ctx.vector(section)))
     out = CheckOutcome(
         "N_{Psi^C}(BX,BY) = B(N_Psi(X,Y)) + C((L_V N_Psi)(X,Y)); on invariant "
         "sections the section Nijenhuis vanishes iff the base one does")
     section_zero = all(c.is_zero for comps in rep.section.values() for c in comps)
-    out.facts.append(("decomposition holds on basis pairs", rep.is_zero))
     out.facts.append(("equivalence on invariant sections", rep.equivalence_ok))
     out.notes.append(f"L_V Psi = 0: {rep.lie_derivative.is_zero}; base N = 0: "
                      f"{rep.nijenhuis.is_zero}; section N = 0: {section_zero}")

@@ -81,11 +81,6 @@ class LiftDecomposition:
     complete: tuple[RatFunc, ...]
     vertical: VectorField
 
-    @property
-    def is_zero(self) -> bool:
-        return (self.b_bracket.is_zero and self.c_bracket.is_zero
-                and _zero(self.complete) and self.vertical.is_zero)
-
 
 def lift_decomposition_check(X: VectorField, Y: VectorField,
                              cs: CrossSection) -> LiftDecomposition:
@@ -107,10 +102,6 @@ class Invariance:
     lie_derivative: Tensor11Field
     images: tuple[tuple[RatFunc, ...], ...]
     decomposition: tuple[tuple[RatFunc, ...], ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return self.lie_derivative.is_zero and all(map(_zero, self.decomposition))
 
 
 @per_run
@@ -160,10 +151,6 @@ class SectionNijenhuis:
     nijenhuis: Tensor12Field
     lie_nijenhuis: Tensor12Field
     lie_derivative: Tensor11Field
-
-    @property
-    def is_zero(self) -> bool:
-        return all(map(_zero, self.decomposition.values()))
 
     @property
     def equivalence_ok(self) -> bool:

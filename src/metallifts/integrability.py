@@ -112,6 +112,15 @@ def frobenius_criterion(projector: Tensor11Field, complement: Tensor11Field) -> 
         complement, lie_derivative(cols[i], cols[j])))
 
 
+def distributions_integrable(M: MetallicStructure, gens_r, gens_s):
+    """For the eigendistributions of M, first the one of r with generators
+    ``gens_r``, then the one of s with ``gens_s``: the Frobenius criterion
+    of its projector and, per generator g, the residual r g - g (s g - g)."""
+    pair = projectors_from_metallic(M)
+    return tuple((frobenius_criterion(proj, comp), tuple(apply_t11(proj, g) - g for g in gens))
+                 for gens, proj, comp in ((gens_r, pair.r, pair.s), (gens_s, pair.s, pair.r)))
+
+
 def example_41_distribution_generators(chart: Chart) -> tuple[VectorField, VectorField]:
     """R = span{d/dx - (x+y) d/dy}, S = span{(x+y) d/dx + d/dy}."""
     w = parse_expr("x + y", chart)

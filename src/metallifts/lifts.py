@@ -14,11 +14,12 @@ conventions (h is the output index):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .geometry import (Connection, Tensor11Field, VectorField, _contract, _same_chart,
-                       apply_t11, compose_t11, invert_t11, per_run)
-from .metallic import metallic_recipe
+                       apply_t11, compose_t11, invert_t11, linear_combination, per_run)
+from .metallic import metallic_recipe, metallic_residual, param_constant
 from .numfield import MetallicParams
 from .symexpr import Chart, RatFunc
 
@@ -118,9 +119,23 @@ def horizontal_lift_vf(X: VectorField, conn: Connection) -> VectorField:
     return VectorField(tb.chart, tuple([tb.up(c) for c in X.components] + lower))
 
 
+def composition_lift(S: Tensor11Field, T: Tensor11Field) -> Tensor11Field:
+    """(S o T)^C - S^C o T^C."""
+    lhs = complete_lift_t11(compose_t11(S, T))
+    return linear_combination([(1, lhs)],
+                              compose=(-complete_lift_t11(S), complete_lift_t11(T)))
+
+
 @per_run
 def horizontal_lift_t11(T: Tensor11Field, conn: Connection) -> Tensor11Field:
     return complete_lift_t11(T) - nabla_gamma_t11(T, conn)
+
+
+def horizontal_square(T: Tensor11Field, conn: Connection) -> Tensor11Field:
+    """(T o T)^H - T^H o T^H."""
+    th = horizontal_lift_t11(T, conn)
+    lhs = horizontal_lift_t11(compose_t11(T, T), conn)
+    return linear_combination([(1, lhs)], compose=(-th, th))
 
 
 def frame_matrix(conn: Connection) -> Tensor11Field:
@@ -148,3 +163,16 @@ def frame_swap_product(conn: Connection) -> Tensor11Field:
 def jtilde_structure(conn: Connection, params: MetallicParams) -> Tensor11Field:
     """The metallic structure J~ = (alpha*I + sqrtD*P~)/2 on TM."""
     return metallic_recipe(frame_swap_product(conn), params)
+
+
+def jtilde_printed(conn: Connection, params: MetallicParams) -> dict[str, Tensor11Field]:
+    """The printed frame-swap structure (I + sqrtD*P~)/2, by label: its
+    difference from the derived J~ and its own metallic residual.  Both
+    vanish exactly when alpha = 1."""
+    p_swap = frame_swap_product(conn)
+    printed = linear_combination([(Fraction(1, 2), Tensor11Field.identity(p_swap.chart)),
+                                  (param_constant(p_swap.chart, params, 0, Fraction(1, 2)),
+                                   p_swap)])
+    return {"printed - derived": linear_combination(
+                [(1, printed), (-1, metallic_recipe(p_swap, params))]),
+            "printed metallic residual": metallic_residual(printed, params)}

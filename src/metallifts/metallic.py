@@ -58,6 +58,13 @@ def param_constant(chart: Chart, params: MetallicParams, a, b=0) -> RatFunc:
     return RatFunc.constant(chart, a + b * params.sqrtD.a)
 
 
+def mean_defining(chart: Chart, params: MetallicParams) -> RatFunc:
+    """sigma^2 - alpha*sigma - beta on ``chart``: zero, as sigma is a root
+    of x^2 - alpha*x - beta."""
+    sigma = RatFunc.constant(chart, params.sigma)
+    return sigma * sigma - params.alpha * sigma - params.beta
+
+
 @dataclass(frozen=True)
 class MetallicStructure:
     params: MetallicParams
@@ -114,6 +121,11 @@ def product_from_metallic(M: MetallicStructure) -> Tensor11Field:
     return P
 
 
+def product_roundtrip(P: Tensor11Field, params: MetallicParams) -> Tensor11Field:
+    """P' - P for the product P' recovered from the metallic form of P."""
+    return product_from_metallic(metallic_from_product(P, params)) - P
+
+
 @per_run
 def projectors_from_metallic(M: MetallicStructure) -> ProjectorPair:
     """r = (Psi - (alpha - sigma)*I)/sqrtD and s = (sigma*I - Psi)/sqrtD,
@@ -128,6 +140,56 @@ def projectors_from_metallic(M: MetallicStructure) -> ProjectorPair:
     s = linear_combination([(-inv, M.tensor),
                             (param_constant(chart, params, Fraction(1, 2), shift), identity)])
     return ProjectorPair(r, s)
+
+
+def projector_algebra(M: MetallicStructure) -> dict[str, Tensor11Field]:
+    """The residuals of r + s = I, rs = sr = 0, r^2 = r, s^2 = s,
+    Psi r = r Psi = sigma r and Psi s = s Psi = (alpha - sigma) s, by label."""
+    params, chart, psi = M.params, M.chart, M.tensor
+    pair = projectors_from_metallic(M)
+    r, s = pair.r, pair.s
+    half = Fraction(1, 2)
+    # -sigma = -alpha/2 - sqrtD/2 and -(alpha - sigma) = -alpha/2 + sqrtD/2
+    minus_sigma = param_constant(chart, params, Fraction(-params.alpha, 2), -half)
+    minus_conjugate = param_constant(chart, params, Fraction(-params.alpha, 2), half)
+    residuals = {
+        "r + s - I": linear_combination([(1, r), (1, s),
+                                         (-1, Tensor11Field.identity(chart))]),
+        "r s": compose_t11(r, s), "s r": compose_t11(s, r)}
+    for label, c, T, left, right in (
+            ("r^2 - r", -1, r, r, r), ("s^2 - s", -1, s, s, s),
+            ("Psi r - sigma r", minus_sigma, r, psi, r),
+            ("r Psi - sigma r", minus_sigma, r, r, psi),
+            ("Psi s - (alpha-sigma) s", minus_conjugate, s, psi, s),
+            ("s Psi - (alpha-sigma) s", minus_conjugate, s, s, psi)):
+        residuals[label] = linear_combination([(c, T)], compose=(left, right))
+    return residuals
+
+
+def projector_expansions(M: MetallicStructure) -> tuple[dict[str, Tensor11Field],
+                                                        Tensor11Field]:
+    """The residuals of the derived expansions
+    sigma*r = (sigma/sqrtD)*Psi + (beta/sqrtD)*I and
+    (alpha-sigma)*s = ((sigma-alpha)/sqrtD)*Psi - (beta/sqrtD)*I, by label;
+    and sigma*r minus the printed (sigma/sqrtD)*Psi - (beta/sqrtD)*I, which
+    is not zero."""
+    params, chart, psi = M.params, M.chart, M.tensor
+    pair = projectors_from_metallic(M)
+    identity = Tensor11Field.identity(chart)
+    # alpha - sigma = alpha/2 - sqrtD/2, sigma/sqrtD = 1/2 + alpha*sqrtD/(2*D),
+    # (alpha-sigma)/sqrtD = -1/2 + alpha*sqrtD/(2*D), beta/sqrtD = beta*sqrtD/D.
+    half, shift = Fraction(1, 2), Fraction(params.alpha, 2 * params.discriminant)
+    conjugate = param_constant(chart, params, Fraction(params.alpha, 2), -half)
+    minus_sigma_over = param_constant(chart, params, -half, -shift)
+    conjugate_over = param_constant(chart, params, -half, shift)
+    beta_over = param_constant(chart, params, 0, Fraction(params.beta, params.discriminant))
+    derived = {
+        "sigma*r - derived": linear_combination(
+            [(params.sigma, pair.r), (minus_sigma_over, psi), (-beta_over, identity)]),
+        "(alpha-sigma)*s - derived": linear_combination(
+            [(conjugate, pair.s), (conjugate_over, psi), (beta_over, identity)])}
+    return derived, linear_combination(
+        [(params.sigma, pair.r), (minus_sigma_over, psi), (beta_over, identity)])
 
 
 @dataclass(frozen=True)
@@ -167,8 +229,10 @@ def _claimed_polynomial(kind: str, params: MetallicParams,
 
 def minimal_polynomial_check(T: Tensor11Field, kind: str,
                              params: MetallicParams) -> PolynomialReport:
-    """Build Psi_k = (alpha*I + sqrtD*T)/2 and compute its exact monic
-    annihilator, comparing with the published polynomial for the kind."""
+    """Build Psi_k = (alpha*I + sqrtD*T)/2 and its exact monic annihilator,
+    beside the published polynomial for the kind.  From T^2 = k*I,
+    Psi_k^2 = alpha*Psi_k + (k*D - alpha^2)/4 * I, so c1 = -alpha and
+    c0 = (alpha^2 - k*D)/4, unless Psi_k is a scalar multiple of I."""
     if kind not in _KIND_SQUARE:
         raise ValueError(f"unknown kind {kind!r}")
     check_square_is(T, _KIND_SQUARE[kind], f"tensor is not almost {kind}")
@@ -176,49 +240,19 @@ def minimal_polynomial_check(T: Tensor11Field, kind: str,
     chart = T.chart
     identity = Tensor11Field.identity(chart)
     psi = metallic_recipe(T, params)
-    psi2 = compose_t11(psi, psi)
     claimed_c1, claimed_c0 = _claimed_polynomial(kind, params, chart)
-
-    # Solve psi2 + c1*psi + c0*I = 0 for constants c1, c0: pick two
-    # independent entry equations, then verify the whole matrix.
-    n = chart.dimension
-    rows = []
-    for h in range(n):
-        for i in range(n):
-            delta = RatFunc.constant(chart, 1 if h == i else 0)
-            rows.append((psi.components[h][i], delta, -psi2.components[h][i]))
-    solution = _solve_two_unknowns(rows, chart)
-    if solution is None:
-        # No two independent equations: psi must be a constant scalar
-        # multiple of the identity, with linear minimal polynomial X - lambda.
-        scalar = psi.components[0][0]
-        if (not scalar.is_constant()
-                or not linear_combination([(1, psi), (-scalar, identity)]).is_zero):
-            raise StructureError("derived structure has no quadratic annihilator "
-                                 "with constant coefficients")
+    scalar = psi.components[0][0]
+    if linear_combination([(1, psi), (-scalar, identity)]).is_zero:
+        # psi = lambda*I, with linear minimal polynomial X - lambda.
         return PolynomialReport(kind, 1, scalar.zero(), -scalar, claimed_c1, claimed_c0)
-    c1, c0 = solution
-    residual = linear_combination([(1, psi2), (c1, psi), (c0, identity)])
+    c1 = RatFunc.constant(chart, -params.alpha)
+    c0 = RatFunc.constant(chart, Fraction(params.alpha ** 2 - _KIND_SQUARE[kind]
+                                          * params.discriminant, 4))
+    residual = linear_combination([(c1, psi), (c0, identity)], compose=(psi, psi))
     if not residual.is_zero:
         raise StructureError("derived structure has no quadratic annihilator "
                              "with constant coefficients")
     return PolynomialReport(kind, 2, c1, c0, claimed_c1, claimed_c0)
-
-
-def _solve_two_unknowns(rows, chart):
-    """Solve rows of a*c1 + b*c0 = rhs over the rational-function field;
-    returns (c1, c0) as constant RatFuncs, or None if rank < 2."""
-    for ia in range(len(rows)):
-        a1, b1, r1 = rows[ia]
-        for ib in range(ia + 1, len(rows)):
-            a2, b2, r2 = rows[ib]
-            det = a1 * b2 - a2 * b1
-            if not det.is_zero:
-                c1 = (r1 * b2 - r2 * b1) / det
-                c0 = (a1 * r2 - a2 * r1) / det
-                if c1.is_constant() and c0.is_constant():
-                    return c1, c0
-    return None
 
 
 def composite_relation(P: Tensor11Field, F: Tensor11Field,

@@ -278,7 +278,8 @@ class RatFunc:
     # -- compatibility ------------------------------------------------
 
     def _check_chart(self, other: RatFunc):
-        if self.chart != other.chart:
+        # The identity test first: ``!=`` would call Chart.__eq__ every time.
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ExprError(f"chart mismatch: {self.chart} vs {other.chart}")
 
     @staticmethod

@@ -67,7 +67,6 @@ def test_lift_decomposition_random_fields(rng):
         assert report.c_bracket.is_zero
         assert all(c.is_zero for c in report.complete)
         assert report.vertical.is_zero
-        assert report.is_zero
 
 
 def test_b_lift_is_tangent_to_section(rng):
@@ -93,7 +92,6 @@ def test_invariance_for_invariant_section():
     report = invariance_check(M, cs)
     assert report.lie_derivative.is_zero
     assert all_zero(report.decomposition)
-    assert report.is_zero
 
 
 def test_invariance_fails_for_generic_section():
@@ -101,7 +99,6 @@ def test_invariance_fails_for_generic_section():
     W = VectorField.make(CH, [parse_expr("x*y", CH), parse_expr("0", CH)])
     report = invariance_check(M, CrossSection(W))
     assert not report.lie_derivative.is_zero
-    assert not report.is_zero
     # The pointwise decomposition identity holds regardless of invariance.
     assert all_zero(report.decomposition)
 
@@ -138,7 +135,6 @@ def test_section_nijenhuis_decomposition(rng):
     M = metallic_from_product(involutive_product(rng, CH), GOLDEN)
     cs = CrossSection(rand_vector(rng, CH))
     report = section_nijenhuis_check(M, cs)
-    assert report.is_zero
     assert all_zero(report.decomposition.values())
     assert report.equivalence_ok
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from importlib import resources
@@ -17,7 +18,7 @@ from metallifts.metallic import (MetallicStructure, StructureError,
                                  metallic_from_product, projectors_from_metallic,
                                  square_residual)
 from metallifts.numfield import make_params
-from metallifts.report import run_scenario
+from metallifts.report import render_structured, run_scenario
 from metallifts.scenario import parse_scenario
 from metallifts.symexpr import Chart, RatFunc, parse_expr
 
@@ -209,8 +210,8 @@ def test_false_generator_claim_fails_with_its_residual():
     scenario = parse_scenario(head + "check distributions_integrable PSI R S\n")
     (check,) = run_scenario(scenario).checks
     assert check.verdict == "fail"
-    assert all(fact for _, fact in check.outcome.facts)
     residuals = {r.label: r.expr for r in check.outcome.residuals}
+    assert all(residuals[f"{d} Frobenius(e1,e2)[{h}]"].is_zero for d in "RS" for h in (1, 2))
     assert not all(residuals[f"R generator 1 fixed[{h}]"].is_zero for h in (1, 2))
     assert all(residuals[f"S generator 1 fixed[{h}]"].is_zero for h in (1, 2))
 
@@ -232,6 +233,23 @@ def test_non_integrable_distribution_detected():
     comp = Tensor11Field.identity(ch3) - proj
     assert (apply_t11(proj, g1) - g1).is_zero and (apply_t11(proj, g2) - g2).is_zero
     assert not frobenius_criterion(proj, comp).is_zero
+
+
+def test_non_integrable_distribution_fails_its_check():
+    """P = 2r - I for the projector r above: distributions_integrable fails,
+    and each nonzero residual of the structured report is a Frobenius
+    residual of R."""
+    scenario = parse_scenario(
+        "scenario contact\nchart x y z\nparams alpha=1 beta=1\n"
+        "structure P kind=product\n  row 1 , 0 , 0\n  row 0 , 1 , 0\n  row 0 , 2*x , -1\n"
+        "distribution R\n  generator 1 , 0 , 0\n  generator 0 , 1 , x\n"
+        "distribution S\n  generator 0 , 0 , 1\n"
+        "check distributions_integrable P R S\n")
+    report = run_scenario(scenario)
+    (entry,) = json.loads(render_structured(report, scenario.params))["checks"]
+    assert entry["verdict"] == "fail"
+    nonzero = [r["label"] for r in entry["residuals"] if not r["exact_zero"]]
+    assert nonzero == ["R Frobenius(e1,e2)[3]"]
 
 
 # -- denominators containing sqrt(D) ----------------------------------------

@@ -72,9 +72,9 @@ def test_report_digests_for_the_sqrtd_variant():
     # The only reports with sqrt(D) in a denominator, which no workload reaches.
     assert lines == [
         "variant/example_4_1_sqrtD/20230831 "
-        "7d32d984e39595b4ef78646174d7970824aedfc665de99e24c6f3beaf04fe004",
+        "197550a7dbd051ec072c0ee98c88990907cdf07b7002315ff848fc8c76854c77",
         "variant/example_4_1_sqrtD/7 "
-        "ef50df94f7c29838c1558d35bf3d5aaab37ef7bb8da82efd6ddb577b885b420e"]
+        "619e2e5336f1a9a0af12f0b98f6dc2ff86c58528b58d6950a268c2666bd28d22"]
 
 
 def test_report_digests_for_the_reflection():
