@@ -46,7 +46,7 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from .numfield import MetallicParams, QuadScalar, rational_text, squarefree_split
-from .poly import poly_ring
+from .poly import FIELD, MASK, poly_ring, product
 
 
 class ExprError(ValueError):
@@ -73,21 +73,22 @@ class CoeffField:
         self.d = 0 if d in (0, 1) else d
 
     def fold(self, p):
-        """p with every s^k rewritten to d^(k//2) * s^(k%2)."""
-        high = [m for m in p if m[-1] > 1] if self.d else ()
+        """p with every s^k rewritten to d^(k//2) * s^(k%2); s is the
+        lowest field of a packed monomial."""
+        high = [m for m in p.packed if (m & MASK) > 1] if self.d else ()
         if not high:
             return p
-        out = p.copy()
+        out = p.packed.copy()
         for m in high:
-            e = m[-1]
+            e = m & MASK
             c = out.pop(m) * self.d ** (e // 2)
-            low = m[:-1] + (e % 2,)
+            low = m - e + e % 2
             c += out.get(low, 0)
             if c:
                 out[low] = c
             else:
                 out.pop(low, None)
-        return out
+        return p.new(out)
 
     def __repr__(self):
         return f"CoeffField(sqrt({self.d}))" if self.d else "CoeffField(QQ)"
@@ -136,15 +137,16 @@ class Chart:
 
 
 def _has_radical(p) -> bool:
-    return any(m[-1] for m in p)
+    return any(m & MASK for m in p.packed)
 
 
 def _split(p):
     """(A, B), both free of s, with p = A + s*B."""
     a, b = {}, {}
-    for m, c in p.items():
-        if m[-1]:
-            b[m[:-1] + (0,)] = c
+    for m, c in p.packed.items():
+        e = m & MASK
+        if e:
+            b[m - e] = c
         else:
             a[m] = c
     return p.new(a), p.new(b)
@@ -194,9 +196,12 @@ def _fold(field: CoeffField, c, num):
 
 
 def _fkey(base):
-    """Bases sort by total degree, then by the terms of the monic base."""
+    """Bases sort by the sum of their degrees in each generator, then by the
+    terms of the monic base, leading term first; packed monomials order as
+    their exponent tuples."""
     lc = base.LC
-    return sum(base.degrees()), [(m, Fraction(c, lc)) for m, c in base.terms()]
+    return sum(base.degrees()), [(m, Fraction(c, lc))
+                                 for m, c in sorted(base.packed.items(), reverse=True)]
 
 
 class RatFunc:
@@ -212,7 +217,7 @@ class RatFunc:
         in the chart's field."""
         self.chart, self.num = chart, num
         self.c = c
-        self.factors = factors if num else ()
+        self.factors = factors if num.packed else ()
         self._den = None
         self._diffs = None
         self._floats = None
@@ -408,7 +413,8 @@ class RatFunc:
         contents multiplied and its factor multisets merged, and
         ``_common_sum`` adds them and reduces the sum once.  One such
         product is ``x * y``; with none the sum is ``xs[0].zero()``."""
-        pairs = [(x, y) for x, y in zip(xs, ys) if x.num and y.num]  # .num skips is_zero
+        # A dict's truth test: is_zero and Poly.__bool__ are calls.
+        pairs = [(x, y) for x, y in zip(xs, ys) if x.num.packed and y.num.packed]
         if len(pairs) < 2:
             return pairs[0][0] * pairs[0][1] if pairs else xs[0].zero()
         first, terms = pairs[0][0], []
@@ -426,18 +432,18 @@ class RatFunc:
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.num.packed
 
     def is_constant(self) -> bool:
         # Constant: every term is 1 or s, i.e. has no chart exponent.
-        return not self.factors and all(sum(m) == m[-1] for m in self.num)
+        return not self.factors and max(self.num.packed, default=0) <= MASK
 
     def constant_value(self) -> QuadScalar:
         if not self.is_constant():
             raise ExprError("not a constant expression")
         parts = [0, 0]
-        for m, c in self.num.items():
-            parts[m[-1]] = c
+        for m, c in self.num.packed.items():  # m is s's exponent
+            parts[m] = c
         a, b = Fraction(self.c * parts[0]), Fraction(self.c * parts[1])
         return QuadScalar(a, b, self.chart.field.d if b else 0)
 
@@ -526,8 +532,8 @@ class RatFunc:
 
     def on_chart(self, target: Chart) -> RatFunc:
         """The same function on a chart over the same field whose variables
-        begin with this chart's: each exponent tuple gains zeros for the new
-        variables, before the exponent of s.  Factors, exponents and their
+        begin with this chart's: each monomial gains zero fields for the new
+        variables, before the field of s.  Factors, exponents and their
         order are kept, so no arithmetic is done."""
         n = self.chart.dimension
         if (target.variables[:n] != self.chart.variables
@@ -538,10 +544,11 @@ class RatFunc:
             # skipped zeros itself, with it 0.7% less
             return RatFunc.constant(target, 0)
         ring = poly_ring(target.dimension + 1)
-        pad = (0,) * (target.dimension - n)
+        pad = FIELD * (target.dimension - n)
 
         def lift(p):
-            return ring({m[:-1] + pad + m[-1:]: c for m, c in p.items()})
+            return ring.dtype({((m - (e := m & MASK)) << pad) + e: c
+                               for m, c in p.packed.items()})
 
         return RatFunc(target, self.c, lift(self.num),
                        tuple((lift(base), e) for base, e in self.factors))
@@ -596,6 +603,7 @@ def _common_sum(chart: Chart, terms) -> RatFunc:
     numerator.  Then s^2 is folded, the content taken and the bases
     trial-divided once, on the sum.  ``__add__`` is the case of two terms
     of one poly each."""
+    new = terms[0][1][0].new  # a polynomial of the chart's ring
     merged: dict = {}
     for _, _, factors in terms:
         for base, e in factors.items():
@@ -611,9 +619,9 @@ def _common_sum(chart: Chart, terms) -> RatFunc:
             polys = [*polys, *[base ** (e - factors.get(base, 0)) for base, e in merged.items()
                                if factors.get(base, 0) < e]]
         if len(polys) == 1:
-            p = polys[0]
+            p = polys[0].packed
             if out is None:
-                out = p.copy() if m == 1 else p.mul_ground(m)
+                out = p.copy() if m == 1 else {mono: c * m for mono, c in p.items()}
                 continue
             get = out.get
             for mono, c in p.items():
@@ -628,13 +636,13 @@ def _common_sum(chart: Chart, terms) -> RatFunc:
         for q in rest[1:]:
             p = p * q
         if out is None:
-            out = p.new({})
-        out.ring.product(p, last, out)  # accumulates, zeros kept
+            out = {}
+        product(p.packed, last.packed, out)  # accumulates, zeros kept
         dense = True
     if dense:
         for mono in [mono for mono, c in out.items() if not c]:
             del out[mono]
-    k, num = _primitive(chart.field.fold(out))
+    k, num = _primitive(chart.field.fold(new(out)))
     num, factors = RatFunc._reduce(num, merged)
     return RatFunc(chart, g * k if den == 1 else _rat(g * k, den), num, factors)
 
@@ -648,9 +656,9 @@ def _cached_constant(chart: Chart, a_num: int, a_den: int = 1, b_num: int = 0,
     if b_num and not chart.field.d:
         raise ExprError(f"a multiple of a square root on {chart}")
     den = lcm(a_den, b_den)
-    n = chart.dimension
-    parts = {(0,) * n + (0,): a_num * (den // a_den), (0,) * n + (1,): b_num * (den // b_den)}
-    k, num = _primitive(poly_ring(n + 1)({m: c for m, c in parts.items() if c}))
+    parts = {0: a_num * (den // a_den), 1: b_num * (den // b_den)}  # 1 and s
+    ring = poly_ring(chart.dimension + 1)
+    k, num = _primitive(ring.dtype({m: c for m, c in parts.items() if c}))
     return RatFunc(chart, _rat(k, den), num, ())
 
 
@@ -660,13 +668,15 @@ def _cached_variable(chart: Chart, name: str) -> RatFunc:
     return RatFunc(chart, 1, gen, ())
 
 
-def _coeff_pairs(p):
+def _coeff_pairs(p) -> list:
     """(chart monomial, [a, b]) for each chart monomial of p, whose
-    coefficient is a + b*sqrt(d), in the ring's descending term order."""
+    coefficient is a + b*sqrt(d), in the ring's descending term order; a
+    chart monomial is an exponent tuple."""
     pairs: dict = {}
-    for m, c in p.terms():
-        pairs.setdefault(m[:-1], [0, 0])[m[-1]] = c
-    return pairs.items()
+    for m, c in sorted(p.packed.items(), reverse=True):
+        pairs.setdefault(m >> FIELD, [0, 0])[m & MASK] = c
+    unpack = p.ring.unpack
+    return [(unpack(m << FIELD)[:-1], ab) for m, ab in pairs.items()]
 
 
 def _poly_at(p, scale, images: list[RatFunc], target: Chart, d: int) -> RatFunc:
@@ -812,8 +822,10 @@ def _integer(text: str, at: int) -> int:
 
 
 def _degree(p) -> int:
-    """Total degree of p in the chart coordinates."""
-    return max((sum(m[:-1]) for m in p), default=0)
+    """Total degree of p in the chart coordinates: the sum of a packed
+    monomial's chart fields, read by casting out 2^FIELD - 1, as 2^FIELD is 1
+    modulo it; a total degree fits in one field (see ``poly``)."""
+    return max([(m >> FIELD) % MASK for m in p.packed], default=0)
 
 
 def _tokenize(text: str):
