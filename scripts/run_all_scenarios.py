@@ -2,12 +2,16 @@
 """Run every bundled scenario and summarize the verdicts.
 
 Usage: python3 scripts/run_all_scenarios.py [--seed N] [--verbose]
-Exit status is 0 only if every scenario passes.
+Exit status is 0 only if every scenario passes.  The package is loaded from
+the ``src/`` next to this script, so it runs in a checkout without an install.
 """
 
 import argparse
 import sys
 import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from metallifts.cli import _seed, builtin_names, load_builtin
 from metallifts.report import DEFAULT_SEED, render_text, run_scenario

@@ -4,12 +4,16 @@
 The structure is built by conjugating diag(1, -1) through the basis of the
 two target eigendistributions R = span{d/dx - (x+y) d/dy} and
 S = span{(x+y) d/dx + d/dy}, then mapping through the product-to-metallic
-correspondence.
+correspondence.  The package is loaded from the ``src/`` next to this
+script, so it runs in a checkout without an install.
 
 Usage: python3 scripts/show_worked_example.py [alpha beta]
 """
 
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from metallifts.integrability import (example_41_distribution_generators,
                                       example_41_structure, nijenhuis_t11)

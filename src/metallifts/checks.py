@@ -32,8 +32,8 @@ from .metallic import (MetallicStructure, composite_relation, mean_defining,
                        metallic_from_product, metallic_residual, minimal_polynomial_check,
                        product_from_metallic, product_roundtrip, projector_algebra,
                        projector_expansions, square_residual)
-from .scenario import Scenario
-from .symexpr import ExprError, RatFunc, _excerpt, parse_expr, parse_integer
+from .scenario import Scenario, parse_once
+from .symexpr import ExprError, RatFunc, _excerpt, parse_integer
 
 
 class CheckError(ValueError):
@@ -79,10 +79,13 @@ def _lookup(table: dict, what: str, name: str):
 
 
 class Context:
-    """Resolution of scenario names.  Lifts, frame-swap products, Nijenhuis
-    tensors, section invariance, metallic forms and residuals are memoised
-    by the library itself (``geometry.per_run``) inside the ``run_memo()``
-    scope of a scenario run."""
+    """Resolution of scenario names and expression arguments.  An
+    expression is read through the scenario's parse memo
+    (``scenario.parse_once``), so a check argument that restates a declared
+    entry is that entry's value, parsed once.  Lifts, frame-swap products,
+    Nijenhuis tensors, section invariance, metallic forms and residuals are
+    memoised by the library itself (``geometry.per_run``) inside the
+    ``run_memo()`` scope of a scenario run."""
 
     def __init__(self, scenario: Scenario):
         self.s = scenario
@@ -123,7 +126,7 @@ class Context:
         if not text:
             raise CheckError("missing expression argument")
         try:
-            return parse_expr(text, self.chart, self.params)
+            return parse_once(self.s.exprs, text, self.chart, self.params)
         except ExprError as exc:
             raise CheckError(f"in expression {_excerpt(text)}: {exc}") from exc
 

@@ -28,7 +28,9 @@ grammar of :mod:`.symexpr`, and an ordered list of checks.  Format::
                                     # trailing expression, per check type
 
 Commas separate entries; the expression grammar itself contains no
-commas.  Indentation is cosmetic.
+commas.  Indentation is cosmetic.  A scenario parses each expression text
+once: an entry or check argument that repeats an earlier text, up to runs
+of whitespace, is that text's value (``Scenario.exprs``).
 """
 
 from __future__ import annotations
@@ -67,6 +69,21 @@ class Scenario:
     connections: dict[str, Connection] = field(default_factory=dict)
     distributions: dict[str, tuple[VectorField, ...]] = field(default_factory=dict)
     checks: list[CheckSpec] = field(default_factory=list)
+    # The value of each expression text parsed on this scenario, keyed by the
+    # text with its runs of whitespace collapsed (see ``parse_once``).
+    exprs: dict[str, RatFunc] = field(default_factory=dict, compare=False, repr=False)
+
+
+def parse_once(memo: dict, text: str, chart: Chart, params: MetallicParams) -> RatFunc:
+    """``parse_expr(text, chart, params)``, kept in ``memo`` under the text
+    with its runs of whitespace collapsed, and read from there when a text
+    comes again.  A text that fails is not kept, so it raises its own error
+    every time."""
+    key = " ".join(text.split())
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = parse_expr(text, chart, params)
+    return value
 
 
 def _split_kv(token: str, key: str) -> str:
@@ -100,12 +117,12 @@ def _header(head: str, rest: str):
         raise ValueError(f"invalid params: {exc}") from exc
 
 
-def _entry(piece: str, chart: Chart, params: MetallicParams) -> RatFunc:
+def _entry(piece: str, chart: Chart, params: MetallicParams, memo: dict) -> RatFunc:
     piece = piece.strip()
     if not piece:
         raise ValueError("empty entry in comma-separated list")
     try:
-        return parse_expr(piece, chart, params)
+        return parse_once(memo, piece, chart, params)
     except ExprError as exc:
         raise ValueError(f"in expression {_excerpt(piece)}: {exc}") from exc
 
@@ -152,6 +169,7 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
     given: dict = {}  # the values of the scenario, chart and params lines
     declared: dict = {kind: {} for kind in _DECLARATIONS}
     checks: list[CheckSpec] = []
+    exprs: dict = {}  # Scenario.exprs
     kind = name = extra = at = None  # the open declaration, if any,
     body: list = []  # and its parsed lines
 
@@ -192,7 +210,8 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
                     raise ValueError("row before the first block")
                 # a connection's rows go into the sub-list of its last block
                 (body[-1] if kind == "connection" else body).append(
-                    [_entry(piece, given["chart"], given["params"]) for piece in rest.split(",")])
+                    [_entry(piece, given["chart"], given["params"], exprs)
+                     for piece in rest.split(",")])
             elif head in ("scenario", "chart", "params"):
                 if head in given:
                     raise ValueError(f"{head!r} is given twice")
@@ -233,7 +252,7 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
         raise ScenarioError("scenario declares no checks", path)
     return Scenario(given["scenario"], given["chart"], given["params"],
                     **{kind + "s": values for kind, values in declared.items()},
-                    checks=checks)
+                    checks=checks, exprs=exprs)
 
 
 def load_scenario(path) -> Scenario:

@@ -34,6 +34,10 @@ how the denominators are factored.  Rendering and numeric evaluation read
 the value as a numerator over ``QQ`` divided by monic bases: each printed
 coefficient comes from the integer pair ``(A, B)`` of a chart monomial's
 ``A + B*s`` in ``N`` times the content, with no scalar type between.
+A value put on a larger chart by ``on_chart`` is ``f o pi`` for its
+source ``f`` and the projection ``pi``, and records ``f``: its derivative
+is ``(df/dx) o pi`` in a source variable ``x`` and 0 in a new one, so no
+quotient rule runs on the larger chart.
 """
 
 from __future__ import annotations
@@ -207,7 +211,7 @@ def _fkey(base):
 class RatFunc:
     """Multivariate rational function on a chart, denominator kept factored."""
 
-    __slots__ = ("chart", "c", "num", "factors", "_den", "_diffs", "_floats")
+    __slots__ = ("chart", "c", "num", "factors", "_den", "_diffs", "_floats", "_source")
 
     def __init__(self, chart: Chart, c, num, factors):
         """c * num / prod(base**e for base, e in factors), taken as given:
@@ -221,6 +225,7 @@ class RatFunc:
         self._den = None
         self._diffs = None
         self._floats = None
+        self._source = None  # the value this one lifts, set by on_chart
 
     # -- denominator handling -----------------------------------------
 
@@ -482,13 +487,25 @@ class RatFunc:
         with Q the product of the bases F that depend on ``var``; the
         others keep their exponent, and no denominator is expanded.  The
         terms are summed by ``_common_sum`` and reduced once.  Each result
-        is cached on the value."""
+        is cached on the value.
+
+        A value made by ``on_chart`` is ``f o pi`` for its source ``f``, and
+        ``d(f o pi)/dvar`` is ``(df/dvar) o pi`` for a variable of f's chart
+        and 0 for a new one, with no quotient rule run here.  Lifting keeps
+        the order of the packed monomials, so that is the value the rule
+        would give, term for term and factor for factor."""
         if self._diffs is None:
             self._diffs = {}
         cached = self._diffs.get(var)
         if cached is not None:
             return cached
         i = self.chart.index(var)
+        source = self._source
+        if source is not None:
+            out = (source.diff(var).on_chart(self.chart) if i < source.chart.dimension
+                   else self.zero())
+            self._diffs[var] = out
+            return out
         # c*N' over the bases as they are, and -e*c*F'*N over them with F
         # raised once more: the common denominator is prod F^e * Q, and
         # each term's cofactor is the part of Q it lacks.
@@ -534,7 +551,10 @@ class RatFunc:
         """The same function on a chart over the same field whose variables
         begin with this chart's: each monomial gains zero fields for the new
         variables, before the field of s.  Factors, exponents and their
-        order are kept, so no arithmetic is done."""
+        order are kept, so no arithmetic is done.  Read on the target, the
+        value is ``f o pi`` for this value ``f`` and the projection ``pi`` onto
+        this chart's variables; it records ``f``, from which ``diff`` takes
+        its derivatives."""
         n = self.chart.dimension
         if (target.variables[:n] != self.chart.variables
                 or target.field.d != self.chart.field.d):
@@ -550,8 +570,10 @@ class RatFunc:
             return ring.dtype({((m - (e := m & MASK)) << pad) + e: c
                                for m, c in p.packed.items()})
 
-        return RatFunc(target, self.c, lift(self.num),
-                       tuple((lift(base), e) for base, e in self.factors))
+        out = RatFunc(target, self.c, lift(self.num),
+                      tuple((lift(base), e) for base, e in self.factors))
+        out._source = self
+        return out
 
     # -- numeric ------------------------------------------------------
 

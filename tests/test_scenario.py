@@ -1,7 +1,9 @@
 import pytest
 
+from metallifts.checks import CheckError, Context
+from metallifts.cli import load_builtin
 from metallifts.report import render_structured, run_scenario
-from metallifts.scenario import Scenario, ScenarioError, parse_scenario
+from metallifts.scenario import Scenario, ScenarioError, parse_once, parse_scenario
 
 GOOD = """\
 # a minimal scenario
@@ -218,3 +220,51 @@ def test_long_params_value_is_quoted_in_part():
     assert len(msg) < 200
     assert f"invalid params: {'x' * 60!r}... (5000 characters) is not an integer" in msg
 
+
+def test_a_check_argument_that_restates_an_entry_is_that_entry():
+    sc = load_builtin("example_4_1")
+    spec = next(c for c in sc.checks if c.kind == "component" and c.args[1:3] == ("1", "2"))
+    assert spec.args[0] == "PSI"
+    assert Context(sc).expr(spec.args[3:]) is sc.structures["PSI"][1].components[0][1]
+
+
+def test_texts_that_differ_only_in_whitespace_share_one_value():
+    sc = parse_scenario("scenario s\nchart x y\nparams alpha=1 beta=1\n"
+                        "field X\n  row x  +  y , x + y\n"
+                        "field Y\n  row x\t+ y , 2\ncheck component P 1 1 x + y\n")
+    value = sc.fields["X"].components[0]
+    assert sc.fields["X"].components[1] is value
+    assert sc.fields["Y"].components[0] is value
+    assert Context(sc).expr(("x", "+", "y")) is value
+    assert parse_once(sc.exprs, " x +\ty ", sc.chart, sc.params) is value
+    assert list(sc.exprs) == ["x + y", "2"]
+
+
+def test_a_bad_text_raises_its_own_error_every_time():
+    text = "scenario s\nchart x y\nparams alpha=1 beta=1\nfield X\n  row {} , y\ncheck metallic P\n"
+    for _ in range(2):
+        for entry, position in (("x *", 3), ("x   *", 5)):
+            with pytest.raises(ScenarioError) as info:
+                parse_scenario(text.format(entry), "w.scn")
+            assert str(info.value) == (f"w.scn:5: in expression {entry!r}: expected a value, "
+                                       f"found 'end of input' (at position {position})")
+    sc = parse_scenario(text.format("x"), "w.scn")
+    context = Context(sc)
+    for _ in range(2):
+        for tokens, message in ((("x", "*"), "expected a value, found 'end of input' "
+                                              "(at position 3)"),
+                                (("(x",), "expected ), found end of input (at position 2)")):
+            with pytest.raises(CheckError) as info:
+                context.expr(tokens)
+            assert str(info.value) == f"in expression {' '.join(tokens)!r}: {message}"
+    assert list(sc.exprs) == ["x", "y"]
+
+
+def test_two_parses_of_one_text_share_no_value():
+    first, second = parse_scenario(GOOD), parse_scenario(GOOD)
+    assert first == second and first.exprs is not second.exprs
+    assert list(first.exprs) == list(second.exprs) == ["0", "1", "x*y", "y^2", "-(x + y)"]
+    for text, value in first.exprs.items():
+        assert value == second.exprs[text]
+        # Constants come from the library's cache of chart constants.
+        assert value.is_constant() or value is not second.exprs[text]

@@ -10,7 +10,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, *args):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # No PYTHONPATH: each script finds the package in the src/ next to it.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
                           capture_output=True, text=True, timeout=300)
 

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metallifts.lifts import tangent_bundle
 from metallifts.numfield import QuadScalar, make_params, rational_text, squarefree_split
 from metallifts.symexpr import (MAX_DEGREE, MAX_TERMS, Chart, DivisionByZeroExpr,
                                 ExprError, ParseError, RatFunc, ResampleNeeded, _fold,
@@ -324,6 +325,58 @@ def test_substitute_onto_new_chart():
     h = (X * base.reciprocal() ** 3).on_chart(big)
     assert h.factors == ((parse_expr("x^2 + y^2 + 1", big).num, 3),)
     assert h == parse_expr("x / (x^2 + y^2 + 1)^3", big)
+
+
+@st.composite
+def base_values(draw):
+    """A polynomial over up to two polynomial bases, each to a power of 1
+    to 3, on a chart of 1 to 3 variables over QQ or over Q(sqrt 5)."""
+    n, d = draw(st.integers(1, 3)), draw(st.sampled_from([0, 5]))
+    chart = Chart(("x", "y", "z")[:n], d)
+
+    def poly():
+        out = RatFunc.constant(chart, 0)
+        for _ in range(draw(st.integers(1, 4))):
+            term = RatFunc.constant(chart, draw(st.integers(-4, 4)),
+                                    draw(st.integers(-2, 2)) if d else 0)
+            for name in chart.variables:
+                term = term * RatFunc.variable(chart, name) ** draw(st.integers(0, 2))
+            out = out + term
+        return out
+
+    f = poly()
+    for _ in range(draw(st.integers(0, 2))):
+        base = poly()
+        if not base.is_zero:
+            f = f / base ** draw(st.integers(1, 3))
+    return f
+
+
+def unlinked(f: RatFunc) -> RatFunc:
+    """f's parts as a new value, which takes its derivatives by the
+    quotient rule."""
+    return RatFunc(f.chart, f.c, f.num, f.factors)
+
+
+def parts(f: RatFunc):
+    return f.chart, f.c, f.num.packed, [(base.packed, e) for base, e in f.factors]
+
+
+@settings(max_examples=80, deadline=None)
+@given(base_values())
+def test_a_lifted_value_takes_its_derivatives_from_the_base_chart(f):
+    """On TM and on T(TM), the derivative of a lift f o pi by any variable
+    has the parts the quotient rule gives on a copy with no link to f, and
+    is zero in each fibre direction."""
+    tb = tangent_bundle(f.chart)
+    lifted = tb.up(f)
+    twice = tangent_bundle(tb.chart).up(lifted)
+    for value, base in ((lifted, f.chart), (twice, tb.chart)):
+        for var in value.chart.variables:
+            got = value.diff(var)
+            assert parts(got) == parts(unlinked(value).diff(var))
+            if var not in base.variables:
+                assert got.is_zero
 
 
 def test_substitute_keeps_the_factored_denominator():
