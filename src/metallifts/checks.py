@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .cross_section import (CrossSection, induced_structure, invariance_check,
                             lift_decomposition_check, section_nijenhuis_check)
@@ -192,8 +193,8 @@ def check_mean_defining(ctx: Context) -> CheckOutcome:
 def check_mean_value(ctx: Context, *expr) -> CheckOutcome:
     value = ctx.expr(expr)
     out = CheckOutcome(f"sigma equals {' '.join(expr)} exactly")
-    out.residuals.append(Residual("sigma - claimed", value - RatFunc.constant(
-        ctx.chart, ctx.params.sigma), "zero"))
+    sigma = ctx.params.constant(ctx.chart, Fraction(ctx.params.alpha, 2), Fraction(1, 2))
+    out.residuals.append(Residual("sigma - claimed", value - sigma, "zero"))
     return out
 
 

@@ -45,7 +45,7 @@ def b_lift(X: VectorField, cs: CrossSection) -> VectorField:
 def c_lift(X: VectorField) -> VectorField:
     """CX = (0, X^h); componentwise the vertical lift."""
     tb = tangent_bundle(X.chart)
-    zero = RatFunc.constant(tb.chart, 0)
+    zero = tb.chart.constant(0)
     return VectorField(tb.chart, tuple([zero] * tb.n + [tb.up(c) for c in X.components]))
 
 

@@ -69,9 +69,7 @@ def _same_chart(*objs):
 
 
 def _as_ratfunc(chart: Chart, value) -> RatFunc:
-    if isinstance(value, RatFunc):
-        return value
-    return RatFunc.constant(chart, value)
+    return value if isinstance(value, RatFunc) else chart.constant(value)
 
 
 def _build(n: int, rank: int, f):
@@ -100,7 +98,7 @@ def _contract(xs, ys) -> RatFunc:
     ``RatFunc.sum_of_products``: the products whose factors are both
     nonzero go over one common denominator, their numerators are added,
     and the sum is reduced once.  A term with a zero factor is skipped
-    unmultiplied, and with none left the sum is xs[0].zero().  Every sum of
+    unmultiplied, and with none left the sum is 0.  Every sum of
     products in the tensor layers is this function; a difference is passed
     as a sum with its subtracted factor negated."""
     return RatFunc.sum_of_products(xs, ys)
@@ -204,7 +202,7 @@ class Tensor12Field(_Field):
         """The tensor with N(e_i, e_j) = value(i, j) (a VectorField) for
         i < j, N(e_j, e_i) = -N(e_i, e_j) and N(e_i, e_i) = 0."""
         n = chart.dimension
-        zero = RatFunc.constant(chart, 0)
+        zero = chart.constant(0)
         pairs = {(i, j): value(i, j).components for i in range(n) for j in range(i + 1, n)}
         return cls(chart, _build(n, 3, lambda h, i, j: (
             pairs[i, j][h] if i < j else -pairs[j, i][h] if i > j else zero)))
@@ -297,7 +295,7 @@ def invert_t11(T: Tensor11Field) -> Tensor11Field:
     chart = T.chart
     n = chart.dimension
     aug = [[T.components[h][i] for i in range(n)]
-           + [RatFunc.constant(chart, 1 if h == i else 0) for i in range(n)]
+           + [chart.constant(1 if h == i else 0) for i in range(n)]
            for h in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if not aug[r][col].is_zero), None)

@@ -30,7 +30,7 @@ from .metallic import (MetallicStructure, StructureError, check_square_is,
                        metallic_from_product, metallic_recipe,
                        projectors_from_metallic)
 from .numfield import MetallicParams
-from .symexpr import Chart, RatFunc, parse_expr
+from .symexpr import Chart, parse_expr
 
 
 def nijenhuis_apply(T: Tensor11Field, X: VectorField, Y: VectorField) -> VectorField:
@@ -124,7 +124,7 @@ def distributions_integrable(M: MetallicStructure, gens_r, gens_s):
 def example_41_distribution_generators(chart: Chart) -> tuple[VectorField, VectorField]:
     """R = span{d/dx - (x+y) d/dy}, S = span{(x+y) d/dx + d/dy}."""
     w = parse_expr("x + y", chart)
-    one = RatFunc.constant(chart, 1)
+    one = chart.constant(1)
     gen_r = VectorField(chart, (one, -w))
     gen_s = VectorField(chart, (w, one))
     return gen_r, gen_s

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .geometry import (Connection, Tensor11Field, VectorField, _contract, _same_chart,
                        apply_t11, compose_t11, invert_t11, linear_combination, per_run)
-from .metallic import metallic_recipe, metallic_residual, param_constant
+from .metallic import metallic_recipe, metallic_residual
 from .numfield import MetallicParams
 from .symexpr import Chart, RatFunc
 
@@ -43,7 +43,7 @@ class TangentBundleChart:
 
     def fiber_sum(self, fs) -> RatFunc:
         """sum_a y^a f_a on TM for base-chart functions f_a."""
-        return _contract([RatFunc.variable(self.chart, y) for y in self.fiber_variables],
+        return _contract([self.chart.variable(y) for y in self.fiber_variables],
                          [self.up(f) for f in fs])
 
 
@@ -60,7 +60,7 @@ def tangent_bundle(base: Chart) -> TangentBundleChart:
 
 def vertical_lift_vf(X: VectorField) -> VectorField:
     tb = tangent_bundle(X.chart)
-    zero = RatFunc.constant(tb.chart, 0)
+    zero = tb.chart.constant(0)
     return VectorField(tb.chart, tuple([zero] * tb.n + [tb.up(c) for c in X.components]))
 
 
@@ -75,7 +75,7 @@ def complete_lift_vf(X: VectorField) -> VectorField:
 def _lower_triangular(diag, lower) -> Tensor11Field:
     """[[diag, 0], [lower, diag]] on TM from n x n blocks; diag None is zero."""
     chart = lower[0][0].chart
-    zero = (RatFunc.constant(chart, 0),) * len(lower)
+    zero = (chart.constant(0),) * len(lower)
     diag = diag or [zero] * len(lower)
     return Tensor11Field(chart, tuple(
         [tuple(row) + zero for row in diag]
@@ -171,7 +171,7 @@ def jtilde_printed(conn: Connection, params: MetallicParams) -> dict[str, Tensor
     vanish exactly when alpha = 1."""
     p_swap = frame_swap_product(conn)
     printed = linear_combination([(Fraction(1, 2), Tensor11Field.identity(p_swap.chart)),
-                                  (param_constant(p_swap.chart, params, 0, Fraction(1, 2)),
+                                  (params.constant(p_swap.chart, 0, Fraction(1, 2)),
                                    p_swap)])
     return {"printed - derived": linear_combination(
                 [(1, printed), (-1, metallic_recipe(p_swap, params))]),

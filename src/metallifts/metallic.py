@@ -48,20 +48,10 @@ def check_square_is(T: Tensor11Field, scalar, what: str) -> None:
             f"is nonzero: {_component_text(c)}")
 
 
-def param_constant(chart: Chart, params: MetallicParams, a, b=0) -> RatFunc:
-    """The constant a + b*sqrtD on ``chart``, for rationals a and b, with
-    sqrtD = k*sqrt(d) over the params' field, or the integer k when D is a
-    square.  In this form every constant of a metallic pair is closed, as
-    1/sqrtD = sqrtD/D and sigma = alpha/2 + sqrtD/2."""
-    if params.radicand:
-        return RatFunc.constant(chart, a, b * params.sqrtD.b)
-    return RatFunc.constant(chart, a + b * params.sqrtD.a)
-
-
 def mean_defining(chart: Chart, params: MetallicParams) -> RatFunc:
     """sigma^2 - alpha*sigma - beta on ``chart``: zero, as sigma is a root
     of x^2 - alpha*x - beta."""
-    sigma = RatFunc.constant(chart, params.sigma)
+    sigma = params.constant(chart, Fraction(params.alpha, 2), Fraction(1, 2))
     return sigma * sigma - params.alpha * sigma - params.beta
 
 
@@ -102,7 +92,7 @@ class ProjectorPair:
 def metallic_recipe(T: Tensor11Field, params: MetallicParams) -> Tensor11Field:
     """(alpha*I + sqrtD*T)/2, metallic when T is an almost product structure."""
     return linear_combination([(Fraction(params.alpha, 2), Tensor11Field.identity(T.chart)),
-                               (param_constant(T.chart, params, 0, Fraction(1, 2)), T)])
+                               (params.constant(T.chart, 0, Fraction(1, 2)), T)])
 
 
 @per_run
@@ -114,8 +104,8 @@ def metallic_from_product(P: Tensor11Field, params: MetallicParams) -> MetallicS
 def product_from_metallic(M: MetallicStructure) -> Tensor11Field:
     """(2*Psi - alpha*I)/sqrtD, with 1/sqrtD = sqrtD/D."""
     params, D = M.params, M.params.discriminant
-    P = linear_combination([(param_constant(M.chart, params, 0, Fraction(2, D)), M.tensor),
-                            (param_constant(M.chart, params, 0, Fraction(-params.alpha, D)),
+    P = linear_combination([(params.constant(M.chart, 0, Fraction(2, D)), M.tensor),
+                            (params.constant(M.chart, 0, Fraction(-params.alpha, D)),
                              Tensor11Field.identity(M.chart))])
     check_square_is(P, 1, "recovered tensor is not almost product")
     return P
@@ -133,12 +123,12 @@ def projectors_from_metallic(M: MetallicStructure) -> ProjectorPair:
     (alpha - sigma)/sqrtD = -1/2 + alpha*sqrtD/(2*D)."""
     params, chart = M.params, M.chart
     identity = Tensor11Field.identity(chart)
-    inv = param_constant(chart, params, 0, Fraction(1, params.discriminant))
+    inv = params.constant(chart, 0, Fraction(1, params.discriminant))
     shift = Fraction(params.alpha, 2 * params.discriminant)
     r = linear_combination([(inv, M.tensor),
-                            (param_constant(chart, params, Fraction(1, 2), -shift), identity)])
+                            (params.constant(chart, Fraction(1, 2), -shift), identity)])
     s = linear_combination([(-inv, M.tensor),
-                            (param_constant(chart, params, Fraction(1, 2), shift), identity)])
+                            (params.constant(chart, Fraction(1, 2), shift), identity)])
     return ProjectorPair(r, s)
 
 
@@ -150,8 +140,8 @@ def projector_algebra(M: MetallicStructure) -> dict[str, Tensor11Field]:
     r, s = pair.r, pair.s
     half = Fraction(1, 2)
     # -sigma = -alpha/2 - sqrtD/2 and -(alpha - sigma) = -alpha/2 + sqrtD/2
-    minus_sigma = param_constant(chart, params, Fraction(-params.alpha, 2), -half)
-    minus_conjugate = param_constant(chart, params, Fraction(-params.alpha, 2), half)
+    minus_sigma = params.constant(chart, Fraction(-params.alpha, 2), -half)
+    minus_conjugate = params.constant(chart, Fraction(-params.alpha, 2), half)
     residuals = {
         "r + s - I": linear_combination([(1, r), (1, s),
                                          (-1, Tensor11Field.identity(chart))]),
@@ -179,17 +169,18 @@ def projector_expansions(M: MetallicStructure) -> tuple[dict[str, Tensor11Field]
     # alpha - sigma = alpha/2 - sqrtD/2, sigma/sqrtD = 1/2 + alpha*sqrtD/(2*D),
     # (alpha-sigma)/sqrtD = -1/2 + alpha*sqrtD/(2*D), beta/sqrtD = beta*sqrtD/D.
     half, shift = Fraction(1, 2), Fraction(params.alpha, 2 * params.discriminant)
-    conjugate = param_constant(chart, params, Fraction(params.alpha, 2), -half)
-    minus_sigma_over = param_constant(chart, params, -half, -shift)
-    conjugate_over = param_constant(chart, params, -half, shift)
-    beta_over = param_constant(chart, params, 0, Fraction(params.beta, params.discriminant))
+    sigma = params.constant(chart, Fraction(params.alpha, 2), half)
+    conjugate = params.constant(chart, Fraction(params.alpha, 2), -half)
+    minus_sigma_over = params.constant(chart, -half, -shift)
+    conjugate_over = params.constant(chart, -half, shift)
+    beta_over = params.constant(chart, 0, Fraction(params.beta, params.discriminant))
     derived = {
         "sigma*r - derived": linear_combination(
-            [(params.sigma, pair.r), (minus_sigma_over, psi), (-beta_over, identity)]),
+            [(sigma, pair.r), (minus_sigma_over, psi), (-beta_over, identity)]),
         "(alpha-sigma)*s - derived": linear_combination(
             [(conjugate, pair.s), (conjugate_over, psi), (beta_over, identity)])}
     return derived, linear_combination(
-        [(params.sigma, pair.r), (minus_sigma_over, psi), (beta_over, identity)])
+        [(sigma, pair.r), (minus_sigma_over, psi), (beta_over, identity)])
 
 
 @dataclass(frozen=True)
@@ -224,7 +215,7 @@ def _claimed_polynomial(kind: str, params: MetallicParams,
         c0 = Fraction(alpha * alpha, 4) + beta
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return RatFunc.constant(chart, -alpha), RatFunc.constant(chart, c0)
+    return chart.constant(-alpha), chart.constant(c0)
 
 
 def minimal_polynomial_check(T: Tensor11Field, kind: str,
@@ -244,10 +235,10 @@ def minimal_polynomial_check(T: Tensor11Field, kind: str,
     scalar = psi.components[0][0]
     if linear_combination([(1, psi), (-scalar, identity)]).is_zero:
         # psi = lambda*I, with linear minimal polynomial X - lambda.
-        return PolynomialReport(kind, 1, scalar.zero(), -scalar, claimed_c1, claimed_c0)
-    c1 = RatFunc.constant(chart, -params.alpha)
-    c0 = RatFunc.constant(chart, Fraction(params.alpha ** 2 - _KIND_SQUARE[kind]
-                                          * params.discriminant, 4))
+        return PolynomialReport(kind, 1, chart.constant(0), -scalar, claimed_c1, claimed_c0)
+    c1 = chart.constant(-params.alpha)
+    c0 = chart.constant(Fraction(params.alpha ** 2 - _KIND_SQUARE[kind]
+                                 * params.discriminant, 4))
     residual = linear_combination([(c1, psi), (c0, identity)], compose=(psi, psi))
     if not residual.is_zero:
         raise StructureError("derived structure has no quadratic annihilator "
@@ -265,8 +256,8 @@ def composite_relation(P: Tensor11Field, F: Tensor11Field,
     psi_p, psi_f = metallic_recipe(P, params), metallic_recipe(F, params)
     psi_j = metallic_recipe(compose_t11(P, F), params)
     alpha = params.alpha
-    minus_alpha_sigma = param_constant(chart, params, Fraction(-alpha * alpha, 2),
-                                       Fraction(-alpha, 2))
-    return linear_combination([(params.sqrtD, psi_j), (alpha, psi_p), (alpha, psi_f),
+    sqrt_d = params.constant(chart, 0, 1)
+    minus_alpha_sigma = params.constant(chart, Fraction(-alpha * alpha, 2), Fraction(-alpha, 2))
+    return linear_combination([(sqrt_d, psi_j), (alpha, psi_p), (alpha, psi_f),
                                (minus_alpha_sigma, Tensor11Field.identity(chart))],
                               compose=(psi_p.scale(-2), psi_f))

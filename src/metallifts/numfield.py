@@ -4,9 +4,10 @@
 field Q(sqrt(d)), d the squarefree part of D = alpha^2 + 4*beta, in closed
 form: sqrtD = k*sqrt(d) and sigma = (alpha + k*sqrt(d))/2.  Each is a
 ``QuadScalar``, the record ``a + b*sqrt(d)`` with exact rational parts that
-prints a constant and compares it; it has no arithmetic.  Values are
-computed on a chart (``symexpr``), whose constants are built from rational
-parts (``metallic.param_constant`` builds a + b*sqrtD), and
+prints a constant and compares it; it has no arithmetic and never enters a
+chart.  Values are computed on a chart (``symexpr``), which builds its
+constants from rational parts: every constant of the pair is
+``MetallicParams.constant(chart, a, b) = a + b*sqrtD``, and
 ``RatFunc.constant_value`` reads a constant back out as a ``QuadScalar``.
 """
 
@@ -105,6 +106,14 @@ class MetallicParams:
     @property
     def radicand(self) -> int:
         return self.sqrtD.d
+
+    def constant(self, chart, a, b=0):
+        """a + b*sqrtD on a ``symexpr.Chart`` over the params' field, for
+        rationals a and b: the closed form of every constant of the pair,
+        as sigma = alpha/2 + sqrtD/2 and 1/sqrtD = sqrtD/D."""
+        if self.radicand:
+            return chart.constant(a, b * self.sqrtD.b)
+        return chart.constant(a + b * self.sqrtD.a)
 
 
 # Largest discriminant D = alpha^2 + 4*beta accepted.  sqrt(D) is brought to

@@ -6,7 +6,7 @@ grammar of :mod:`.symexpr`, and an ordered list of checks.  Format::
 
     # comment (anywhere; '#' to end of line)
     scenario NAME
-    chart VAR VAR ...               # not alpha, beta, sigma or sqrtD
+    chart VAR VAR ...               # identifiers, not alpha, beta, sigma or sqrtD
     params alpha=A beta=B
 
     structure NAME kind=KIND        # KIND: product|metallic|tangent|complex
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from .geometry import Connection, Tensor11Field, VectorField
 from .numfield import MetallicParams, make_params
-from .symexpr import (PARAM_NAMES, Chart, ExprError, RatFunc, _excerpt, parse_expr,
+from .symexpr import (PARAM_NAMES, Chart, ExprError, RatFunc, _excerpt, _tokenize, parse_expr,
                       parse_integer)
 
 STRUCTURE_KINDS = ("product", "metallic", "tangent", "complex")
@@ -98,15 +98,23 @@ def _header(head: str, rest: str):
         if not rest:
             raise ValueError("scenario needs a name")
         return rest
-    if head == "chart":
-        names = rest.split()
+    if head == "chart":  # the names; the Chart is built once params are in
+        names = tuple(rest.split())
         if not names:
             raise ValueError("chart needs at least one variable name")
-        reserved = [n for n in names if n in PARAM_NAMES]
-        if reserved:
-            raise ValueError(f"chart variable {reserved[0]!r} would shadow the "
-                             f"parameter of that name")
-        return Chart(names)
+        for n in names:
+            if n in PARAM_NAMES:
+                raise ValueError(f"chart variable {n!r} would shadow the parameter of that name")
+            try:  # one identifier token, or no expression could name it
+                kinds = [kind for kind, _, _ in _tokenize(n)]
+            except ExprError:
+                kinds = None
+            if kinds != ["ident", "end"]:
+                raise ValueError(f"chart variable {_excerpt(n)} is not a name an expression "
+                                 f"can use")
+        if len(set(names)) != len(names):
+            raise ValueError("chart variable names must be distinct")
+        return names
     parts = rest.split()
     if len(parts) != 2:
         raise ValueError("params needs alpha=A beta=B")
@@ -218,7 +226,7 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
                 given[head] = _header(head, rest)
                 if head != "scenario" and "chart" in given and "params" in given:
                     # the chart's coefficient field is the params' Q(sqrt D)
-                    given["chart"] = Chart(given["chart"].variables, given["params"].radicand)
+                    given["chart"] = Chart(given["chart"], given["params"].radicand)
             elif head != "check" and head not in _DECLARATIONS:
                 raise ValueError(f"unknown directive {head!r}")
             elif "chart" not in given or "params" not in given:

@@ -2,10 +2,11 @@
 
 A ``Chart`` is the coordinate names and one coefficient field Q(sqrt(d))
 (``Chart(variables, radicand)``; d = 0 is QQ), and every value on a chart
-has its coefficients in that field, so no operation joins two radicands.  A
-constant ``a + b*sqrt(d)`` is built from its rational parts and cached
-under their integers (``RatFunc.constant``); a ``numfield.QuadScalar``,
-the read-out of a constant, meets the chart's radicand only there.
+has its coefficients in that field, so no operation joins two radicands.
+The chart makes every constant, ``chart.constant(a, b) = a + b*sqrt(d)``
+from rational parts, and every variable, and keeps them: they go with it.
+No scalar type enters a chart (``MetallicParams.constant`` gives the pair's
+constants as parts), and ``RatFunc.constant_value`` reads one out.
 A ``RatFunc`` is ``c * N / prod(F_i^e_i)``: a rational content ``c`` (an
 int when integral, else a ``Fraction``), a numerator ``N`` in ``ZZ[x, s]/
 (s^2 - d)``, where ``x`` are the chart coordinates and ``s`` stands for
@@ -45,7 +46,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -101,9 +102,10 @@ class CoeffField:
 class Chart:
     """An ordered tuple of coordinate names over one coefficient field,
     Q(sqrt(radicand)); the only atlas we support.  Every value on a chart
-    has its coefficients in the chart's field."""
+    has its coefficients in the chart's field.  The chart makes each of its
+    constants and variables once and keeps them in a dict of its own."""
 
-    __slots__ = ("variables", "field", "_hash")
+    __slots__ = ("variables", "field", "_hash", "_values", "__weakref__")
 
     def __init__(self, variables, radicand: int = 0):
         variables = tuple(variables)
@@ -115,6 +117,7 @@ class Chart:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_hash", hash((variables, field.d)))
+        object.__setattr__(self, "_values", {})  # by name, or by integer parts
 
     def __setattr__(self, *args):
         raise AttributeError("Chart is immutable")
@@ -138,6 +141,36 @@ class Chart:
             return self.variables.index(name)
         except ValueError:
             raise ExprError(f"unknown chart variable {name!r}") from None
+
+    def constant(self, a, b=0) -> RatFunc:
+        """a + b*sqrt(d) for ints or Fractions a and b, d the radicand, kept
+        under its integers: an integer is its own key, and a key of
+        ``Fraction``s would hash several times slower."""
+        if type(a) is int and type(b) is int and not b:  # most constants
+            key = a
+        elif isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+            key = (a.numerator, a.denominator, b.numerator, b.denominator)
+            key = key[0] if key[1:] == (1, 0, 1) else key
+        else:
+            raise TypeError(f"a constant has int or Fraction parts, not {a!r} and {b!r}")
+        value = self._values.get(key)
+        if value is None:
+            a_num, a_den, b_num, b_den = (key, 1, 0, 1) if type(key) is int else key
+            if b_num and not self.field.d:
+                raise ExprError(f"a multiple of a square root on {self}")
+            den = lcm(a_den, b_den)
+            parts = {0: a_num * (den // a_den), 1: b_num * (den // b_den)}  # 1 and s
+            ring = poly_ring(self.dimension + 1)
+            k, num = _primitive(ring.dtype({m: c for m, c in parts.items() if c}))
+            value = self._values[key] = RatFunc(self, _rat(k, den), num, ())
+        return value
+
+    def variable(self, name: str) -> RatFunc:
+        value = self._values.get(name)
+        if value is None:
+            gen = poly_ring(self.dimension + 1).gens[self.index(name)]
+            value = self._values[name] = RatFunc(self, 1, gen, ())
+        return value
 
 
 def _has_radical(p) -> bool:
@@ -211,7 +244,8 @@ def _fkey(base):
 class RatFunc:
     """Multivariate rational function on a chart, denominator kept factored."""
 
-    __slots__ = ("chart", "c", "num", "factors", "_den", "_diffs", "_floats", "_source")
+    __slots__ = ("chart", "c", "num", "factors", "_den", "_diffs", "_floats", "_source",
+                 "__weakref__")
 
     def __init__(self, chart: Chart, c, num, factors):
         """c * num / prod(base**e for base, e in factors), taken as given:
@@ -257,34 +291,6 @@ class RatFunc:
             return num, tuple(factors.items())
         return num, tuple(sorted(factors.items(), key=lambda kv: _fkey(kv[0])))
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def constant(cls, chart: Chart, value, root=0) -> RatFunc:
-        """The constant value + root*sqrt(d) on chart, d its radicand, for
-        ints or Fractions value and root; or the constant a ``QuadScalar``
-        value reads out, whose radicand must be the chart's: this is where
-        a scalar enters a chart."""
-        if type(value) is int and not root:  # most constants: the shortest key
-            return _cached_constant(chart, value)
-        if isinstance(value, QuadScalar):
-            if value.d not in (0, chart.field.d):
-                raise ExprError(f"sqrt({value.d}) on {chart}")
-            value, root = value.a, value.b
-        return _cached_constant(chart, value.numerator, value.denominator,
-                                root.numerator, root.denominator)
-
-    @classmethod
-    def variable(cls, chart: Chart, name: str) -> RatFunc:
-        chart.index(name)
-        return _cached_variable(chart, name)
-
-    def zero(self) -> RatFunc:
-        return RatFunc.constant(self.chart, 0)
-
-    def one(self) -> RatFunc:
-        return RatFunc.constant(self.chart, 1)
-
     # -- compatibility ------------------------------------------------
 
     def _check_chart(self, other: RatFunc):
@@ -296,9 +302,7 @@ class RatFunc:
     def _coerce(chart, x):
         if isinstance(x, RatFunc):
             return x
-        if isinstance(x, (int, Fraction)):
-            return RatFunc.constant(chart, x)
-        return None
+        return chart.constant(x) if isinstance(x, (int, Fraction)) else None
 
     # -- arithmetic ---------------------------------------------------
 
@@ -326,7 +330,8 @@ class RatFunc:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(self.chart, other)
+        return NotImplemented if other is None else (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(self.chart, other)
@@ -334,7 +339,7 @@ class RatFunc:
             return NotImplemented
         self._check_chart(other)
         if not self.num or not other.num:
-            return RatFunc.constant(self.chart, 0)
+            return self.chart.constant(0)
         c = other.c if self.c == 1 else self.c if other.c == 1 else self.c * other.c
         if self.is_constant() or other.is_constant():
             # k*(A + s*B), k = a + b*s != 0, keeps the other operand's bases
@@ -393,7 +398,8 @@ class RatFunc:
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
-        return self._coerce(self.chart, other) / self
+        other = self._coerce(self.chart, other)
+        return NotImplemented if other is None else other / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -401,7 +407,7 @@ class RatFunc:
         if n < 0:
             return self.reciprocal() ** (-n)
         if n == 0:
-            return self.one()
+            return self.chart.constant(1)
         if n == 1:
             return self
         c, num = _fold(self.chart.field, self.c ** n, self.num ** n)
@@ -417,11 +423,11 @@ class RatFunc:
         unmultiplied.  Each other product is its two numerators, its
         contents multiplied and its factor multisets merged, and
         ``_common_sum`` adds them and reduces the sum once.  One such
-        product is ``x * y``; with none the sum is ``xs[0].zero()``."""
+        product is ``x * y``; with none the sum is 0 on ``xs[0]``'s chart."""
         # A dict's truth test: is_zero and Poly.__bool__ are calls.
         pairs = [(x, y) for x, y in zip(xs, ys) if x.num.packed and y.num.packed]
         if len(pairs) < 2:
-            return pairs[0][0] * pairs[0][1] if pairs else xs[0].zero()
+            return pairs[0][0] * pairs[0][1] if pairs else xs[0].chart.constant(0)
         first, terms = pairs[0][0], []
         for x, y in pairs:
             first._check_chart(x)
@@ -503,7 +509,7 @@ class RatFunc:
         source = self._source
         if source is not None:
             out = (source.diff(var).on_chart(self.chart) if i < source.chart.dimension
-                   else self.zero())
+                   else self.chart.constant(0))
             self._diffs[var] = out
             return out
         # c*N' over the bases as they are, and -e*c*F'*N over them with F
@@ -516,7 +522,7 @@ class RatFunc:
             d_base = base.diff(i)
             if d_base:
                 terms.append((-e * self.c, (d_base, self.num), {**own, base: e + 1}))
-        out = _common_sum(self.chart, terms) if terms else self.zero()
+        out = _common_sum(self.chart, terms) if terms else self.chart.constant(0)
         self._diffs[var] = out
         return out
 
@@ -535,7 +541,7 @@ class RatFunc:
         def image(name: str) -> RatFunc:
             if name in bindings:
                 return bindings[name]
-            return RatFunc.variable(target, name)
+            return target.variable(name)
 
         imgs = [image(n) for n in self.chart.variables]
         d = self.chart.field.d
@@ -562,7 +568,7 @@ class RatFunc:
         if not self.num:  # fiber sums lift every zero f_a: without this path a
             # complete_lift_metallic check took 4.6% longer than when fiber_sum
             # skipped zeros itself, with it 0.7% less
-            return RatFunc.constant(target, 0)
+            return target.constant(0)
         ring = poly_ring(target.dimension + 1)
         pad = FIELD * (target.dimension - n)
 
@@ -669,27 +675,6 @@ def _common_sum(chart: Chart, terms) -> RatFunc:
     return RatFunc(chart, g * k if den == 1 else _rat(g * k, den), num, factors)
 
 
-@lru_cache(maxsize=None)
-def _cached_constant(chart: Chart, a_num: int, a_den: int = 1, b_num: int = 0,
-                     b_den: int = 1) -> RatFunc:
-    """The constant a_num/a_den + (b_num/b_den)*sqrt(d) on ``chart``, d its
-    radicand, keyed by the integers: a key of ``Fraction``s hashes several
-    times slower."""
-    if b_num and not chart.field.d:
-        raise ExprError(f"a multiple of a square root on {chart}")
-    den = lcm(a_den, b_den)
-    parts = {0: a_num * (den // a_den), 1: b_num * (den // b_den)}  # 1 and s
-    ring = poly_ring(chart.dimension + 1)
-    k, num = _primitive(ring.dtype({m: c for m, c in parts.items() if c}))
-    return RatFunc(chart, _rat(k, den), num, ())
-
-
-@lru_cache(maxsize=None)
-def _cached_variable(chart: Chart, name: str) -> RatFunc:
-    gen = poly_ring(chart.dimension + 1).gens[chart.index(name)]
-    return RatFunc(chart, 1, gen, ())
-
-
 def _coeff_pairs(p) -> list:
     """(chart monomial, [a, b]) for each chart monomial of p, whose
     coefficient is a + b*sqrt(d), in the ring's descending term order; a
@@ -707,9 +692,9 @@ def _poly_at(p, scale, images: list[RatFunc], target: Chart, d: int) -> RatFunc:
     term."""
     if d != target.field.d and _has_radical(p):
         raise ExprError(f"sqrt({d}) on {target}")
-    out = RatFunc.constant(target, 0)
+    out = target.constant(0)
     for mono, (a, b) in _coeff_pairs(p):
-        term = RatFunc.constant(target, scale * a, scale * b)
+        term = target.constant(scale * a, scale * b)
         for img, e in zip(images, mono):
             if e:
                 term = term * img ** e
@@ -987,7 +972,7 @@ class _Parser:
         kind, text, at = self.peek()
         if kind == "int":
             self.take()
-            return RatFunc.constant(self.chart, _integer(text, at))
+            return self.chart.constant(_integer(text, at))
         if kind == "ident":
             self.take()
             return self.resolve(text, at)
@@ -1000,9 +985,13 @@ class _Parser:
 
     def resolve(self, name: str, at: int) -> RatFunc:
         if name in self.chart.variables:
-            return RatFunc.variable(self.chart, name)
-        if self.params is not None and name in PARAM_NAMES:
-            return RatFunc.constant(self.chart, getattr(self.params, name))
+            return self.chart.variable(name)
+        p = self.params
+        if p is not None and name in PARAM_NAMES:
+            # each parameter is a + b*sqrtD: sigma = alpha/2 + sqrtD/2
+            a, b = {"alpha": (p.alpha, 0), "beta": (p.beta, 0), "sqrtD": (0, 1),
+                    "sigma": (Fraction(p.alpha, 2), Fraction(1, 2))}[name]
+            return p.constant(self.chart, a, b)
         raise ParseError(f"unknown identifier {name!r}", at)
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,8 +26,8 @@ def chart_over(params, variables=("x", "y")) -> Chart:
 def params_constants(params, chart: Chart) -> tuple[RatFunc, RatFunc, RatFunc]:
     """sigma, alpha - sigma and sqrtD as constants on ``chart``, the second
     by chart arithmetic from the first."""
-    sigma = RatFunc.constant(chart, params.sigma)
-    return sigma, params.alpha - sigma, RatFunc.constant(chart, params.sqrtD)
+    sigma = params.constant(chart, Fraction(params.alpha, 2), Fraction(1, 2))
+    return sigma, params.alpha - sigma, params.constant(chart, 0, 1)
 
 
 @pytest.fixture
@@ -39,10 +40,10 @@ def rand_poly(rng: random.Random, chart: Chart, span: int = 3,
     """A random polynomial, affine in each variable, with small integer
     coefficients; with ``sparse``, zero with probability 1/2."""
     if sparse and rng.random() < 0.5:
-        return RatFunc.constant(chart, 0)
-    out = RatFunc.constant(chart, rng.randint(-span, span))
+        return chart.constant(0)
+    out = chart.constant(rng.randint(-span, span))
     for name in chart.variables:
-        out = out + RatFunc.variable(chart, name) * rng.randint(-span, span)
+        out = out + chart.variable(name) * rng.randint(-span, span)
     return out
 
 
@@ -61,7 +62,7 @@ def unimodular_2x2(rng: random.Random, chart: Chart) -> Tensor11Field:
     """[[1, p], [q, 1 + p*q]] has determinant 1 for any entries p, q."""
     p = rand_poly(rng, chart, span=2)
     q = rand_poly(rng, chart, span=2)
-    one = RatFunc.constant(chart, 1)
+    one = chart.constant(1)
     return Tensor11Field(chart, ((one, p), (q, one + p * q)))
 
 

@@ -111,7 +111,8 @@ def test_criterion_1_means_table():
     for pair in SIX_PAIRS:
         params = make_params(*pair)
         assert params.sigma == expected[pair]
-        sigma = RatFunc.constant(chart_over(params), params.sigma)
+        sigma = params.constant(chart_over(params), Fraction(params.alpha, 2), Fraction(1, 2))
+        assert sigma.constant_value() == params.sigma
         residual = sigma * sigma - params.alpha * sigma - params.beta
         assert residual == 0
         LEDGER.append((f"mean{pair}: sigma^2 - alpha*sigma - beta", residual, "zero"))
@@ -212,7 +213,7 @@ def test_criterion_3_complex_constant_discrepancy():
         assert rep.claimed_c0 == printed
         expect_nonzero(f"(a={params.alpha},b={params.beta}): "
                        "complex constant, derived - printed",
-                       RatFunc.constant(CH, derived - printed))
+                       CH.constant(derived - printed))
 
 
 def test_criterion_3_composite_relation_on_10_pairs():
@@ -361,8 +362,8 @@ def test_criterion_5_printed_form_at_unit_alpha():
         expect_zero(f"P~ = F S F^-1 over sqrt({params.radicand})",
                     frame_swap_product(conn) - p_swap)
         I = Tensor11Field.identity(tb.chart)
-        half = RatFunc.constant(tb.chart, Fraction(1, 2))
-        printed = (I + p_swap.scale(params.sqrtD)).scale(half)
+        half = tb.chart.constant(Fraction(1, 2))
+        printed = (I + p_swap.scale(params.constant(tb.chart, 0, 1))).scale(half)
         expect(f"printed J~ at alpha={params.alpha}",
                printed - jtilde_structure(conn, params))
 

@@ -20,7 +20,7 @@ from metallifts.metallic import (MetallicStructure, StructureError,
 from metallifts.numfield import make_params
 from metallifts.report import render_structured, run_scenario
 from metallifts.scenario import parse_scenario
-from metallifts.symexpr import Chart, RatFunc, parse_expr
+from metallifts.symexpr import Chart, parse_expr
 
 from conftest import (chart_over, involutive_product, params_constants, rand_poly, rand_t11,
                       rand_vector)
@@ -57,7 +57,7 @@ def test_nijenhuis_t11_matches_direct_evaluation(rng):
 def _quad_t11(rng, params) -> Tensor11Field:
     """Random entries a + b*sqrtD with a, b affine in each variable."""
     chart = chart_over(params)
-    sqrt_d = RatFunc.constant(chart, params.sqrtD)
+    sqrt_d = params.constant(chart, 0, 1)
     return Tensor11Field(chart, tuple(
         tuple(rand_poly(rng, chart) + sqrt_d * rand_poly(rng, chart) for _ in range(2))
         for _ in range(2)))
@@ -188,7 +188,7 @@ def test_example_with_other_params():
     M = example_41_structure(silver)
     assert nijenhuis_t11(M.tensor).is_zero
     P = (M.tensor.scale(2) - Tensor11Field.identity(M.chart).scale(
-        silver.alpha)).scale(RatFunc.constant(M.chart, silver.sqrtD).reciprocal())
+        silver.alpha)).scale(silver.constant(M.chart, 0, 1).reciprocal())
     assert np_relation(P, silver).is_zero
     assert np_relation(complete_lift_t11(P), silver).is_zero
 
@@ -311,7 +311,7 @@ def test_projector_criterion_detects_non_integrable_eigendistribution():
     r = Tensor11Field.make(ch3, [[1, 0, 0], [0, 1, 0], [0, x, 0]])
     P = r.scale(2) - Tensor11Field.identity(ch3)
     M = MetallicStructure(GOLDEN, (Tensor11Field.identity(ch3).scale(GOLDEN.alpha)
-                                   + P.scale(GOLDEN.sqrtD)).scale(Fraction(1, 2)))
+                                   + P.scale(GOLDEN.constant(ch3, 0, 1))).scale(Fraction(1, 2)))
     assert (projectors_from_metallic(M).r - r).is_zero
     assert not projector_criterion(M, "s_on_r").is_zero
     assert projector_criterion(M, "r_on_s").is_zero

@@ -11,7 +11,7 @@ from metallifts.lifts import (complete_lift_t11, complete_lift_vf, frame_matrix,
 from metallifts.metallic import (MetallicStructure, metallic_from_product,
                                  metallic_residual)
 from metallifts.numfield import make_params
-from metallifts.symexpr import Chart, RatFunc, parse_expr
+from metallifts.symexpr import Chart, parse_expr
 
 from conftest import (all_params, chart_over, involutive_product, rand_poly, rand_t11,
                       rand_vector)
@@ -176,7 +176,7 @@ def test_jtilde_printed_form_matches_only_for_unit_alpha(rng):
         rng.setstate(state)  # the same connection, on the chart over params' field
         conn = rand_connection(rng, chart_over(params))
         tb = tangent_bundle(conn.chart)
-        half = RatFunc.constant(tb.chart, 1) / 2
+        half = tb.chart.constant(1) / 2
         F = frame_matrix(conn)
         n = tb.n
         swap = Tensor11Field.make(tb.chart, [
@@ -184,7 +184,8 @@ def test_jtilde_printed_form_matches_only_for_unit_alpha(rng):
             for h in range(2 * n)])
         p_swap = compose_t11(compose_t11(F, swap), invert_t11(F))
         I = Tensor11Field.identity(tb.chart)
-        return (I + p_swap.scale(params.sqrtD)).scale(half), jtilde_structure(conn, params)
+        return ((I + p_swap.scale(params.constant(tb.chart, 0, 1))).scale(half),
+                jtilde_structure(conn, params))
 
     golden = make_params(1, 1)
     printed, derived = printed_and_derived(golden)

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 from sympy import factorint
 
-from metallifts.metallic import param_constant
 from metallifts.numfield import MAX_DISCRIMINANT, QuadScalar, make_params, squarefree_split
-from metallifts.symexpr import Chart, DivisionByZeroExpr, ExprError, RatFunc
+from metallifts.symexpr import Chart, DivisionByZeroExpr, ExprError
 
 from conftest import chart_over
 
@@ -17,7 +16,7 @@ CH5 = Chart(("x",), 5)
 
 def quads(chart=CH5):
     """Constants a + b*sqrt(5) on a chart over Q(sqrt 5)."""
-    return st.builds(lambda a, b: RatFunc.constant(chart, a, b), fractions, fractions)
+    return st.builds(lambda a, b: chart.constant(a, b), fractions, fractions)
 
 
 def factored_split(n: int) -> tuple[int, int]:
@@ -66,8 +65,10 @@ def test_square_root_normalization():
     # square; on a chart its square is D.
     assert make_params(1, 2).sqrtD == QuadScalar(3)
     assert make_params(2, 1).sqrtD == QuadScalar(0, 2, 2)
-    sqrt8 = RatFunc.constant(Chart(("x",), 8), make_params(2, 1).sqrtD)
+    params = make_params(2, 1)
+    sqrt8 = params.constant(Chart(("x",), 8), 0, 1)
     assert sqrt8 * sqrt8 == 8
+    assert sqrt8.constant_value() == params.sqrtD
 
 
 @given(quads(), quads(), quads())
@@ -90,19 +91,19 @@ def test_multiplicative_inverse(a):
 
 
 def test_mixed_radicands_rejected():
-    sqrt2 = RatFunc.constant(Chart(("x",), 2), 0, 1)
-    sqrt3 = RatFunc.constant(Chart(("x",), 3), 0, 1)
+    sqrt2 = Chart(("x",), 2).constant(0, 1)
+    sqrt3 = Chart(("x",), 3).constant(0, 1)
     with pytest.raises(ExprError):
         sqrt2 + sqrt3
     with pytest.raises(ExprError):  # a radical on a chart over QQ
-        RatFunc.constant(Chart(("x",)), 0, 1)
+        Chart(("x",)).constant(0, 1)
 
 
 def test_rational_coercion():
-    sqrt5 = RatFunc.constant(CH5, 0, 1)
-    assert sqrt5 + 1 == RatFunc.constant(CH5, 1, 1)
-    assert 2 * sqrt5 == RatFunc.constant(CH5, 0, 2)
-    assert 1 / sqrt5 == RatFunc.constant(CH5, 0, Fraction(1, 5))
+    sqrt5 = CH5.constant(0, 1)
+    assert sqrt5 + 1 == CH5.constant(1, 1)
+    assert 2 * sqrt5 == CH5.constant(0, 2)
+    assert 1 / sqrt5 == CH5.constant(0, Fraction(1, 5))
     assert (1 / sqrt5).constant_value() == QuadScalar(0, Fraction(1, 5), 5)
 
 
@@ -129,7 +130,8 @@ def test_means_table(pair):
     assert params.sigma == expected
     assert (str(params.sigma), params.sigma.to_float()) == (text, value)
     # Defining equation and the branch choice, exactly, on a chart.
-    sigma = RatFunc.constant(chart_over(params), params.sigma)
+    sigma = params.constant(chart_over(params), Fraction(alpha, 2), Fraction(1, 2))
+    assert sigma.constant_value() == params.sigma
     assert sigma * sigma == alpha * sigma + beta
     assert (sigma - Fraction(alpha, 2)).constant_value().to_float() > 0
 
@@ -139,10 +141,11 @@ def assert_params_algebra(alpha: int, beta: int):
     assert params.discriminant == alpha * alpha + 4 * beta
     # The closed forms, exactly on a chart over the params' field.
     chart = chart_over(params)
-    sigma = RatFunc.constant(chart, params.sigma)
-    sqrt_d = RatFunc.constant(chart, params.sqrtD)
-    conjugate = param_constant(chart, params, Fraction(alpha, 2), Fraction(-1, 2))
-    inverse = param_constant(chart, params, 0, Fraction(1, params.discriminant))
+    sigma = params.constant(chart, Fraction(alpha, 2), Fraction(1, 2))
+    sqrt_d = params.constant(chart, 0, 1)
+    conjugate = params.constant(chart, Fraction(alpha, 2), Fraction(-1, 2))
+    inverse = params.constant(chart, 0, Fraction(1, params.discriminant))
+    assert (sigma.constant_value(), sqrt_d.constant_value()) == (params.sigma, params.sqrtD)
     assert sigma * sigma == alpha * sigma + beta
     assert sqrt_d * sqrt_d == params.discriminant
     assert sigma + conjugate == alpha

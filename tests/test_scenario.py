@@ -1,7 +1,12 @@
+import gc
+import weakref
+from fractions import Fraction
+
 import pytest
 
 from metallifts.checks import CheckError, Context
 from metallifts.cli import load_builtin
+from metallifts.numfield import QuadScalar
 from metallifts.report import render_structured, run_scenario
 from metallifts.scenario import Scenario, ScenarioError, parse_once, parse_scenario
 
@@ -140,6 +145,9 @@ LOAD_ERRORS = [  # (text, a fragment of its message, the line at fault)
     ("scenario s\nchart\n", "chart needs at least one variable name", 2),
     ("scenario s\nchart x sigma\n", "chart variable 'sigma' would shadow the parameter", 2),
     ("scenario s\nchart x x\n", "chart variable names must be distinct", 2),
+    # a name the expression grammar does not read as one identifier
+    ("scenario s\nchart 2 y\n", "chart variable '2' is not a name an expression can use", 2),
+    ("scenario s\nchart x-1 y\n", "chart variable 'x-1' is not a name", 2),
     ("scenario s\nchart x y\nparams alpha=1\n", "params needs alpha=A beta=B", 3),
     ("scenario s\nchart x y\nparams alpha=1 beta=x\n", "invalid params: 'x' is not an integer", 3),
     ("scenario s\nchart x y\nparams gamma=1 beta=1\n", "expected alpha=..., found 'gamma=1'", 3),
@@ -192,7 +200,7 @@ LOAD_ERRORS = [  # (text, a fragment of its message, the line at fault)
 # the params' field once both lines are read, in either order.
 PARAMS_FIRST = [(text.replace("scenario s\nchart", "scenario s\nparams alpha=1 beta=1\nchart"),
                  fragment, line + 1)
-                for text, fragment, line in LOAD_ERRORS[2:5]]
+                for text, fragment, line in LOAD_ERRORS[2:7]]
 
 
 @pytest.mark.parametrize("text, fragment, line", LOAD_ERRORS + PARAMS_FIRST,
@@ -265,6 +273,20 @@ def test_two_parses_of_one_text_share_no_value():
     assert first == second and first.exprs is not second.exprs
     assert list(first.exprs) == list(second.exprs) == ["0", "1", "x*y", "y^2", "-(x + y)"]
     for text, value in first.exprs.items():
-        assert value == second.exprs[text]
-        # Constants come from the library's cache of chart constants.
-        assert value.is_constant() or value is not second.exprs[text]
+        # Each parse builds its own chart, which makes its own constants.
+        assert value == second.exprs[text] and value is not second.exprs[text]
+
+
+def test_dropped_scenarios_leave_no_chart_or_constant_alive():
+    # A chart keeps the constants and variables it makes, and no cache of
+    # the library keeps a chart: once the scenarios are dropped, so is all
+    # they parsed, however many distinct constants they held.
+    refs = []
+    for k in range(300):
+        sc = parse_scenario(f"scenario s{k}\nchart x y\nparams alpha=1 beta=1\n"
+                            f"field X\n  row {k + 7} , sigma*x\ncheck metallic P\n")
+        refs += [weakref.ref(sc.chart), weakref.ref(sc.fields["X"].components[0])]
+    assert refs[-1]().constant_value() == QuadScalar(Fraction(306))
+    del sc
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []

@@ -1,3 +1,4 @@
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,9 +18,9 @@ from conftest import chart_over
 # D = 8: sqrtD = 2*sqrt(2), so rendered coefficients scale sqrtD.
 P8 = make_params(2, 1)
 CH = chart_over(P8)  # over Q(sqrt 2), which holds QQ
-X = RatFunc.variable(CH, "x")
-Y = RatFunc.variable(CH, "y")
-SQRTD = RatFunc.constant(CH, P8.sqrtD)
+X = CH.variable("x")
+Y = CH.variable("y")
+SQRTD = P8.constant(CH, 0, 1)
 
 
 def coeffs(span=4, quad=False):
@@ -35,9 +36,9 @@ def polys(chart=CH, span=4, quad=False):
     c = coeffs(span, quad)
 
     def build(c0, c1, c2, c3):
-        x = RatFunc.variable(chart, chart.variables[0])
-        y = RatFunc.variable(chart, chart.variables[1])
-        return RatFunc.constant(chart, 0) + c0 + x * c1 + y * c2 + x * y * c3
+        x = chart.variable(chart.variables[0])
+        y = chart.variable(chart.variables[1])
+        return chart.constant(0) + c0 + x * c1 + y * c2 + x * y * c3
 
     return st.builds(build, c, c, c, c)
 
@@ -84,6 +85,40 @@ def test_chart_basics():
     assert Chart(("x", "y"), 8) == CH and CH.field.d == 2
     assert repr(CH) == "Chart(('x', 'y'), radicand=2)"
     assert Chart(("x",), 9).field.d == 0
+
+
+def test_the_chart_makes_each_constant_and_variable_once():
+    # Asked again, a chart gives the value it made; an equal chart makes
+    # its own, which is an equal value.
+    assert CH.variable("x") is X and CH.constant(3) is CH.constant(3)
+    assert CH.constant(Fraction(1, 2), 1) is CH.constant(Fraction(1, 2), Fraction(1))
+    other = Chart(("x", "y"), 2)
+    assert other.constant(3) is not CH.constant(3) and other.constant(3).chart is other
+    assert other.constant(3) == CH.constant(3) and other.variable("x") == X
+    assert CH.constant(Fraction(-3, 4), 2).constant_value() == QuadScalar(Fraction(-3, 4), 2, 2)
+    with pytest.raises(ExprError):
+        CH.variable("z")
+    for bad in (1.5, "1", None, P8.sqrtD):
+        with pytest.raises(TypeError, match="int or Fraction parts"):
+            CH.constant(bad)
+        with pytest.raises(TypeError, match="int or Fraction parts"):
+            CH.constant(0, bad)
+
+
+@pytest.mark.parametrize("operand", [1.5, "a", P8.sigma], ids=["float", "str", "QuadScalar"])
+def test_operators_refuse_an_operand_they_cannot_coerce(operand):
+    # Each operator returns NotImplemented, so Python raises a TypeError;
+    # reflected division recursed without end, and reflected subtraction
+    # named "+".
+    for op, symbol in ((operator.truediv, "/"), (operator.sub, "-")):
+        with pytest.raises(TypeError, match=f"for {symbol}: "):
+            op(operand, X)
+    for op in (operator.truediv, operator.sub, operator.add, operator.mul):
+        for a, b in ((operand, X), (X, operand)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    # What they can coerce still works from either side.
+    assert 2 - X == -(X - 2) and Fraction(1, 2) / X == (2 * X).reciprocal()
 
 
 # -- field axioms -----------------------------------------------------------
@@ -238,7 +273,7 @@ def test_diff_keeps_a_variable_free_base_at_its_exponent():
 
 @settings(max_examples=60, deadline=None)
 @given(factored(COPRIME_DIVISORS + SHARED_DIVISORS),
-       st.sampled_from([RatFunc.constant(CH, Fraction(-3, 4)), SQRTD, 2 - 3 * SQRTD]))
+       st.sampled_from([CH.constant(Fraction(-3, 4)), SQRTD, 2 - 3 * SQRTD]))
 def test_a_scalar_product_has_the_general_products_normal_form(f, k):
     # The general product: numerators multiplied, s^2 folded, the bases
     # trial-divided.
@@ -252,7 +287,7 @@ def test_reciprocal_cancels_the_old_numerator_against_the_denominator():
     # x*y divides neither x*z nor y*w but divides their product, which the
     # reciprocal makes its numerator.
     ch = Chart(("x", "y", "z", "w"))
-    x, y, z, w = (RatFunc.variable(ch, n) for n in ch.variables)
+    x, y, z, w = (ch.variable(n) for n in ch.variables)
     assert (2 / (x * y / ((x * z) * (y * w)))).to_text() == "2*z*w"
     assert parse_expr("2/(x*y/((x*z)*(y*w)))", ch).to_text() == "2*z*w"
 
@@ -287,7 +322,7 @@ def test_sums_leave_their_operands_polynomials_unchanged():
 
 
 def test_diff_basics():
-    assert X.diff("x") == RatFunc.constant(CH, 1)
+    assert X.diff("x") == CH.constant(1)
     assert X.diff("y").is_zero
     assert (X ** 3).diff("x") == 3 * X ** 2
     with pytest.raises(ExprError):
@@ -335,12 +370,12 @@ def base_values(draw):
     chart = Chart(("x", "y", "z")[:n], d)
 
     def poly():
-        out = RatFunc.constant(chart, 0)
+        out = chart.constant(0)
         for _ in range(draw(st.integers(1, 4))):
-            term = RatFunc.constant(chart, draw(st.integers(-4, 4)),
+            term = chart.constant(draw(st.integers(-4, 4)),
                                     draw(st.integers(-2, 2)) if d else 0)
             for name in chart.variables:
-                term = term * RatFunc.variable(chart, name) ** draw(st.integers(0, 2))
+                term = term * chart.variable(name) ** draw(st.integers(0, 2))
             out = out + term
         return out
 
@@ -389,7 +424,7 @@ def test_substitute_keeps_the_factored_denominator():
 def test_substitute_vanishing_denominator():
     f = 1 / X
     with pytest.raises(DivisionByZeroExpr):
-        f.substitute({"x": RatFunc.constant(CH, 0)})
+        f.substitute({"x": CH.constant(0)})
 
 
 # -- constants --------------------------------------------------------------
@@ -533,14 +568,14 @@ def printable(draw):
     content times a random polynomial in x, y and s = sqrt(d) (1 over QQ),
     over another such polynomial or not."""
     chart = Chart(("x", "y"), draw(st.sampled_from([0, 2, 5])))
-    x, y = (RatFunc.variable(chart, n) for n in chart.variables)
-    s = RatFunc.constant(chart, 0, 1) if chart.field.d else 1
+    x, y = (chart.variable(n) for n in chart.variables)
+    s = chart.constant(0, 1) if chart.field.d else 1
 
     def poly():
         terms = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 2),
                                         st.integers(0, 2), st.booleans()), max_size=6))
         return sum((c * x ** i * y ** j * (s if r else 1) for c, i, j, r in terms),
-                   RatFunc.constant(chart, 0))
+                   chart.constant(0))
 
     f = draw(st.fractions(min_value=-20, max_value=20, max_denominator=12)) * poly()
     if draw(st.booleans()):
@@ -563,7 +598,7 @@ def test_to_text_matches_the_reference_printer(f, params):
 def test_parse_with_params():
     params = make_params(2, 1)
     f = parse_expr("alpha*x + beta*y + sqrtD", CH, params)
-    assert f == 2 * X + Y + RatFunc.constant(CH, params.sqrtD)
+    assert f == 2 * X + Y + CH.constant(0, 2)  # sqrtD = 2*sqrt(2)
     g = parse_expr(f.to_text(params), CH, params)
     assert g == f
 
@@ -573,8 +608,8 @@ def test_chart_variable_named_like_the_radical_generator():
     params = make_params(1, 1)
     chart = chart_over(params, ("x", "_s"))
     f = parse_expr("_s^2*sqrtD + x*_s/(x - sqrtD)", chart, params)
-    s, x = RatFunc.variable(chart, "_s"), RatFunc.variable(chart, "x")
-    sqrt5 = RatFunc.constant(chart, params.sqrtD)
+    s, x = chart.variable("_s"), chart.variable("x")
+    sqrt5 = chart.constant(0, 1)
     assert f.diff("_s") == 2 * s * sqrt5 + x / (x - sqrt5)
     assert (f * f).diff("x") == 2 * f * f.diff("x")
     text = f.to_text(params)
@@ -680,18 +715,18 @@ def test_numeric_matches_symbolic(f, seed):
 # -- mixed radicands --------------------------------------------------------
 
 def test_incompatible_radicands_rejected():
-    # A scalar enters a chart as a constant, which must be over its field.
-    with pytest.raises(ExprError, match=r"sqrt\(3\) on .*radicand=2\)"):
-        RatFunc.constant(Chart(("x", "y"), 2), QuadScalar(0, 1, 3))
+    # A constant is built from rational parts, and its radical must be the
+    # chart's; a read-out is no part, whatever its radicand, and no operand.
+    with pytest.raises(TypeError, match="int or Fraction parts"):
+        Chart(("x", "y"), 2).constant(QuadScalar(0, 1, 3))
     with pytest.raises(ExprError, match=r"on .*radicand=0\)"):
-        RatFunc.constant(Chart(("x", "y")), 0, 1)
-    # A read-out is no operand: it enters a chart only as a constant.
+        Chart(("x", "y")).constant(0, 1)
     with pytest.raises(TypeError):
         X + QuadScalar(0, 1, 2)
     # Substitution onto a chart over another field keeps a value free of s
     # and refuses one with an s term.
     other = Chart(("x", "y"), 3)
-    swap = {"x": RatFunc.variable(other, "y"), "y": RatFunc.variable(other, "x")}
+    swap = {"x": other.variable("y"), "y": other.variable("x")}
     assert (X * Y + 1).substitute(swap) == parse_expr("x*y + 1", other)
     with pytest.raises(ExprError, match=r"sqrt\(2\) on .*radicand=3\)"):
         (X + SQRTD).substitute(swap)
@@ -700,12 +735,12 @@ def test_incompatible_radicands_rejected():
 def test_chart_mismatch_rejected():
     other = Chart(("u", "v"))
     with pytest.raises(ExprError):
-        X + RatFunc.variable(other, "u")
+        X + other.variable("u")
     # The same variables over QQ and over Q(sqrt 2) are two charts, and the
     # message tells them apart.
     qq, sqrt2 = Chart(("x", "y")), Chart(("x", "y"), 2)
     assert qq != sqrt2 and sqrt2 == CH and hash(sqrt2) == hash(CH)
-    x_qq, x_sqrt2 = RatFunc.variable(qq, "x"), RatFunc.variable(sqrt2, "x")
+    x_qq, x_sqrt2 = qq.variable("x"), sqrt2.variable("x")
     for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b,
                lambda a, b: a == b,
                lambda a, b: RatFunc.sum_of_products([a, a], [a, b])):
