@@ -27,8 +27,8 @@ from .geometry import (Connection, Tensor11Field, Tensor12Field, VectorField, _F
                        _index_label)
 from .integrability import (affine_invariance, distributions_integrable, nijenhuis_t11,
                             np_relation, projector_criterion)
-from .lifts import (complete_lift_t11, composition_lift, horizontal_lift_t11,
-                    horizontal_square, jtilde_printed, jtilde_structure)
+from .lifts import (complete_lift, composition_lift, horizontal_lift, horizontal_square,
+                    jtilde_printed, jtilde_structure)
 from .metallic import (MetallicStructure, composite_relation, mean_defining,
                        metallic_from_product, metallic_residual, minimal_polynomial_check,
                        product_from_metallic, product_roundtrip, projector_algebra,
@@ -245,7 +245,7 @@ def check_projector_expansions(ctx: Context, name) -> CheckOutcome:
 def check_complete_lift_metallic(ctx: Context, name) -> CheckOutcome:
     return _one_residual(f"the complete lift of {name} is metallic on TM",
                          "(Psi^C)^2 - alpha*Psi^C - beta*I", metallic_residual(
-                             complete_lift_t11(ctx.metallic(name).tensor), ctx.params))
+                             complete_lift(ctx.metallic(name).tensor), ctx.params))
 
 
 def check_composition_lift(ctx: Context, left, right) -> CheckOutcome:
@@ -303,7 +303,7 @@ def check_nijenhuis_zero(ctx: Context, name) -> CheckOutcome:
 
 def check_nijenhuis_zero_lifted(ctx: Context, name) -> CheckOutcome:
     return _one_residual(f"N of the complete lift of {name} vanishes identically", "N",
-                         nijenhuis_t11(complete_lift_t11(ctx.metallic(name).tensor)),
+                         nijenhuis_t11(complete_lift(ctx.metallic(name).tensor)),
                          _pair_residuals)
 
 
@@ -311,7 +311,7 @@ def check_np_relation(ctx: Context, name) -> CheckOutcome:
     out = CheckOutcome("D*N_P = 4*N_Psi on the base chart and for the complete lifts")
     P = ctx.product(name)
     _base_and_lifted(out, lambda P: np_relation(P, ctx.params),
-                     P, lambda: complete_lift_t11(P))
+                     P, lambda: complete_lift(P))
     return out
 
 
@@ -332,7 +332,7 @@ def check_projector_criterion(ctx: Context, name, which) -> CheckOutcome:
                        "on the base chart and for the lifted structure")
     M = ctx.metallic(name)
     _base_and_lifted(out, lambda M: projector_criterion(M, which), M,
-                     lambda: MetallicStructure(ctx.params, complete_lift_t11(M.tensor)))
+                     lambda: MetallicStructure(ctx.params, complete_lift(M.tensor)))
     return out
 
 
@@ -351,7 +351,7 @@ def check_distributions_integrable(ctx: Context, name, dist_r, dist_s) -> CheckO
 def check_horizontal_metallic(ctx: Context, name, connection) -> CheckOutcome:
     return _one_residual(
         f"the horizontal lift of {name} along {connection} is metallic",
-        "(Psi^H)^2 - alpha*Psi^H - beta*I", metallic_residual(horizontal_lift_t11(
+        "(Psi^H)^2 - alpha*Psi^H - beta*I", metallic_residual(horizontal_lift(
             ctx.metallic(name).tensor, ctx.connection(connection)), ctx.params))
 
 

@@ -1,4 +1,4 @@
-"""Vector fields, (1,1)- and (1,2)-tensor fields, connections, the Lie derivative.
+"""Vector fields, (1,1)- and (1,2)-tensor fields, connections, Lie and covariant derivatives.
 
 Every field class derives from one private base, ``_Field``: a chart and the
 nested tuples ``components[h][i]...`` of depth ``rank`` (1 for VectorField, 2
@@ -284,6 +284,31 @@ def lie_derivative(V: VectorField, T: VectorField | Tensor11Field | Tensor12Fiel
         return _contract(left, right)
 
     return type(T)(chart, _build(n, T.rank, entry))
+
+
+def connection_terms(T: VectorField | Tensor11Field, conn: Connection):
+    """The Gamma terms of nabla T, a field one rank up with the derivative
+    index last: (nabla T)^h_{I l} = d_l T^h_I + sum_a Gamma^h_{la} T^a_I
+    - sum_m Gamma^a_{l i_m} T^h_{I, i_m -> a}, and these are the two sums."""
+    chart = _same_chart(T, conn)
+    out = {VectorField: Tensor11Field, Tensor11Field: Tensor12Field}.get(type(T))
+    if out is None:
+        raise TypeError(f"no field type holds nabla of a {type(T).__name__}")
+    n, gamma, t = chart.dimension, conn.components, dict(T._entries())
+    minus_gamma = _walk(3, neg, gamma) if T.rank > 1 else None  # for lower indices
+
+    def entry(h, *rest):
+        *index, l = rest
+        left, right = [], []
+        for a in range(n):
+            left.append(gamma[h][l][a])
+            right.append(t[(a, *index)])
+            for m, i in enumerate(index):
+                left.append(minus_gamma[a][l][i])
+                right.append(t[(h, *index[:m], a, *index[m + 1:])])
+        return _contract(left, right)
+
+    return out(chart, _build(n, T.rank + 1, entry))
 
 
 # ---------------------------------------------------------------------------

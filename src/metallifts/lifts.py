@@ -1,24 +1,28 @@
 """Tangent-bundle charts and the complete / vertical / horizontal lift calculus.
 
 The tangent bundle of an n-chart is a 2n-chart: the base coordinates
-followed by one fiber coordinate per base coordinate.  Component
-conventions (h is the output index):
+followed by one fiber coordinate per base coordinate.  Every lift follows
+one rule, from (P (x) Q)^C = P^C (x) Q^V + P^V (x) Q^C (Yano & Kobayashi
+1966; Yano & Ishihara 1973, ch. I).  Let u be 1 when a lifted component's
+upper index is a fiber index and 0 otherwise, l the number of its lower
+indices in fiber position, and I its index projected to the base.  The
+component is the top block at I when u - l = 1, the middle block at I
+when u - l = 0, and 0 otherwise:
 
-  X^V = (0, X^h)
-  X^C = (X^h, y^a d_a X^h)
-  X^H = (X^h, -Gamma^h_{la} y^l X^a)
-  T^C = [[T, 0], [dT, T]]      with (dT)^h_i = y^a d_a T^h_i
-  T^H = T^C - nabla_gamma T
+  T^C: middle T,  top y^a d_a T
+  T^V: middle 0,  top T
+  T^H: middle T,  top -y^l (Gamma terms of nabla_l T)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .geometry import (Connection, Tensor11Field, VectorField, _contract, _same_chart,
-                       apply_t11, compose_t11, invert_t11, linear_combination, per_run)
+from .geometry import (Connection, Tensor11Field, VectorField, _build, _contract, _Field,
+                       _walk, compose_t11, connection_terms, invert_t11,
+                       linear_combination, per_run)
 from .metallic import metallic_recipe, metallic_residual
 from .numfield import MetallicParams
 from .symexpr import Chart, RatFunc
@@ -58,95 +62,72 @@ def tangent_bundle(base: Chart) -> TangentBundleChart:
     return TangentBundleChart(base, Chart(base.variables + tuple(fiber), base.field.d))
 
 
-def vertical_lift_vf(X: VectorField) -> VectorField:
-    tb = tangent_bundle(X.chart)
+@lru_cache(maxsize=None)
+def _rule(n: int, rank: int) -> tuple:
+    """The rule for fields of ``rank`` on an n-chart, as the component tree
+    of positions in (0, *middle, *top), both blocks in base index order."""
+    def position(*index):
+        u_minus_l = (index[0] >= n) - sum(i >= n for i in index[1:])
+        base = reduce(lambda flat, i: flat * n + i % n, index, 0)  # I's place in a block
+        return 1 + u_minus_l * n ** rank + base if u_minus_l in (0, 1) else 0
+
+    return _build(2 * n, rank, position)
+
+
+def _lift(T: _Field, middle, top) -> _Field:
+    """The field on TM of T's type with the blocks ``middle`` (None for 0)
+    and ``top``, lists of values on TM in base index order."""
+    if isinstance(T, Connection):
+        raise TypeError("a connection is not a tensor field; it has no lift by this rule")
+    tb = tangent_bundle(T.chart)
     zero = tb.chart.constant(0)
-    return VectorField(tb.chart, tuple([zero] * tb.n + [tb.up(c) for c in X.components]))
-
-
-def complete_lift_vf(X: VectorField) -> VectorField:
-    tb = tangent_bundle(X.chart)
-    names = X.chart.variables
-    return VectorField(tb.chart, tuple(
-        [tb.up(c) for c in X.components]
-        + [tb.fiber_sum([c.diff(v) for v in names]) for c in X.components]))
-
-
-def _lower_triangular(diag, lower) -> Tensor11Field:
-    """[[diag, 0], [lower, diag]] on TM from n x n blocks; diag None is zero."""
-    chart = lower[0][0].chart
-    zero = (chart.constant(0),) * len(lower)
-    diag = diag or [zero] * len(lower)
-    return Tensor11Field(chart, tuple(
-        [tuple(row) + zero for row in diag]
-        + [tuple(low) + tuple(row) for low, row in zip(lower, diag)]))
+    values = (zero, *(middle or [zero] * len(top)), *top)
+    return type(T)(tb.chart, _walk(T.rank, values.__getitem__, _rule(tb.n, T.rank)))
 
 
 @per_run
-def complete_lift_t11(T: Tensor11Field) -> Tensor11Field:
+def complete_lift(T: _Field) -> _Field:
+    """T^C: middle T, top y^a d_a T."""
     tb = tangent_bundle(T.chart)
     names = T.chart.variables
-    # (dT)^h_i = y^a d_a T^h_i, the lower-left block.
-    dT = [[tb.fiber_sum([c.diff(v) for v in names]) for c in row] for row in T.components]
-    return _lower_triangular([[tb.up(c) for c in row] for row in T.components], dT)
+    return _lift(T, [tb.up(c) for c in T._leaves()],
+                 [tb.fiber_sum([c.diff(v) for v in names]) for c in T._leaves()])
 
 
-def nabla_gamma_t11(T: Tensor11Field, conn: Connection) -> Tensor11Field:
-    _same_chart(T, conn)
+def vertical_lift(T: _Field) -> _Field:
+    """T^V: middle 0, top T."""
     tb = tangent_bundle(T.chart)
-    n = tb.n
-    names = T.chart.variables
-    t, gamma = T.components, conn.components
-    minus_gamma = [[[-c for c in row] for row in plane] for plane in gamma]
-
-    def cov(h: int, i: int, l: int) -> RatFunc:
-        """(nabla_l T)^h_i"""
-        return t[h][i].diff(names[l]) + _contract(
-            [f for a in range(n) for f in (gamma[h][l][a], minus_gamma[a][l][i])],
-            [f for a in range(n) for f in (t[a][i], t[h][a])])
-
-    block = [[tb.fiber_sum([cov(h, i, l) for l in range(n)]) for i in range(n)]
-             for h in range(n)]
-    return _lower_triangular(None, block)
+    return _lift(T, None, [tb.up(c) for c in T._leaves()])
 
 
-def horizontal_lift_vf(X: VectorField, conn: Connection) -> VectorField:
-    _same_chart(X, conn)
-    tb = tangent_bundle(X.chart)
-    # Row h of the fiber part is -y^l Gamma^h_{la} X^a.
-    lower = [-tb.fiber_sum(apply_t11(Tensor11Field(X.chart, gamma), X).components)
-             for gamma in conn.components]
-    return VectorField(tb.chart, tuple([tb.up(c) for c in X.components] + lower))
+@per_run
+def horizontal_lift(T: VectorField | Tensor11Field, conn: Connection) -> _Field:
+    """T^H: middle T, top -y^l times the connection terms of nabla_l T."""
+    tb = tangent_bundle(T.chart)
+    terms = connection_terms(T, conn)._leaves()  # n in a row, for l = 1..n
+    return _lift(T, [tb.up(c) for c in T._leaves()],
+                 [-tb.fiber_sum(row) for row in zip(*[iter(terms)] * tb.n)])
 
 
 def composition_lift(S: Tensor11Field, T: Tensor11Field) -> Tensor11Field:
     """(S o T)^C - S^C o T^C."""
-    lhs = complete_lift_t11(compose_t11(S, T))
-    return linear_combination([(1, lhs)],
-                              compose=(-complete_lift_t11(S), complete_lift_t11(T)))
-
-
-@per_run
-def horizontal_lift_t11(T: Tensor11Field, conn: Connection) -> Tensor11Field:
-    return complete_lift_t11(T) - nabla_gamma_t11(T, conn)
+    lhs = complete_lift(compose_t11(S, T))
+    return linear_combination([(1, lhs)], compose=(-complete_lift(S), complete_lift(T)))
 
 
 def horizontal_square(T: Tensor11Field, conn: Connection) -> Tensor11Field:
     """(T o T)^H - T^H o T^H."""
-    th = horizontal_lift_t11(T, conn)
-    lhs = horizontal_lift_t11(compose_t11(T, T), conn)
+    th = horizontal_lift(T, conn)
+    lhs = horizontal_lift(compose_t11(T, T), conn)
     return linear_combination([(1, lhs)], compose=(-th, th))
 
 
 def frame_matrix(conn: Connection) -> Tensor11Field:
     """Columns are the horizontal frame E_1..E_n then the vertical frame
     V_1..V_n of the connection, as coordinate components on TM."""
-    tb = tangent_bundle(conn.chart)
-    n = tb.n
-    basis = [VectorField.basis(conn.chart, a) for a in range(n)]
-    cols = ([horizontal_lift_vf(e, conn) for e in basis]
-            + [vertical_lift_vf(e) for e in basis])
-    return Tensor11Field(tb.chart, tuple(zip(*(c.components for c in cols))))
+    basis = [VectorField.basis(conn.chart, a) for a in range(conn.chart.dimension)]
+    cols = [horizontal_lift(e, conn) for e in basis] + [vertical_lift(e) for e in basis]
+    return Tensor11Field(cols[0].chart, tuple(zip(*(c.components for c in cols))))
 
 
 @per_run

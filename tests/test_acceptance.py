@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from metallifts.cli import builtin_names, load_builtin
-from metallifts.cross_section import (CrossSection, b_lift, c_lift,
+from metallifts.cross_section import (CrossSection, b_lift,
                                       induced_structure, invariance_check,
                                       restrict_to_section,
                                       section_nijenhuis_check)
@@ -24,10 +24,9 @@ from metallifts.geometry import (Connection, Tensor11Field, VectorField,
 from metallifts.integrability import (example_41_structure, frobenius_criterion,
                                       nijenhuis_apply, nijenhuis_t11,
                                       np_relation, projector_criterion)
-from metallifts.lifts import (complete_lift_t11, complete_lift_vf,
-                              frame_matrix, frame_swap_product,
-                              horizontal_lift_t11, jtilde_structure,
-                              tangent_bundle, vertical_lift_vf)
+from metallifts.lifts import (complete_lift, frame_matrix, frame_swap_product,
+                              horizontal_lift, jtilde_structure, tangent_bundle,
+                              vertical_lift)
 from metallifts.metallic import (MetallicStructure, composite_relation,
                                  metallic_from_product, metallic_residual,
                                  minimal_polynomial_check,
@@ -178,7 +177,7 @@ def test_criterion_3_complete_lift_metallic():
     for params in THREE_PARAMS:
         tag = f"(a={params.alpha},b={params.beta})"
         for k, P in enumerate(products_20(chart_over(params))):
-            lifted = complete_lift_t11(metallic_from_product(P, params).tensor)
+            lifted = complete_lift(metallic_from_product(P, params).tensor)
             expect_zero(f"{tag} P{k}: lifted defining relation",
                         metallic_residual(lifted, params))
 
@@ -188,9 +187,9 @@ def test_criterion_3_lift_is_multiplicative():
     for k in range(5):
         S, G = rand_t11(rng, CH), rand_t11(rng, CH)
         expect_zero(f"pair {k}: (S G)^C - S^C G^C",
-                    complete_lift_t11(compose_t11(S, G))
-                    - compose_t11(complete_lift_t11(S),
-                                  complete_lift_t11(G)))
+                    complete_lift(compose_t11(S, G))
+                    - compose_t11(complete_lift(S),
+                                  complete_lift(G)))
 
 
 def test_criterion_3_tangent_polynomial():
@@ -236,8 +235,8 @@ def test_criterion_4_product_metallic_nijenhuis_relation():
         psi = metallic_from_product(P, params).tensor
         for label, prod, met in [
                 ("base", P, psi),
-                ("lifted", complete_lift_t11(P),
-                 complete_lift_t11(psi))]:
+                ("lifted", complete_lift(P),
+                 complete_lift(psi))]:
             chart = prod.chart
             n = chart.dimension
             for i in range(n):
@@ -276,7 +275,7 @@ def test_criterion_4_worked_example():
     expect_zero("example: N_Psi",
                 tuple(c for plane in n_base.components
                       for row in plane for c in row))
-    lifted = complete_lift_t11(M.tensor)
+    lifted = complete_lift(M.tensor)
     n_lift = nijenhuis_t11(lifted)
     expect_zero("example: N_{Psi^C}",
                 tuple(c for plane in n_lift.components
@@ -308,7 +307,7 @@ def test_criterion_4_lift_preserves_vanishing_nijenhuis():
     constant structure gives a second, independent instance."""
     M = metallic_from_product(Tensor11Field.make(CH5, [[0, 1], [1, 0]]), GOLDEN)
     assert nijenhuis_t11(M.tensor).is_zero
-    lifted = complete_lift_t11(M.tensor)
+    lifted = complete_lift(M.tensor)
     expect_zero("constant example: N_{Psi^C}",
                 tuple(c for plane in nijenhuis_t11(lifted).components
                       for row in plane for c in row))
@@ -329,11 +328,11 @@ def test_criterion_5_horizontal_lift_metallic():
         tag = f"(a={params.alpha},b={params.beta})"
         conn = _rand_connection(rng, chart_over(params))
         psi = metallic_from_product(involutive_product(rng, conn.chart), params).tensor
-        TH = horizontal_lift_t11(psi, conn)
+        TH = horizontal_lift(psi, conn)
         expect_zero(f"{tag}: horizontal defining relation",
                     metallic_residual(TH, params))
         expect_zero(f"{tag}: (Psi^2)^H - (Psi^H)^2",
-                    horizontal_lift_t11(compose_t11(psi, psi), conn)
+                    horizontal_lift(compose_t11(psi, psi), conn)
                     - compose_t11(TH, TH))
 
 
@@ -379,22 +378,24 @@ def test_criterion_6_lift_decompositions():
     expect_zero("[BX,BY] - B[X,Y]",
                 lie_derivative(b_lift(X, cs), b_lift(Y, cs))
                 - b_lift(lie_derivative(X, Y), cs))
-    expect_zero("[CX,CY]", lie_derivative(c_lift(X), c_lift(Y)))
+    expect_zero("[CX,CY]", lie_derivative(vertical_lift(X), vertical_lift(Y)))
     # X^C = BX + C(L_V X) along the section; X^V = CX everywhere.
-    lhs = restrict_to_section(complete_lift_vf(X), cs)
+    lhs = restrict_to_section(complete_lift(X), cs)
     rhs = restrict_to_section(
-        b_lift(X, cs) + c_lift(lie_derivative(V, X)), cs)
+        b_lift(X, cs) + vertical_lift(lie_derivative(V, X)), cs)
     expect_zero("X^C - (BX + C[V,X]) on section",
                 tuple(a - b for a, b in zip(lhs, rhs)))
-    expect_zero("X^V - CX", vertical_lift_vf(X) - c_lift(X))
+    tb = tangent_bundle(CH5)
+    cx = VectorField(tb.chart, (tb.chart.constant(0),) * 2 + tuple(map(tb.up, X.components)))
+    expect_zero("X^V - CX", vertical_lift(X) - cx)
     # Psi^C(BX) = B(Psi X) + C((L_V Psi) X) along the section.
     M = metallic_from_product(involutive_product(rng, CH5), GOLDEN)
     lie = lie_derivative(V, M.tensor)
-    psi_c = complete_lift_t11(M.tensor)
+    psi_c = complete_lift(M.tensor)
     lhs = restrict_to_section(apply_t11(psi_c, b_lift(X, cs)), cs)
     rhs = restrict_to_section(
         b_lift(apply_t11(M.tensor, X), cs)
-        + c_lift(apply_t11(lie, X)), cs)
+        + vertical_lift(apply_t11(lie, X)), cs)
     expect_zero("Psi^C(BX) decomposition",
                 tuple(a - b for a, b in zip(lhs, rhs)))
     # N_{Psi^C}(BX, BY) = B(N_Psi(X,Y)) + C((L_V N_Psi)(X,Y)) along it.
@@ -404,7 +405,7 @@ def test_criterion_6_lift_decompositions():
                                               b_lift(Y, cs)), cs)
     rhs = restrict_to_section(
         b_lift(n_base.evaluate(X, Y), cs)
-        + c_lift(lie_n.evaluate(X, Y)), cs)
+        + vertical_lift(lie_n.evaluate(X, Y)), cs)
     expect_zero("N_{Psi^C}(BX,BY) decomposition",
                 tuple(a - b for a, b in zip(lhs, rhs)))
 

@@ -7,7 +7,7 @@ from metallifts.cross_section import (CrossSection, b_lift,
                                       section_nijenhuis_check)
 from metallifts.geometry import Tensor11Field, VectorField
 from metallifts.integrability import nijenhuis_apply
-from metallifts.lifts import complete_lift_t11, tangent_bundle
+from metallifts.lifts import complete_lift, tangent_bundle
 from metallifts.metallic import (StructureError, metallic_from_product,
                                  metallic_residual)
 from metallifts.numfield import make_params
@@ -177,7 +177,7 @@ def test_section_nijenhuis_formula_matches_the_definition():
     report = section_nijenhuis_check(M, cs)
     assert not report.nijenhuis.is_zero
     assert not report.lie_derivative.is_zero
-    psi_c = complete_lift_t11(M.tensor)
+    psi_c = complete_lift(M.tensor)
     basis = [b_lift(VectorField.basis(ch3, i), cs) for i in range(3)]
     compared = []
     for i in range(3):

@@ -10,7 +10,7 @@ from metallifts.geometry import (ChartMismatch, Connection, Tensor11Field,
                                  Tensor12Field, VectorField, _contract, apply_t11,
                                  compose_t11, invert_t11, lie_derivative,
                                  linear_combination)
-from metallifts.lifts import complete_lift_t11
+from metallifts.lifts import complete_lift
 from metallifts.numfield import make_params
 from metallifts.symexpr import Chart, RatFunc, _fkey, parse_expr
 
@@ -307,7 +307,7 @@ def rational_t11(rng: random.Random) -> Tensor11Field:
 def test_linear_combination_equals_the_chain_of_binary_operations(rng, lifted):
     S, T, U = (rational_t11(rng) for _ in range(3))
     if lifted:  # 4x4, with the squared bases of the complete lift's y^a d_a T block
-        S, T, U = map(complete_lift_t11, (S, T, U))
+        S, T, U = map(complete_lift, (S, T, U))
     I = Tensor11Field.identity(S.chart)
     a, b = Fraction(-3, 2), P8.constant(S.chart, 0, 1)
     c = 2 - b

@@ -13,7 +13,7 @@ from metallifts.integrability import (affine_invariance,
                                       example_41_structure, frobenius_criterion,
                                       nijenhuis_apply, nijenhuis_t11,
                                       np_relation, projector_criterion)
-from metallifts.lifts import complete_lift_t11, frame_swap_product, horizontal_lift_t11
+from metallifts.lifts import complete_lift, frame_swap_product, horizontal_lift
 from metallifts.metallic import (MetallicStructure, StructureError,
                                  metallic_from_product, projectors_from_metallic,
                                  square_residual)
@@ -84,13 +84,13 @@ def test_nijenhuis_formula_matches_definition(seed):
     rng = random.Random(seed)
     T = _quad_t11(rng, GOLDEN)
     den = parse_expr("x^2 + sqrtD*y + 3", T.chart, GOLDEN)
-    for case in (T, complete_lift_t11(T), T.scale(1 / den)):
+    for case in (T, complete_lift(T), T.scale(1 / den)):
         assert not _assert_formula_matches_definition(case).is_zero
 
 
 def test_nijenhuis_formula_on_the_integrable_example():
     M = example_41_structure(GOLDEN)
-    for case in (M.tensor, complete_lift_t11(M.tensor)):
+    for case in (M.tensor, complete_lift(M.tensor)):
         assert _assert_formula_matches_definition(case).is_zero
 
 
@@ -111,7 +111,7 @@ def test_np_relation_random_products(pair, rng):
     params = make_params(*pair)
     P = involutive_product(rng, chart_over(params))
     assert np_relation(P, params).is_zero
-    assert np_relation(complete_lift_t11(P), params).is_zero
+    assert np_relation(complete_lift(P), params).is_zero
 
 
 def test_np_relation_rejects_non_involutive(rng):
@@ -160,7 +160,7 @@ def test_example_eigendistributions():
 def test_example_nijenhuis_vanishes_base_and_lifted():
     M = example_41_structure(GOLDEN)
     assert nijenhuis_t11(M.tensor).is_zero
-    lifted = complete_lift_t11(M.tensor)
+    lifted = complete_lift(M.tensor)
     assert nijenhuis_t11(lifted).is_zero
 
 
@@ -172,7 +172,7 @@ def test_example_distributions_integrable():
 
 def test_example_projector_criteria():
     M = example_41_structure(GOLDEN)
-    lifted = MetallicStructure(GOLDEN, complete_lift_t11(M.tensor))
+    lifted = MetallicStructure(GOLDEN, complete_lift(M.tensor))
     for which in ("r_on_s", "s_on_r"):
         assert projector_criterion(M, which).is_zero
         assert projector_criterion(lifted, which).is_zero
@@ -190,7 +190,7 @@ def test_example_with_other_params():
     P = (M.tensor.scale(2) - Tensor11Field.identity(M.chart).scale(
         silver.alpha)).scale(silver.constant(M.chart, 0, 1).reciprocal())
     assert np_relation(P, silver).is_zero
-    assert np_relation(complete_lift_t11(P), silver).is_zero
+    assert np_relation(complete_lift(P), silver).is_zero
 
 
 # -- distribution plumbing --------------------------------------------------
@@ -323,19 +323,20 @@ def test_projector_criterion_detects_non_integrable_eigendistribution():
 @pytest.fixture
 def builds(monkeypatch):
     """Counts of the Nijenhuis and complete-lift builds that actually run:
-    memo misses inside a run, every call outside one."""
+    memo misses inside a run, every call outside one.  Lifts count only
+    those of (1,1)-tensors, not those of vector fields."""
     counts = {"nijenhuis": 0, "lift": 0}
 
     def count(memoised, key):
         build = memoised.__wrapped__
 
         def counted(*args):
-            counts[key] += 1
+            counts[key] += isinstance(args[0], Tensor11Field)
             return build(*args)
         monkeypatch.setattr(memoised, "__wrapped__", counted)
 
     count(nijenhuis_t11, "nijenhuis")
-    count(complete_lift_t11, "lift")
+    count(complete_lift, "lift")
     return counts
 
 
@@ -351,7 +352,7 @@ def test_example_run_builds_each_nijenhuis_tensor_once(builds):
 
 @pytest.mark.parametrize("name, lifts", [
     ("section_linear", 1),     # Psi^C, shared by the three section checks
-    ("horizontal_curved", 2),  # Psi^C and (Psi^2)^C, under Psi^H and (Psi^2)^H
+    ("horizontal_curved", 0),  # Psi^H and (Psi^2)^H take no complete lift
 ])
 def test_run_builds_each_complete_lift_once(builds, name, lifts):
     assert run_scenario(load_builtin(name)).ok
@@ -385,20 +386,24 @@ def test_example_run_builds_each_projector_pair_once(monkeypatch):
     ("section_linear", {"invariance_check": 2}),
     # P~, shared by jtilde and jtilde_printed; Psi^H, shared by
     # horizontal_metallic and horizontal_square, and (Psi^2)^H
-    ("horizontal_curved", {"frame_swap_product": 1, "horizontal_lift_t11": 2}),
+    ("horizontal_curved", {"frame_swap_product": 1, "horizontal_lift": 2}),
     # P^2 - I, shared by four checks, and (P^C)^2 - I under np_relation
     ("gold_diag", {"square_residual": 2}),
 ])
 def test_run_builds_each_shared_derived_object_once(monkeypatch, name, expected):
-    """A second run of the same parsed scenario builds them all again."""
-    shared = (invariance_check, frame_swap_product, horizontal_lift_t11, square_residual)
+    """A second run of the same parsed scenario builds them all again.
+    Horizontal lifts count only those of (1,1)-tensors, not the frame's."""
+    shared = (invariance_check, frame_swap_product, horizontal_lift, square_residual)
     calls = {fn.__name__: [] for fn in shared}
 
     def record(memoised):
         build = memoised.__wrapped__
-        monkeypatch.setattr(memoised, "__wrapped__",
-                            lambda *args: calls[memoised.__name__].append(args)
-                            or build(*args))
+
+        def recorded(*args):
+            if memoised is not horizontal_lift or isinstance(args[0], Tensor11Field):
+                calls[memoised.__name__].append(args)
+            return build(*args)
+        monkeypatch.setattr(memoised, "__wrapped__", recorded)
 
     for fn in shared:
         record(fn)
@@ -415,7 +420,7 @@ def test_run_builds_each_shared_derived_object_once(monkeypatch, name, expected)
 def test_calls_outside_a_run_build_every_time(builds):
     T = example_41_structure(GOLDEN).tensor
     assert nijenhuis_t11(T) is not nijenhuis_t11(T)
-    assert complete_lift_t11(T) is not complete_lift_t11(T)
+    assert complete_lift(T) is not complete_lift(T)
     assert builds == {"nijenhuis": 2, "lift": 2}
 
 

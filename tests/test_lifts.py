@@ -1,13 +1,11 @@
 import pytest
 
 from metallifts.cli import load_builtin
-from metallifts.geometry import (Connection, Tensor11Field, VectorField,
-                                 apply_t11, compose_t11, invert_t11,
-                                 lie_derivative)
-from metallifts.lifts import (complete_lift_t11, complete_lift_vf, frame_matrix,
-                              horizontal_lift_t11, horizontal_lift_vf,
-                              jtilde_structure, nabla_gamma_t11, tangent_bundle,
-                              vertical_lift_vf)
+from metallifts.geometry import (ChartMismatch, Connection, Tensor11Field, Tensor12Field,
+                                 VectorField, _build, apply_t11, compose_t11, connection_terms,
+                                 invert_t11, lie_derivative)
+from metallifts.lifts import (complete_lift, frame_matrix, horizontal_lift, jtilde_structure,
+                              tangent_bundle, vertical_lift)
 from metallifts.metallic import (MetallicStructure, metallic_from_product,
                                  metallic_residual)
 from metallifts.numfield import make_params
@@ -46,7 +44,7 @@ def test_complete_lift_keeps_the_squared_factor():
     """The lower-left block y^a d_a Psi of example 4.1's lift carries
     ((x+y)^2 + 1)^2, not its expansion."""
     psi = load_builtin("example_4_1").structures["PSI"][1]
-    lifted = complete_lift_t11(psi)
+    lifted = complete_lift(psi)
     for row in lifted.components[2:]:
         for c in row[:2]:
             assert c.factors == ((parse_expr("x^2 + 2*x*y + y^2 + 1", TB.chart).num, 2),)
@@ -56,21 +54,21 @@ def test_complete_lift_keeps_the_squared_factor():
 
 def test_complete_complete_bracket(rng):
     X, Y = rand_vector(rng, CH), rand_vector(rng, CH)
-    lhs = lie_derivative(complete_lift_vf(X), complete_lift_vf(Y))
-    rhs = complete_lift_vf(lie_derivative(X, Y))
+    lhs = lie_derivative(complete_lift(X), complete_lift(Y))
+    rhs = complete_lift(lie_derivative(X, Y))
     assert (lhs - rhs).is_zero
 
 
 def test_complete_vertical_bracket(rng):
     X, Y = rand_vector(rng, CH), rand_vector(rng, CH)
-    lhs = lie_derivative(complete_lift_vf(X), vertical_lift_vf(Y))
-    rhs = vertical_lift_vf(lie_derivative(X, Y))
+    lhs = lie_derivative(complete_lift(X), vertical_lift(Y))
+    rhs = vertical_lift(lie_derivative(X, Y))
     assert (lhs - rhs).is_zero
 
 
 def test_vertical_vertical_bracket(rng):
     X, Y = rand_vector(rng, CH), rand_vector(rng, CH)
-    assert lie_derivative(vertical_lift_vf(X), vertical_lift_vf(Y)).is_zero
+    assert lie_derivative(vertical_lift(X), vertical_lift(Y)).is_zero
 
 
 # -- complete lift of (1,1)-tensors ----------------------------------------
@@ -78,25 +76,25 @@ def test_vertical_vertical_bracket(rng):
 def test_complete_lift_action_on_lifts(rng):
     T = rand_t11(rng, CH)
     X = rand_vector(rng, CH)
-    TC = complete_lift_t11(T)
+    TC = complete_lift(T)
     # T^C X^V = (T X)^V and T^C X^C = (T X)^C + ((L_X T) applied)^V; on
     # the vertical lift the law is clean, so assert that one exactly.
-    lhs = apply_t11(TC, vertical_lift_vf(X))
-    rhs = vertical_lift_vf(apply_t11(T, X))
+    lhs = apply_t11(TC, vertical_lift(X))
+    rhs = vertical_lift(apply_t11(T, X))
     assert (lhs - rhs).is_zero
 
 
 def test_complete_lift_is_multiplicative(rng):
     S, T = rand_t11(rng, CH), rand_t11(rng, CH)
-    lhs = complete_lift_t11(compose_t11(S, T))
-    rhs = compose_t11(complete_lift_t11(S), complete_lift_t11(T))
+    lhs = complete_lift(compose_t11(S, T))
+    rhs = compose_t11(complete_lift(S), complete_lift(T))
     assert (lhs - rhs).is_zero
 
 
 @pytest.mark.parametrize("params", all_params(), ids=lambda p: f"a{p.alpha}b{p.beta}")
 def test_complete_lift_preserves_metallic(params, rng):
     M = metallic_from_product(involutive_product(rng, chart_over(params)), params)
-    lifted = complete_lift_t11(M.tensor)
+    lifted = complete_lift(M.tensor)
     assert metallic_residual(lifted, params).is_zero
     # Constructing the structure object revalidates it.
     MetallicStructure(params, lifted)
@@ -109,21 +107,21 @@ def test_horizontal_lift_action(rng):
         conn = rand_connection(rng, sparse=sparse)
         T = rand_t11(rng, CH, sparse)
         X = rand_vector(rng, CH)
-        TH = horizontal_lift_t11(T, conn)
-        lhs_h = apply_t11(TH, horizontal_lift_vf(X, conn))
-        rhs_h = horizontal_lift_vf(apply_t11(T, X), conn)
+        TH = horizontal_lift(T, conn)
+        lhs_h = apply_t11(TH, horizontal_lift(X, conn))
+        rhs_h = horizontal_lift(apply_t11(T, X), conn)
         assert (lhs_h - rhs_h).is_zero
-        lhs_v = apply_t11(TH, vertical_lift_vf(X))
-        rhs_v = vertical_lift_vf(apply_t11(T, X))
+        lhs_v = apply_t11(TH, vertical_lift(X))
+        rhs_v = vertical_lift(apply_t11(T, X))
         assert (lhs_v - rhs_v).is_zero
 
 
 def test_horizontal_lift_square_law(rng):
     conn = rand_connection(rng)
     T = rand_t11(rng, CH)
-    lhs = horizontal_lift_t11(compose_t11(T, T), conn)
-    rhs = compose_t11(horizontal_lift_t11(T, conn),
-                      horizontal_lift_t11(T, conn))
+    lhs = horizontal_lift(compose_t11(T, T), conn)
+    rhs = compose_t11(horizontal_lift(T, conn),
+                      horizontal_lift(T, conn))
     assert (lhs - rhs).is_zero
 
 
@@ -131,14 +129,137 @@ def test_horizontal_lift_square_law(rng):
 def test_horizontal_lift_preserves_metallic(params, rng):
     conn = rand_connection(rng, chart_over(params))
     M = metallic_from_product(involutive_product(rng, conn.chart), params)
-    lifted = horizontal_lift_t11(M.tensor, conn)
+    lifted = horizontal_lift(M.tensor, conn)
     assert metallic_residual(lifted, params).is_zero
 
 
-def test_nabla_gamma_vanishes_for_flat_connection_and_constant_tensor():
+def test_nabla_gamma_vanishes_for_flat_connection_and_constant_tensor(rng):
+    """gamma(nabla T) = T^C - T^H: a flat connection adds no connection
+    terms, and a constant tensor has no partial derivatives either."""
     conn = Connection.zero(CH)
+    assert connection_terms(rand_t11(rng, CH), conn).is_zero
     T = Tensor11Field.make(CH, [[1, 2], [3, 4]])
-    assert nabla_gamma_t11(T, conn).is_zero
+    assert (complete_lift(T) - horizontal_lift(T, conn)).is_zero
+
+
+# -- the lift rule against the hand-written lifts it replaced ---------------
+# The oracles are the per-type formulas the rule replaced, kept verbatim in
+# substance, and the probed complete lift of a (1,2)-tensor.
+
+def oracle_vertical_vf(X):
+    tb = tangent_bundle(X.chart)
+    zero = tb.chart.constant(0)
+    return VectorField(tb.chart, tuple([zero] * tb.n + [tb.up(c) for c in X.components]))
+
+
+def oracle_complete_vf(X):
+    tb = tangent_bundle(X.chart)
+    names = X.chart.variables
+    return VectorField(tb.chart, tuple(
+        [tb.up(c) for c in X.components]
+        + [tb.fiber_sum([c.diff(v) for v in names]) for c in X.components]))
+
+
+def oracle_horizontal_vf(X, conn):
+    tb = tangent_bundle(X.chart)
+    lower = [-tb.fiber_sum(apply_t11(Tensor11Field(X.chart, gamma), X).components)
+             for gamma in conn.components]
+    return VectorField(tb.chart, tuple([tb.up(c) for c in X.components] + lower))
+
+
+def oracle_blocks(diag, lower):
+    """[[diag, 0], [lower, diag]] on TM from n x n blocks; diag None is zero."""
+    chart = lower[0][0].chart
+    zero = (chart.constant(0),) * len(lower)
+    diag = diag or [zero] * len(lower)
+    return Tensor11Field(chart, tuple(
+        [tuple(row) + zero for row in diag]
+        + [tuple(low) + tuple(row) for low, row in zip(lower, diag)]))
+
+
+def oracle_vertical_t11(T):
+    """[[0, 0], [T, 0]]."""
+    tb = tangent_bundle(T.chart)
+    zero = (tb.chart.constant(0),) * tb.n
+    return Tensor11Field(tb.chart, tuple(
+        [zero * 2] * tb.n + [tuple(map(tb.up, row)) + zero for row in T.components]))
+
+
+def oracle_complete_t11(T):
+    tb = tangent_bundle(T.chart)
+    names = T.chart.variables
+    dT = [[tb.fiber_sum([c.diff(v) for v in names]) for c in row] for row in T.components]
+    return oracle_blocks([[tb.up(c) for c in row] for row in T.components], dT)
+
+
+def oracle_gamma_nabla(T, conn):
+    tb = tangent_bundle(T.chart)
+    n = tb.n
+    names = T.chart.variables
+    t, gamma = T.components, conn.components
+
+    def cov(h, i, l):
+        """(nabla_l T)^h_i"""
+        return t[h][i].diff(names[l]) + sum(
+            (gamma[h][l][a] * t[a][i] - gamma[a][l][i] * t[h][a] for a in range(n)),
+            T.chart.constant(0))
+
+    block = [[tb.fiber_sum([cov(h, i, l) for l in range(n)]) for i in range(n)]
+             for h in range(n)]
+    return oracle_blocks(None, block)
+
+
+def oracle_horizontal_t11(T, conn):
+    return oracle_complete_t11(T) - oracle_gamma_nabla(T, conn)
+
+
+def oracle_complete_t12(S):
+    """The base block is S; the fiber output is y^a d_a S^h_ij on two base
+    inputs and S^h_ij with exactly one fiber input; all else is 0."""
+    tb = tangent_bundle(S.chart)
+    n, names = tb.n, S.chart.variables
+
+    def entry(h, i, j):
+        s = S.components[h % n][i % n][j % n]
+        fibers = (i >= n) + (j >= n)
+        if h < n:
+            return tb.up(s) if fibers == 0 else 0
+        if fibers == 0:
+            return tb.fiber_sum([s.diff(v) for v in names])
+        return tb.up(s) if fibers == 1 else 0
+
+    return Tensor12Field.make(tb.chart, [[[entry(h, i, j) for j in range(2 * n)]
+                                          for i in range(2 * n)] for h in range(2 * n)])
+
+
+def rand_entry(rng, chart):
+    """A random rational function, with a sqrt(d) part on a chart over Q(sqrt d)
+    and a denominator half of the time."""
+    value = rand_poly(rng, chart)
+    if chart.field.d:
+        value = value + rand_poly(rng, chart) * chart.constant(0, 1)
+    if rng.random() < 0.5:
+        value = value / (rand_poly(rng, chart) ** 2 + 1)
+    return value
+
+
+@pytest.mark.parametrize("radicand", [0, 5], ids=["QQ", "Q(sqrt5)"])
+def test_the_rule_gives_the_hand_written_lifts(rng, radicand):
+    chart = Chart(("x", "y"), radicand)
+
+    def rand_field(cls):
+        return cls(chart, _build(2, cls.rank, lambda *index: rand_entry(rng, chart)))
+
+    for _ in range(3):
+        X, T, S = rand_field(VectorField), rand_field(Tensor11Field), rand_field(Tensor12Field)
+        conn = rand_field(Connection)
+        assert vertical_lift(X) == oracle_vertical_vf(X)
+        assert complete_lift(X) == oracle_complete_vf(X)
+        assert horizontal_lift(X, conn) == oracle_horizontal_vf(X, conn)
+        assert vertical_lift(T) == oracle_vertical_t11(T)
+        assert complete_lift(T) == oracle_complete_t11(T)
+        assert horizontal_lift(T, conn) == oracle_horizontal_t11(T, conn)
+        assert complete_lift(S) == oracle_complete_t12(S)
 
 
 # -- frame matrix and the swap structure -----------------------------------
@@ -153,7 +274,7 @@ def test_frame_matrix_invertible(rng):
 def test_frame_matrix_columns_are_frames(rng):
     conn = rand_connection(rng)
     F = frame_matrix(conn)
-    e0 = horizontal_lift_vf(VectorField.basis(CH, 0), conn)
+    e0 = horizontal_lift(VectorField.basis(CH, 0), conn)
     for h in range(4):
         assert (F.components[h][0] - e0.components[h]).is_zero
 
@@ -198,9 +319,21 @@ def test_jtilde_printed_form_matches_only_for_unit_alpha(rng):
 
 
 def test_chart_mismatch_errors(rng):
+    """Fields on another chart are refused, and so is a connection: it is a
+    rank-3 field but no tensor, and its complete lift is not the rule's.
+    The covariant derivative of a (1,2)-tensor has no field type here."""
     other = Chart(("u", "v"))
     conn = rand_connection(rng)
-    with pytest.raises(ValueError):
-        horizontal_lift_vf(rand_vector(rng, other), conn)
-    with pytest.raises(ValueError):
-        nabla_gamma_t11(rand_t11(rng, other), conn)
+    for T in (rand_vector(rng, other), rand_t11(rng, other)):
+        with pytest.raises(ChartMismatch):
+            horizontal_lift(T, conn)
+        with pytest.raises(ChartMismatch):
+            connection_terms(T, conn)
+    for lift in (complete_lift, vertical_lift, lambda T: horizontal_lift(T, conn)):
+        with pytest.raises(TypeError):
+            lift(conn)
+    S = Tensor12Field.zero(CH)
+    with pytest.raises(TypeError):
+        horizontal_lift(S, conn)
+    with pytest.raises(TypeError):
+        connection_terms(S, conn)
